@@ -14,16 +14,15 @@ import numpy as np
 from morseforge.coord_change import PointSet
 from morseforge.synth import build_saddle_field
 from morseforge.verify import BoxSpec, FlowConfig, integrate_batch
-from morseforge.numeric import compile_map
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--offsets", type=int, default=9,
                     help="number of starting offsets from the separatrix")
     ap.add_argument("--dt", type=float, default=1e-2)
     ap.add_argument("--t-max", type=float, default=200.0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     sf = build_saddle_field(PointSet(2, [[-1, 0], [1, 0]]))
     box = BoxSpec(lower=(-2.0, -1.0), upper=(2.0, 1.0))
@@ -37,7 +36,7 @@ def main():
     starts = np.array([[off, 0.5] for off in sorted(offsets)])
 
     res = integrate_batch(
-        compile_map(sf.field), starts, box, targets,
+        sf.field, starts, box, targets,
         FlowConfig(dt=args.dt, t_max=args.t_max),
     )
     print(f"{'start x1':>12}  {'outcome':<18} {'end':>22}")

@@ -17,15 +17,13 @@ from .morse_scalar import (
     build_alpha,
     build_f,
     build_pair,
-    certify_critical_set,
     hessian_f,
 )
-from .poly import DimensionMismatch, MultiPoly, PolyMap, compose_map, gradient
+from .poly import DimensionMismatch, MultiPoly, PolyMap
 from .synth import (
     SaddleField,
     SynthesisResult,
     build_saddle_field,
-    gradient_field,
     hessian_at,
     synthesize,
 )
@@ -37,10 +35,9 @@ from .verify import (
     NewtonConfig,
     basin_sample,
     certify,
-    default_box,
     eigen_signs,
-    fd_gradient_check,
-    integrate_flow,
+    fd_gradient_check_batch,
+    integrate_batch,
     newton_search,
 )
 

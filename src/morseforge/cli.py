@@ -17,14 +17,22 @@ import numpy as np
 
 from . import serialize, synth, verify
 from .coord_change import PointSet, PointSetError
-from .numeric import compile_map, compile_poly
-from .poly import MultiPoly, PolyMap
+from .poly import PolyMap
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_HYPOTHESIS = 3
 EXIT_UNSUPPORTED = 4
+
+
+class CommandError(Exception):
+    """A command refused its input; main reports the message and exits with
+    code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _default_seed() -> int:
@@ -48,61 +56,72 @@ def _write_json(path: Optional[str], obj) -> None:
         print(text)
 
 
+def _read_pointset(path: str) -> PointSet:
+    try:
+        obj = _load_json(path)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CommandError(EXIT_PARSE, f"cannot read point set: {exc}") from exc
+    try:
+        return PointSet.from_obj(obj)
+    except PointSetError as exc:
+        raise CommandError(EXIT_HYPOTHESIS, str(exc)) from exc
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise CommandError(EXIT_PARSE, f"malformed point set: {exc}") from exc
+
+
+def _read_bundle(path: str) -> serialize.ParsedBundle:
+    try:
+        return serialize.parse_bundle(_load_json(path))
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
+        raise CommandError(EXIT_PARSE, f"malformed bundle: {exc}") from exc
+
+
 def _parse_box(flags: Optional[List[str]], dim: int) -> Optional[verify.BoxSpec]:
     if not flags:
         return None
     if len(flags) != dim:
-        raise ValueError(f"--box must be given once per axis ({dim} times)")
+        raise CommandError(EXIT_PARSE, f"--box must be given once per axis ({dim} times)")
     lower, upper = [], []
-    for f in flags:
-        lo, hi = (float(v) for v in f.split(","))
-        lower.append(lo)
-        upper.append(hi)
-    return verify.BoxSpec(tuple(lower), tuple(upper), derivation="cli override")
+    try:
+        for f in flags:
+            lo, hi = (float(v) for v in f.split(","))
+            lower.append(lo)
+            upper.append(hi)
+        return verify.BoxSpec(tuple(lower), tuple(upper), derivation="cli override")
+    except ValueError as exc:
+        raise CommandError(EXIT_PARSE, str(exc)) from exc
+
+
+def _flow_config(args, **opts) -> verify.FlowConfig:
+    try:
+        return verify.FlowConfig(dt=args.dt, t_max=args.t_max, **opts)
+    except ValueError as exc:
+        raise CommandError(EXIT_PARSE, str(exc)) from exc
 
 
 def cmd_synthesize(args) -> int:
-    try:
-        obj = _load_json(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read point set: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        xs = PointSet.from_obj(obj)
-    except PointSetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed point set: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    result = synth.synthesize(xs)
+    result = synth.synthesize(_read_pointset(args.input))
     _write_json(args.output, serialize.bundle_obj(result))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        bundle = serialize.parse_bundle(_load_json(args.input))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed bundle: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    bundle = _read_bundle(args.input)
     n = bundle.pointset.dimension
+    box = _parse_box(args.box, n)
+    if args.seeds_per_axis is not None and args.seeds_per_axis < 2:
+        raise CommandError(EXIT_PARSE, "--seeds-per-axis must be >= 2")
 
     # nothing from the bundle is trusted: gradient and Hessians are
     # recomputed from the stored polynomial and compared against its claims
     grad = PolyMap([-bundle.p.partial(i) for i in range(n)], n)
     grad_consistent = grad == bundle.grad_field
-
-    seconds = [[bundle.p.partial(i).partial(j) for j in range(n)] for i in range(n)]
+    seconds = bundle.p.hessian()
 
     def hess(pt):
         return [[e.eval_rational(pt) for e in row] for row in seconds]
 
-    try:
-        box = _parse_box(args.box, n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     cfg = verify.NewtonConfig(
         residual_tol=args.residual_tol,
         dedup_tol=args.dedup_tol,
@@ -132,68 +151,40 @@ def cmd_verify(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    bundle = _read_bundle(args.input)
     try:
-        bundle = serialize.parse_bundle(_load_json(args.input))
         start = [float(v) for v in args.start.split(",")]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed input: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except ValueError as exc:
+        raise CommandError(EXIT_PARSE, f"malformed --start: {exc}") from exc
     n = bundle.pointset.dimension
     if len(start) != n:
-        print(f"error: --start needs {n} coordinates", file=sys.stderr)
-        return EXIT_PARSE
-    box = verify.default_box(bundle.pointset.points)
+        raise CommandError(EXIT_PARSE, f"--start needs {n} coordinates")
+    box = verify.BoxSpec.from_points(bundle.pointset.points)
     lo, hi = box.inflated(10.0)
     if not all(l <= s <= h for l, s, h in zip(lo, start, hi)):
-        print("error: start point lies outside the 10x inflated box", file=sys.stderr)
-        return EXIT_PARSE
-    trace = verify.integrate_flow(
-        bundle.grad_field,
-        start,
-        dt=args.dt,
-        t_max=args.t_max,
-        box=box,
-        targets=bundle.pointset.points,
-        lyap=bundle.p,
-        grad_tol=args.grad_tol,
-        point_tol=args.point_tol,
-    )
+        raise CommandError(EXIT_PARSE, "start point lies outside the 10x inflated box")
+    cfg = _flow_config(args, grad_tol=args.grad_tol, point_tol=args.point_tol)
+    trace = verify.integrate_batch(
+        bundle.grad_field, [start], box, bundle.pointset.points, cfg, lyap=bundle.p
+    ).traces()[0]
     _write_json(args.output, trace.to_obj())
     return EXIT_OK if trace.classified == "converged_to" else EXIT_FAIL
 
 
 def cmd_saddle_field(args) -> int:
-    try:
-        obj = _load_json(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read point set: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        xs = PointSet.from_obj(obj)
-    except PointSetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed point set: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    sf = synth.build_saddle_field(xs)
+    sf = synth.build_saddle_field(_read_pointset(args.input))
     _write_json(args.output, serialize.saddle_obj(sf))
     return EXIT_OK
 
 
 def cmd_export_grid(args) -> int:
-    try:
-        bundle = serialize.parse_bundle(_load_json(args.input))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed bundle: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    bundle = _read_bundle(args.input)
     if bundle.pointset.dimension != 2:
-        print("error: export-grid supports n = 2 only", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        raise CommandError(EXIT_UNSUPPORTED, "export-grid supports n = 2 only")
     if args.resolution < 8:
-        print("error: resolution must be >= 8", file=sys.stderr)
-        return EXIT_PARSE
-    box = verify.default_box(bundle.pointset.points)
+        raise CommandError(EXIT_PARSE, "resolution must be >= 8")
+    cfg = _flow_config(args)
+    box = verify.BoxSpec.from_points(bundle.pointset.points)
     axes = [
         np.linspace(lo, hi, args.resolution)
         for lo, hi in zip(box.lower, box.upper)
@@ -201,11 +192,7 @@ def cmd_export_grid(args) -> int:
     nodes = [(x, y) for x in axes[0] for y in axes[1]]
     values = [bundle.p.eval_float(nd) for nd in nodes]
     res = verify.integrate_batch(
-        compile_map(bundle.grad_field),
-        np.asarray(nodes),
-        box,
-        bundle.pointset.points,
-        verify.FlowConfig(dt=args.dt, t_max=args.t_max),
+        bundle.grad_field, np.asarray(nodes), box, bundle.pointset.points, cfg
     )
     labels = np.where(res.status == verify.STATUS_CONVERGED, res.conv_idx, -1)
     out = args.output or "grid.csv"
@@ -268,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

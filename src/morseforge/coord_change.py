@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 from . import exactmat
 from ._rat import Rat, rat
-from .poly import MultiPoly, PolyMap, compose_map
+from .poly import MultiPoly, PolyMap
 
 
 class PointSetError(ValueError):
@@ -181,8 +181,8 @@ def build_coord_change(xs: PointSet) -> CoordChange:
     pi = _shear_map(n, interpolants, -1)
     pi_inv = _shear_map(n, interpolants, +1)
 
-    forward = compose_map(pi, t_map)
-    inverse = compose_map(t_inv_map, pi_inv)
+    forward = pi.compose(t_map)
+    inverse = t_inv_map.compose(pi_inv)
     axis_images = tuple(z[0] for z in z_points)
     # the direction choice guarantees distinct first coordinates
     assert len(set(axis_images)) == len(axis_images)

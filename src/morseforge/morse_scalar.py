@@ -146,30 +146,10 @@ def hessian_f(pair: MorsePair, point: Tuple) -> List[List[Rat]]:
     Deliberately not the on-critical-set closed form; the closed form serves
     as an independent oracle in the tests.
     """
-    fx = pair.f.partial(0)
-    fy = pair.f.partial(1)
-    fxx = fx.partial(0).eval_rational(point)
-    fxy = fx.partial(1).eval_rational(point)
-    fyy = fy.partial(1).eval_rational(point)
-    return [[fxx, fxy], [fxy, fyy]]
+    return [[entry.eval_rational(point) for entry in row] for row in pair.f.hessian()]
 
 
 def critical_points(pair: MorsePair) -> List[Tuple[Rat, Rat]]:
     if pair.roots is None:
         raise ValueError("pair does not carry its root set")
     return [(r, rat(0)) for r in pair.roots]
-
-
-def certify_critical_set(pair: MorsePair, seeds_per_axis: int = 40, **newton_opts):
-    """Exact per-root certification plus a numeric spurious-point search over
-    the default box.  Failures are report entries, never raised."""
-    from . import verify
-
-    pts = critical_points(pair)
-    return verify.certify(
-        points=pts,
-        grad_map=grad_f(pair),
-        hessian_at=lambda p: hessian_f(pair, p),
-        seeds_per_axis=seeds_per_axis,
-        **newton_opts,
-    )

@@ -9,8 +9,6 @@ exponent-matrix product.
 
 from __future__ import annotations
 
-from typing import List, Sequence
-
 import numpy as np
 from numpy.polynomial import polynomial as npp
 
@@ -70,15 +68,3 @@ class CompiledJacobian:
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         rows = [np.stack([e(pts) for e in row], axis=-1) for row in self.entries]
         return np.stack(rows, axis=-2)
-
-
-def compile_poly(p: MultiPoly) -> CompiledPoly:
-    return CompiledPoly(p)
-
-
-def compile_map(pm: PolyMap) -> CompiledMap:
-    return CompiledMap(pm)
-
-
-def compile_jacobian(pm: PolyMap) -> CompiledJacobian:
-    return CompiledJacobian(pm)

@@ -232,6 +232,17 @@ class MultiPoly:
             out[key] = c / (e + 1)
         return MultiPoly._raw(self.dim, out)
 
+    def hessian(self) -> List[List["MultiPoly"]]:
+        """Symmetric matrix of second partials; each mixed partial is formed
+        once and shared by its two entries."""
+        firsts = [self.partial(i) for i in range(self.dim)]
+        rows: List[List[MultiPoly]] = []
+        for i in range(self.dim):
+            rows.append(
+                [firsts[i].partial(j) if j >= i else rows[j][i] for j in range(self.dim)]
+            )
+        return rows
+
     # --------------------------------------------------------------- composition
 
     def compose(self, mapping, cache=None) -> "MultiPoly":
@@ -475,13 +486,3 @@ class PolyMap:
             [MultiPoly.from_obj(c) for c in obj["components"]],
             int(obj["domain_dim"]),
         )
-
-
-def compose_map(a: PolyMap, b: PolyMap) -> PolyMap:
-    """Componentwise composition a o b."""
-    return a.compose(b)
-
-
-def gradient(p: MultiPoly) -> PolyMap:
-    """The gradient of p as a PolyMap."""
-    return PolyMap([p.partial(i) for i in range(p.dim)])

@@ -10,10 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from . import exactmat
 from ._rat import Rat, rat, rat_str
 from .coord_change import CoordChange, PointSet
 from .poly import MultiPoly, PolyMap
-from .synth import SaddleField, SynthesisResult, hessian_at, hessian_minors_at
+from .synth import SaddleField, SynthesisResult, hessian_at
 
 BUNDLE_SCHEMA = "morseforge-bundle-v1"
 SADDLE_SCHEMA = "morseforge-saddle-field-v1"
@@ -44,8 +45,9 @@ def bundle_obj(result: SynthesisResult) -> dict:
     hessians = []
     minors = []
     for pt in result.input.points:
-        hessians.append(_matrix_obj(hessian_at(result, pt)))
-        minors.append([rat_str(m) for m in hessian_minors_at(result, pt)])
+        h = hessian_at(result, pt)
+        hessians.append(_matrix_obj(h))
+        minors.append([rat_str(m) for m in exactmat.leading_principal_minors(h)])
     return {
         "schema": BUNDLE_SCHEMA,
         "pointset": result.input.to_obj(),
@@ -78,7 +80,7 @@ class ParsedBundle:
 
 
 def parse_bundle(obj: dict) -> ParsedBundle:
-    if obj.get("schema") != BUNDLE_SCHEMA:
+    if not isinstance(obj, dict) or obj.get("schema") != BUNDLE_SCHEMA:
         raise ValueError(f"not a {BUNDLE_SCHEMA} document")
     cc = obj["coord_change"]
     return ParsedBundle(

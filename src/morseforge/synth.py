@@ -12,8 +12,8 @@ axis images, saddles at interleaved midpoints, and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from . import exactmat
 from ._rat import Rat, rat
@@ -22,7 +22,7 @@ from .morse_scalar import AlphaSpec, MorsePair, build_pair
 from .poly import MultiPoly, PolyMap
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthesisResult:
     """The synthesized polynomial with every intermediate object for audit."""
 
@@ -32,8 +32,7 @@ class SynthesisResult:
     q: MultiPoly
     p_poly: MultiPoly
     grad_field: PolyMap
-    _hessian_cache: Dict[Tuple, List[List[Rat]]] = field(default_factory=dict)
-    _second_partials: Optional[List[List[MultiPoly]]] = None
+    p_hessian: List[List[MultiPoly]]
 
     @property
     def dimension(self) -> int:
@@ -68,20 +67,8 @@ def synthesize(xs: PointSet) -> SynthesisResult:
         q=q,
         p_poly=p_poly,
         grad_field=grad_field,
+        p_hessian=p_poly.hessian(),
     )
-
-
-def _second_partials(result: SynthesisResult) -> List[List[MultiPoly]]:
-    if result._second_partials is None:
-        n = result.dimension
-        firsts = [result.p_poly.partial(i) for i in range(n)]
-        rows = []
-        for i in range(n):
-            rows.append(
-                [firsts[i].partial(j) if j >= i else rows[j][i] for j in range(n)]
-            )
-        result._second_partials = rows
-    return result._second_partials
 
 
 def hessian_at(result: SynthesisResult, x) -> List[List[Rat]]:
@@ -90,37 +77,21 @@ def hessian_at(result: SynthesisResult, x) -> List[List[Rat]]:
     The pullback identity J^T H_Q J is deliberately not used here; it serves
     as an independent oracle in the tests."""
     pt = tuple(rat(c) for c in x)
-    cached = result._hessian_cache.get(pt)
-    if cached is not None:
-        return cached
-    rows = _second_partials(result)
-    h = [[entry.eval_rational(pt) for entry in row] for row in rows]
-    result._hessian_cache[pt] = h
-    return h
+    return [[entry.eval_rational(pt) for entry in row] for row in result.p_hessian]
 
 
 def hessian_minors_at(result: SynthesisResult, x) -> List[Rat]:
     return exactmat.leading_principal_minors(hessian_at(result, x))
 
 
-def gradient_field(result: SynthesisResult) -> PolyMap:
-    """The descent field -grad P."""
-    return result.grad_field
-
-
 def transported_hessian(result: SynthesisResult, x) -> List[List[Rat]]:
     """Oracle: J^T H_Q J with J the Jacobian of F at x.  At a critical point
     this must equal the symbolic Hessian of P exactly."""
     pt = tuple(rat(c) for c in x)
-    n = result.dimension
     jac_polys = result.change.forward.jacobian()
     j = [[entry.eval_rational(pt) for entry in row] for row in jac_polys]
     fx = result.change.forward.eval_rational(pt)
-    q = result.q
-    hq = [
-        [q.partial(i).partial(jj).eval_rational(fx) for jj in range(n)]
-        for i in range(n)
-    ]
+    hq = [[entry.eval_rational(fx) for entry in row] for row in result.q.hessian()]
     jt = exactmat.transpose(j)
     return exactmat.mat_mul(jt, exactmat.mat_mul(hq, j))
 

@@ -21,14 +21,14 @@ only when the safeguard bottoms out still outside the guard box or non-finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import exactmat
 from ._rat import rat
-from .numeric import CompiledJacobian, CompiledMap, CompiledPoly, compile_jacobian, compile_map
+from .numeric import CompiledJacobian, CompiledMap, CompiledPoly
 from .poly import MultiPoly, PolyMap
 
 
@@ -46,6 +46,8 @@ class BoxSpec:
     def __post_init__(self):
         if len(self.lower) != len(self.upper):
             raise ValueError("lower and upper must have equal length")
+        if not all(math.isfinite(v) for v in (*self.lower, *self.upper)):
+            raise ValueError("box bounds must be finite")
         if not all(lo < hi for lo, hi in zip(self.lower, self.upper)):
             raise ValueError("box must satisfy lower < upper componentwise")
 
@@ -89,40 +91,15 @@ class BoxSpec:
         }
 
 
-def default_box(points) -> BoxSpec:
-    return BoxSpec.from_points(points)
-
-
 # ------------------------------------------------------- finite differences
 
 
-def fd_gradient_check(p: MultiPoly, x: Sequence[float], h: float) -> float:
+def fd_gradient_check_batch(p: MultiPoly, pts: np.ndarray, h: float) -> np.ndarray:
     """Max over components of the relative deviation between the symbolic
-    partial and the central difference at x.  Non-finite intermediates are
-    reported as inf, never raised."""
+    partial and the central difference, one value per row of pts.  Rows
+    with non-finite intermediates report inf."""
     if h <= 0:
         raise ValueError("h must be positive")
-    x = [float(c) for c in x]
-    worst = 0.0
-    for i in range(p.dim):
-        try:
-            sym = p.partial(i).eval_float(x)
-            xp = list(x)
-            xm = list(x)
-            xp[i] += h
-            xm[i] -= h
-            fd = (p.eval_float(xp) - p.eval_float(xm)) / (2 * h)
-        except (OverflowError, ValueError):
-            return math.inf
-        if not (math.isfinite(sym) and math.isfinite(fd)):
-            return math.inf
-        rel = abs(sym - fd) / max(1.0, abs(sym), abs(fd))
-        worst = max(worst, rel)
-    return worst
-
-
-def fd_gradient_check_batch(p: MultiPoly, pts: np.ndarray, h: float) -> np.ndarray:
-    """Vectorized variant: one relative-error value per row of pts."""
     cp = CompiledPoly(p)
     parts = [CompiledPoly(p.partial(i)) for i in range(p.dim)]
     pts = np.asarray(pts, dtype=float)
@@ -205,8 +182,8 @@ def newton_search(
     if seeds_per_axis < 2:
         raise ValueError("seeds_per_axis must be >= 2")
     cfg = cfg or NewtonConfig()
-    gc = compile_map(grad)
-    jc = compile_jacobian(grad)
+    gc = CompiledMap(grad)
+    jc = CompiledJacobian(grad)
     seeds = box.grid(seeds_per_axis)
     guard_lo, guard_hi = box.inflated(10.0)
 
@@ -286,8 +263,8 @@ class FlowConfig:
     lyap_step_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_max <= 0:
-            raise ValueError("dt and t_max must be positive")
+        if not (self.dt > 0 and 0 < self.t_max < math.inf):
+            raise ValueError("dt and t_max must be positive, t_max finite")
 
 
 @dataclass
@@ -405,16 +382,14 @@ def integrate_batch(
     cfg: Optional[FlowConfig] = None,
     lyap=None,
 ) -> BatchFlowResult:
-    """Integrate many trajectories of the compiled field at once.
+    """Integrate many trajectories of the polynomial field at once.
 
     targets are the points convergence is classified against; lyap, when
-    given, is a compiled scalar whose per-step increase is both guarded
+    given, is a scalar polynomial whose per-step increase is both guarded
     against and recorded."""
     cfg = cfg or FlowConfig()
-    fc = field if isinstance(field, CompiledMap) else compile_map(field)
-    lc = None
-    if lyap is not None:
-        lc = lyap if isinstance(lyap, CompiledPoly) else CompiledPoly(lyap)
+    fc = CompiledMap(field)
+    lc = CompiledPoly(lyap) if lyap is not None else None
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     B, n = starts.shape
     tg = np.asarray([[float(c) for c in t] for t in targets], dtype=float)
@@ -483,22 +458,6 @@ def integrate_batch(
         final_grad_norm=gnorm,
         max_step_increase=max_inc,
     )
-
-
-def integrate_flow(
-    field,
-    start: Sequence[float],
-    dt: float,
-    t_max: float,
-    box: BoxSpec,
-    targets,
-    lyap=None,
-    **cfg_overrides,
-) -> FlowTrace:
-    """Classical RK4 trace of a single trajectory."""
-    cfg = FlowConfig(dt=dt, t_max=t_max, **cfg_overrides)
-    res = integrate_batch(field, np.asarray([start], dtype=float), box, targets, cfg, lyap)
-    return res.traces()[0]
 
 
 def basin_sample(
@@ -602,7 +561,7 @@ def certify(
             )
         )
     if box is None:
-        box = default_box(points)
+        box = BoxSpec.from_points(points)
     if seeds_per_axis is None:
         # roughly 2000 seeds total regardless of dimension
         seeds_per_axis = max(2, int(round(2000 ** (1.0 / box.dim))))

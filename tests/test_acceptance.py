@@ -15,7 +15,7 @@ from morseforge._rat import rat
 from morseforge.coord_change import PointSet, build_coord_change
 from morseforge.exactmat import det
 from morseforge.morse_scalar import AlphaSpec, build_pair, hessian_f
-from morseforge.poly import PolyMap, compose_map
+from morseforge.poly import PolyMap
 from morseforge.synth import (
     build_saddle_field,
     hessian_at,
@@ -23,10 +23,10 @@ from morseforge.synth import (
     synthesize,
 )
 from morseforge.verify import (
+    BoxSpec,
     FlowConfig,
     NewtonConfig,
     basin_sample,
-    default_box,
     eigen_signs,
     fd_gradient_check_batch,
     newton_search,
@@ -94,7 +94,7 @@ def flow_results():
     if not _flow_cache:
         for pts in FLOW_INSTANCES:
             res = synthesize(PointSet(2, pts))
-            box = default_box(res.input.points)
+            box = BoxSpec.from_points(res.input.points)
             out = basin_sample(
                 res.grad_field,
                 res.input.points,
@@ -156,9 +156,9 @@ def test_criterion_3_coordinate_change(capsys):
     )
     for xs in sets:
         cc = build_coord_change(xs)
-        if not compose_map(cc.forward, cc.inverse).is_identity():
+        if not cc.forward.compose(cc.inverse).is_identity():
             ok = False
-        if not compose_map(cc.inverse, cc.forward).is_identity():
+        if not cc.inverse.compose(cc.forward).is_identity():
             ok = False
         images = [cc.forward.eval_rational(pt) for pt in xs.points]
         if any(any(c != 0 for c in img[1:]) for img in images):
@@ -177,7 +177,7 @@ def test_criterion_4_newton_recovery(capsys):
     ok = True
     for pts in PLANE_INSTANCES:
         res = synthesize(PointSet(2, pts))
-        box = default_box(res.input.points)
+        box = BoxSpec.from_points(res.input.points)
         grad = PolyMap([res.p_poly.partial(0), res.p_poly.partial(1)])
         found = newton_search(grad, box, seeds_per_axis=100, cfg=NewtonConfig())
         targets = np.array([[float(c) for c in p] for p in res.input.points])
@@ -201,7 +201,7 @@ def test_criterion_5_finite_difference_gradient(capsys):
     ok = True
     for pts in PLANE_INSTANCES:
         res = synthesize(PointSet(2, pts))
-        box = default_box(res.input.points)
+        box = BoxSpec.from_points(res.input.points)
         sample = box.sample(100, rng)
         errs = fd_gradient_check_batch(res.p_poly, sample, 1e-6)
         if float(errs.max()) > 1e-5:
@@ -261,7 +261,7 @@ def test_criterion_7_saddle_census(capsys):
         for b in sf.saddle_set:
             if eigen_signs(jac_at(b), 1e-9) != (1, 1, 0):
                 ok = False
-        box = default_box([(float(a), 0.0) for a in sf.stable_set])
+        box = BoxSpec.from_points([(float(a), 0.0) for a in sf.stable_set])
         targets = [(float(a), 0.0) for a in sf.stable_set]
         out = basin_sample(
             sf.field, targets, box, num_seeds=1000, seed=0,

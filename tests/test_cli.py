@@ -77,6 +77,11 @@ class TestVerify:
                          "-o", str(tmp_path / "r.json"), "--seeds-per-axis", "30"])
         assert code == 1
 
+    def test_non_object_bundle_rejected(self, tmp_path):
+        bad = tmp_path / "list.json"
+        bad.write_text("[]")
+        assert cli.main(["verify", "-i", str(bad)]) == 2
+
     def test_wrong_schema_rejected(self, two_point_bundle, tmp_path):
         obj = json.loads(two_point_bundle.read_text())
         obj["schema"] = "something-else"
@@ -88,6 +93,17 @@ class TestVerify:
         code = cli.main(["verify", "-i", str(two_point_bundle),
                          "--box=-1,1"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--seeds-per-axis", "1"],
+        ["--seeds-per-axis", "0"],
+        ["--box=-inf,inf", "--box=-1,1"],
+    ])
+    def test_bad_search_flags_rejected(self, two_point_bundle, tmp_path, flags):
+        code = cli.main(["verify", "-i", str(two_point_bundle),
+                         "-o", str(tmp_path / "r.json"), *flags])
+        assert code == 2
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestFlow:
@@ -110,6 +126,16 @@ class TestFlow:
         code = cli.main(["flow", "-i", str(two_point_bundle),
                          "--start", "0.1"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--dt", "0"], ["--dt", "-1"], ["--dt", "nan"], ["--t-max", "0"],
+        ["--t-max", "inf"],
+    ])
+    def test_bad_step_flags_rejected(self, two_point_bundle, tmp_path, flags):
+        code = cli.main(["flow", "-i", str(two_point_bundle), "-o",
+                         str(tmp_path / "t.json"), "--start", "0.4,0.2", *flags])
+        assert code == 2
+        assert not (tmp_path / "t.json").exists()
 
 
 class TestSaddleField:
@@ -152,6 +178,16 @@ class TestExportGrid:
                          "--resolution", "4"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--dt", "0"], ["--dt", "-1"], ["--t-max", "0"], ["--t-max", "-5"],
+        ["--t-max", "inf"],
+    ])
+    def test_bad_step_flags_rejected(self, two_point_bundle, tmp_path, flags):
+        code = cli.main(["export-grid", "-i", str(two_point_bundle), "-o",
+                         str(tmp_path / "g.csv"), "--resolution", "8", *flags])
+        assert code == 2
+        assert not (tmp_path / "g.csv").exists()
+
     def test_higher_dimension_unsupported(self, tmp_path):
         pts = write_pointset(tmp_path / "pts.json", 3,
                              [["0", "0", "0"], ["1", "0", "0"]])
@@ -160,6 +196,26 @@ class TestExportGrid:
         code = cli.main(["export-grid", "-i", str(bundle),
                          "-o", str(tmp_path / "g.csv"), "--resolution", "8"])
         assert code == 4
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("synthesize", []),
+    ("saddle-field", []),
+    ("verify", []),
+    ("flow", ["--start", "0.4,0.2"]),
+    ("export-grid", ["--resolution", "8"]),
+])
+def test_zero_denominator_rejected(command, extra, two_point_bundle, tmp_path):
+    if command in ("synthesize", "saddle-field"):
+        src = write_pointset(tmp_path / "zero.json", 2, [["1/0", "0"], ["1", "0"]])
+    else:
+        obj = json.loads(two_point_bundle.read_text())
+        obj["p"]["terms"][-1]["den"] = "0"
+        src = tmp_path / "zero.json"
+        src.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert cli.main([command, "-i", str(src), "-o", str(out), *extra]) == 2
+    assert not out.exists()
 
 
 class TestSeedPlumbing:

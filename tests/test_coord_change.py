@@ -12,7 +12,7 @@ from morseforge.coord_change import (
     choose_direction,
 )
 from morseforge.exactmat import det
-from morseforge.poly import MultiPoly, compose_map
+from morseforge.poly import MultiPoly
 
 
 @st.composite
@@ -126,8 +126,8 @@ class TestAutomorphism:
     @settings(max_examples=40, deadline=None)
     def test_inverse_is_exact(self, xs):
         cc = build_coord_change(xs)
-        assert compose_map(cc.forward, cc.inverse).is_identity()
-        assert compose_map(cc.inverse, cc.forward).is_identity()
+        assert cc.forward.compose(cc.inverse).is_identity()
+        assert cc.inverse.compose(cc.forward).is_identity()
 
     @given(point_sets())
     @settings(max_examples=40, deadline=None)

@@ -9,7 +9,6 @@ from morseforge.morse_scalar import (
     build_alpha,
     build_f,
     build_pair,
-    certify_critical_set,
     critical_points,
     grad_f,
     gcd_degree,
@@ -17,6 +16,7 @@ from morseforge.morse_scalar import (
     hessian_f,
 )
 from morseforge.poly import MultiPoly
+from morseforge.verify import certify
 
 
 def xvar():
@@ -164,17 +164,27 @@ class TestHessian:
             assert h[0][0] > 0 and det(h) > 0
 
 
+def certify_pair(pair):
+    """Exact per-root certification plus a numeric spurious-point search."""
+    return certify(
+        points=critical_points(pair),
+        grad_map=grad_f(pair),
+        hessian_at=lambda p: hessian_f(pair, p),
+        seeds_per_axis=40,
+    )
+
+
 class TestCertification:
     def test_single_root(self):
-        report = certify_critical_set(build_pair(AlphaSpec([0])))
+        report = certify_pair(build_pair(AlphaSpec([0])))
         assert report.overall_pass
 
     def test_two_roots(self):
-        report = certify_critical_set(build_pair(AlphaSpec(["-1/2", "1/2"])))
+        report = certify_pair(build_pair(AlphaSpec(["-1/2", "1/2"])))
         assert report.overall_pass
         assert all(c.gradient_zero for c in report.per_point)
         assert all(min(c.minors) > 0 for c in report.per_point)
 
     def test_no_spurious_points_found(self):
-        report = certify_critical_set(build_pair(AlphaSpec([-1, 0, 1])))
+        report = certify_pair(build_pair(AlphaSpec([-1, 0, 1])))
         assert report.spurious.all_within_tol
