@@ -13,7 +13,13 @@ import numpy as np
 
 from morseforge.coord_change import PointSet
 from morseforge.synth import build_saddle_field
-from morseforge.verify import BoxSpec, FlowConfig, integrate_batch
+from morseforge.verify import (
+    STATUS_CONVERGED,
+    STATUS_TIMEOUT,
+    BoxSpec,
+    FlowConfig,
+    integrate_batch,
+)
 
 
 def main(argv=None):
@@ -47,9 +53,12 @@ def main(argv=None):
             where = f"minimum at x1={targets[trace.converged_index][0]:+.0f}"
         print(f"{trace.start[0]:>12.1e}  {where:<18} {end:>22}")
 
-    timed_out = res.num_timeout
-    print(f"\n{len(starts) - timed_out}/{len(starts)} starts converged; "
-          f"{timed_out} (the separatrix itself) timed out at the saddle.")
+    converged = int((res.status == STATUS_CONVERGED).sum())
+    timed_out = res.status == STATUS_TIMEOUT
+    on_line = starts[:, 0] == 0.0
+    print(f"\n{converged}/{len(starts)} starts converged; "
+          f"{int((timed_out & on_line).sum())} (the separatrix itself) timed out; "
+          f"{int((timed_out & ~on_line).sum())} off the separatrix timed out.")
 
 
 if __name__ == "__main__":

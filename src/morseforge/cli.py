@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import serialize, synth, verify
 from .coord_change import PointSet, PointSetError
+from .numeric import CompiledPoly
 from .poly import PolyMap
 
 EXIT_OK = 0
@@ -112,37 +114,50 @@ def cmd_verify(args) -> int:
     box = _parse_box(args.box, n)
     if args.seeds_per_axis is not None and args.seeds_per_axis < 2:
         raise CommandError(EXIT_PARSE, "--seeds-per-axis must be >= 2")
+    if not (math.isfinite(args.spurious_tol) and args.spurious_tol > 0):
+        raise CommandError(EXIT_PARSE, "--spurious-tol must be finite and positive")
+    try:
+        cfg = verify.NewtonConfig(
+            residual_tol=args.residual_tol,
+            dedup_tol=args.dedup_tol,
+            max_iter=args.max_iter,
+        )
+    except ValueError as exc:
+        raise CommandError(EXIT_PARSE, str(exc)) from exc
 
     # nothing from the bundle is trusted: gradient and Hessians are
-    # recomputed from the stored polynomial and compared against its claims
+    # recomputed from the stored polynomial and compared against its claims,
+    # and every point must carry exactly one stored Hessian and minors row
     grad = PolyMap([-bundle.p.partial(i) for i in range(n)], n)
     grad_consistent = grad == bundle.grad_field
     seconds = bundle.p.hessian()
-
-    def hess(pt):
-        return [[e.eval_rational(pt) for e in row] for row in seconds]
-
-    cfg = verify.NewtonConfig(
-        residual_tol=args.residual_tol,
-        dedup_tol=args.dedup_tol,
-        max_iter=args.max_iter,
+    points = bundle.pointset.points
+    hessians = {
+        pt: [[e.eval_rational(pt) for e in row] for row in seconds] for pt in points
+    }
+    hessians_match = len(bundle.hessians) == len(points) and all(
+        hessians[pt] == stored for pt, stored in zip(points, bundle.hessians)
     )
+
     report = verify.certify(
-        points=bundle.pointset.points,
+        points=points,
         grad_map=grad,
-        hessian_at=hess,
+        hessian_at=hessians.__getitem__,
         box=box,
         seeds_per_axis=args.seeds_per_axis,
         newton_cfg=cfg,
         spurious_tol=args.spurious_tol,
     )
-    minors_match = all(
+    minors_match = len(bundle.minors) == len(points) and all(
         cert.minors == stored
         for cert, stored in zip(report.per_point, bundle.minors)
     )
-    overall = report.overall_pass and minors_match and grad_consistent
+    overall = (
+        report.overall_pass and minors_match and hessians_match and grad_consistent
+    )
     out = report.to_obj()
     out["minors_match_bundle"] = minors_match
+    out["hessians_match_bundle"] = hessians_match
     out["grad_field_consistent"] = grad_consistent
     out["overall_pass"] = overall
     out["seed"] = args.seed
@@ -185,14 +200,10 @@ def cmd_export_grid(args) -> int:
         raise CommandError(EXIT_PARSE, "resolution must be >= 8")
     cfg = _flow_config(args)
     box = verify.BoxSpec.from_points(bundle.pointset.points)
-    axes = [
-        np.linspace(lo, hi, args.resolution)
-        for lo, hi in zip(box.lower, box.upper)
-    ]
-    nodes = [(x, y) for x in axes[0] for y in axes[1]]
-    values = [bundle.p.eval_float(nd) for nd in nodes]
+    nodes = box.grid(args.resolution)
+    values = CompiledPoly(bundle.p)(nodes)
     res = verify.integrate_batch(
-        bundle.grad_field, np.asarray(nodes), box, bundle.pointset.points, cfg
+        bundle.grad_field, nodes, box, bundle.pointset.points, cfg
     )
     labels = np.where(res.status == verify.STATUS_CONVERGED, res.conv_idx, -1)
     out = args.output or "grid.csv"

@@ -13,10 +13,6 @@ from ._rat import Rat, rat
 Matrix = List[List[Rat]]
 
 
-def identity(n: int) -> Matrix:
-    return [[rat(1) if i == j else rat(0) for j in range(n)] for i in range(n)]
-
-
 def mat_vec(m: Matrix, v: Sequence) -> List[Rat]:
     return [sum((row[j] * rat(v[j]) for j in range(len(v))), rat(0)) for row in m]
 

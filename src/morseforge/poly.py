@@ -3,8 +3,8 @@
 A polynomial of dimension n maps exponent tuples (one non-negative int per
 variable) to nonzero rational coefficients; the zero polynomial is the empty
 map.  All arithmetic is exact.  The canonical term order used for
-serialization, printing and float evaluation is graded lexicographic:
-ascending total degree, ties broken lexicographically on the exponent tuple.
+serialization and printing is graded lexicographic: ascending total degree,
+ties broken lexicographically on the exponent tuple.
 
 A PolyMap bundles n-variate polynomials into a polynomial map R^m -> R^k;
 composition of maps shares a power-product cache so that repeated monomial
@@ -16,7 +16,6 @@ function, so instances are safe to share between threads.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ._rat import Rat, rat, rat_str
@@ -31,18 +30,6 @@ class DimensionMismatch(ValueError):
 def grlex_key(exps: Exponent):
     """Sort key realizing the graded lexicographic canonical order."""
     return (sum(exps), exps)
-
-
-def _pairwise_sum(vals: List[float], lo: int, hi: int) -> float:
-    """Pairwise (cascade) summation of vals[lo:hi] for deterministic,
-    platform-stable float accumulation."""
-    n = hi - lo
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return vals[lo]
-    mid = lo + n // 2
-    return _pairwise_sum(vals, lo, mid) + _pairwise_sum(vals, mid, hi)
 
 
 class MultiPoly:
@@ -198,11 +185,6 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, var: int) -> int:
-        if not self.terms:
-            return -1
-        return max(e[var] for e in self.terms)
-
     def num_terms(self) -> int:
         return len(self.terms)
 
@@ -299,7 +281,7 @@ class MultiPoly:
         if len(xs) != self.dim:
             raise DimensionMismatch(f"point has length {len(xs)}, expected {self.dim}")
         vals = [rat(x) for x in xs]
-        pows = self._power_tables(vals, rat(1))
+        pows = self._power_tables(vals)
         total = rat(0)
         for exps, c in self.terms.items():
             t = c
@@ -309,26 +291,7 @@ class MultiPoly:
             total = total + t
         return total
 
-    def eval_float(self, xs: Sequence[float]) -> float:
-        """Double-precision value; terms are accumulated in the canonical
-        graded-lex order with pairwise summation, so the result is
-        deterministic across platforms."""
-        if len(xs) != self.dim:
-            raise DimensionMismatch(f"point has length {len(xs)}, expected {self.dim}")
-        vals = [float(x) for x in xs]
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError(f"non-finite evaluation point {xs}")
-        pows = self._power_tables(vals, 1.0)
-        contrib = []
-        for exps in self.sorted_exponents():
-            t = float(self.terms[exps])
-            for i, e in enumerate(exps):
-                if e:
-                    t *= pows[i][e]
-            contrib.append(t)
-        return _pairwise_sum(contrib, 0, len(contrib))
-
-    def _power_tables(self, vals, one):
+    def _power_tables(self, vals):
         maxes = [0] * self.dim
         for exps in self.terms:
             for i, e in enumerate(exps):
@@ -336,7 +299,7 @@ class MultiPoly:
                     maxes[i] = e
         pows = []
         for i, v in enumerate(vals):
-            table = [one]
+            table = [rat(1)]
             for _ in range(maxes[i]):
                 table.append(table[-1] * v)
             pows.append(table)
@@ -453,9 +416,6 @@ class PolyMap:
 
     def eval_rational(self, xs: Sequence):
         return tuple(c.eval_rational(xs) for c in self.components)
-
-    def eval_float(self, xs: Sequence[float]):
-        return tuple(c.eval_float(xs) for c in self.components)
 
     def jacobian(self) -> List[List[MultiPoly]]:
         """Matrix of partials, row i = gradient of component i."""

@@ -126,6 +126,13 @@ class NewtonConfig:
     max_iter: int = 100
     polish_iter: int = 10
 
+    def __post_init__(self):
+        tols = (self.residual_tol, self.coarse_tol, self.dedup_tol)
+        if not all(math.isfinite(t) and t > 0 for t in tols):
+            raise ValueError("Newton tolerances must be finite and positive")
+        if self.max_iter < 1 or self.polish_iter < 0:
+            raise ValueError("max_iter must be >= 1 and polish_iter >= 0")
+
 
 @dataclass
 class NewtonResult:
@@ -297,15 +304,18 @@ def _rk4(f: Callable, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _step_guarded(f, x, dt, lo, hi, depth, max_depth, lyap, lyap_tol):
-    """Advance every row by dt; returns (new_x, diverged_mask)."""
+def _step_guarded(f, x, vx, dt, lo, hi, depth, max_depth, lyap, lyap_tol):
+    """Advance every row by dt.  vx holds lyap at x (None without lyap);
+    returns (new_x, lyap at new_x, diverged_mask)."""
     with np.errstate(over="ignore", invalid="ignore"):
         prop = _rk4(f, x, dt)
         ok = np.isfinite(prop).all(axis=1)
         ok &= ((prop >= lo) & (prop <= hi)).all(axis=1)
         hard_bad = ~ok
-        if lyap is not None and ok.any():
-            inc = lyap(prop) - lyap(x)
+        vp = None
+        if lyap is not None:
+            vp = lyap(prop)
+            inc = vp - vx
             ok &= ~(np.isfinite(inc) & (inc > 0.5 * lyap_tol))
     bad = ~ok
     diverged = np.zeros(len(x), dtype=bool)
@@ -315,15 +325,23 @@ def _step_guarded(f, x, dt, lo, hi, depth, max_depth, lyap, lyap_tol):
             # Lyapunov wiggle at the halving floor is evaluation noise
             diverged = bad & hard_bad
             prop[diverged] = x[diverged]
+            if vp is not None:
+                vp[diverged] = vx[diverged]
         else:
-            sub = x[bad]
-            h1, d1 = _step_guarded(f, sub, dt / 2, lo, hi, depth + 1, max_depth, lyap, lyap_tol)
-            h2, d2 = _step_guarded(f, h1, dt / 2, lo, hi, depth + 1, max_depth, lyap, lyap_tol)
+            sub_v = None if vx is None else vx[bad]
+            h1, v1, d1 = _step_guarded(
+                f, x[bad], sub_v, dt / 2, lo, hi, depth + 1, max_depth, lyap, lyap_tol
+            )
+            h2, v2, d2 = _step_guarded(
+                f, h1, v1, dt / 2, lo, hi, depth + 1, max_depth, lyap, lyap_tol
+            )
             prop[bad] = h2
+            if vp is not None:
+                vp[bad] = v2
             dv = d1 | d2
             idx = np.flatnonzero(bad)
             diverged[idx[dv]] = True
-    return prop, diverged
+    return prop, vp, diverged
 
 
 STATUS_ACTIVE, STATUS_CONVERGED, STATUS_TIMEOUT, STATUS_DIVERGED = 0, 1, 2, 3
@@ -425,28 +443,32 @@ def integrate_batch(
 
     keep0 = classify(active, xa)  # seeds already at a target converge in 0 steps
     active, xa = active[keep0], xa[keep0]
+    # lyap at each active row, carried from step to step and filtered with xa
+    va = lc(xa) if lc is not None else None
 
     for step in range(1, total + 1):
         if len(active) == 0:
             break
-        before = lc(xa) if lc is not None else None
-        xa, div = _step_guarded(
-            fc, xa, cfg.dt, lo, hi, 0, cfg.max_halvings, lc, cfg.lyap_step_tol
+        xa, vn, div = _step_guarded(
+            fc, xa, va, cfg.dt, lo, hi, 0, cfg.max_halvings, lc, cfg.lyap_step_tol
         )
         steps[active] = step
         x[active] = xa
         if lc is not None:
-            inc = lc(xa) - before
+            inc = vn - va
             ok = np.isfinite(inc) & ~div
             np.maximum.at(max_inc, active[ok], inc[ok])
+        va = vn
         if div.any():
             status[active[div]] = STATUS_DIVERGED
             active, xa = active[~div], xa[~div]
+            va = None if va is None else va[~div]
             if len(active) == 0:
                 break
         if step % cfg.check_every == 0 or step == total:
             keep = classify(active, xa)
             active, xa = active[keep], xa[keep]
+            va = None if va is None else va[keep]
 
     status[status == STATUS_ACTIVE] = STATUS_TIMEOUT
     return BatchFlowResult(

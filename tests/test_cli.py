@@ -77,6 +77,29 @@ class TestVerify:
                          "-o", str(tmp_path / "r.json"), "--seeds-per-axis", "30"])
         assert code == 1
 
+    def test_tampered_hessian_fails(self, two_point_bundle, tmp_path):
+        obj = json.loads(two_point_bundle.read_text())
+        obj["hessians"][0] = [["-7", "0"], ["0", "-7"]]
+        bad = tmp_path / "hessian.json"
+        bad.write_text(json.dumps(obj))
+        report = tmp_path / "r.json"
+        code = cli.main(["verify", "-i", str(bad),
+                         "-o", str(report), "--seeds-per-axis", "30"])
+        assert code == 1
+        assert json.loads(report.read_text())["hessians_match_bundle"] is False
+
+    @pytest.mark.parametrize("keep", [1, 0])
+    def test_truncated_claims_fail(self, two_point_bundle, tmp_path, keep):
+        obj = json.loads(two_point_bundle.read_text())
+        obj["minors"] = obj["minors"][:keep]
+        if keep == 0:
+            obj["hessians"] = []
+        bad = tmp_path / "truncated.json"
+        bad.write_text(json.dumps(obj))
+        code = cli.main(["verify", "-i", str(bad),
+                         "-o", str(tmp_path / "r.json"), "--seeds-per-axis", "30"])
+        assert code == 1
+
     def test_non_object_bundle_rejected(self, tmp_path):
         bad = tmp_path / "list.json"
         bad.write_text("[]")
@@ -98,6 +121,10 @@ class TestVerify:
         ["--seeds-per-axis", "1"],
         ["--seeds-per-axis", "0"],
         ["--box=-inf,inf", "--box=-1,1"],
+        ["--max-iter", "0"],
+        ["--residual-tol", "nan"],
+        ["--spurious-tol", "inf"],
+        ["--dedup-tol", "-1"],
     ])
     def test_bad_search_flags_rejected(self, two_point_bundle, tmp_path, flags):
         code = cli.main(["verify", "-i", str(two_point_bundle),
@@ -170,7 +197,8 @@ class TestExportGrid:
         assert len(rows) == 1 + 64
         bundle = serialize.parse_bundle(json.loads(two_point_bundle.read_text()))
         for x, y, v, lab in rows[1:]:
-            assert float(v) == bundle.p.eval_float([float(x), float(y)])
+            exact = float(bundle.p.eval_rational([float(x), float(y)]))
+            assert abs(float(v) - exact) <= 1e-12 * max(1.0, abs(exact))
             assert int(lab) in (-1, 0, 1)
 
     def test_small_resolution_rejected(self, two_point_bundle):

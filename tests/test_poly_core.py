@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import polys, rationals
 from morseforge._rat import rat
+from morseforge.numeric import CompiledPoly
 from morseforge.poly import DimensionMismatch, MultiPoly, PolyMap
 
 
@@ -116,23 +118,24 @@ class TestEvaluation:
         assert p.eval_rational([1]) == 0
         assert p.eval_rational([rat(1, 2)]) == rat(-3, 4)
 
-    def test_eval_float(self):
-        assert (x() ** 2 - 1).eval_float([2.0]) == 3.0
-        assert MultiPoly.zero(3).eval_float([1.0, 2.0, 3.0]) == 0.0
-
-    def test_eval_float_rejects_nan(self):
-        with pytest.raises(ValueError):
-            x().eval_float([float("nan")])
+    def test_compiled_eval(self):
+        assert CompiledPoly(x() ** 2 - 1)(np.array([[2.0]])).tolist() == [3.0]
+        zero = CompiledPoly(MultiPoly.zero(3))
+        assert zero(np.array([[1.0, 2.0, 3.0]])).tolist() == [0.0]
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             x().eval_rational([1, 2])
 
-    @given(polys(dim=2, height=1000, max_exp=6), rationals(1000), rationals(1000))
+    # dim 2 takes the dense polyval2d branch, dims 1 and 3 the sparse one
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @given(data=st.data())
     @settings(max_examples=100, deadline=None)
-    def test_float_agrees_with_exact(self, p, a, b):
-        exact = float(p.eval_rational([a, b]))
-        approx = p.eval_float([float(a), float(b)])
+    def test_float_agrees_with_exact(self, dim, data):
+        p = data.draw(polys(dim=dim, height=1000, max_exp=6))
+        pt = [data.draw(rationals(1000)) for _ in range(dim)]
+        exact = float(p.eval_rational(pt))
+        approx = float(CompiledPoly(p)(np.array([[float(c) for c in pt]]))[0])
         assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
 
 

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from morseforge import verify
 from morseforge._rat import rat
 from morseforge.coord_change import PointSet
 from morseforge.morse_scalar import AlphaSpec, build_pair, grad_f, hessian_f
+from morseforge.numeric import CompiledPoly
 from morseforge.poly import MultiPoly, PolyMap
 from morseforge.synth import build_saddle_field, synthesize
 from morseforge.verify import (
+    STATUS_CONVERGED,
     BoxSpec,
     FlowConfig,
     NewtonConfig,
@@ -167,6 +170,43 @@ class TestFlow:
                            cfg=FlowConfig(dt=1e-2, t_max=100.0),
                            lyap=res.p_poly)
         assert float(out.max_step_increase.max()) <= 1e-9
+
+    def test_batch_rows_match_single_runs(self, monkeypatch):
+        # at dt = 0.15 RK4 overshoots along y for P = x^2 + 10 y^2: rows off
+        # y = 0 get halved steps and time out on a sub-tolerance Lyapunov
+        # wiggle, rows on y = 0 converge after different step counts
+        p = x(2, 0) ** 2 + 10 * x(2, 1) ** 2
+        fld = PolyMap([-p.partial(0), -p.partial(1)])
+        box = BoxSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0))
+        cfg = FlowConfig(dt=0.15, t_max=10.0, check_every=5)
+        starts = np.array([[1.0, 0.0], [1e-3, 0.0], [-1.5, 0.0],
+                           [0.5, 0.3], [-1.5, 1.0], [0.0, 0.0]])
+        proposals, lyap_evals = [], []
+        real_step = verify._step_guarded
+
+        def counting_step(*args):
+            proposals.append(len(args[1]))
+            return real_step(*args)
+
+        class CountingPoly(CompiledPoly):
+            def __call__(self, pts):
+                lyap_evals.append(len(pts))
+                return super().__call__(pts)
+
+        monkeypatch.setattr(verify, "_step_guarded", counting_step)
+        monkeypatch.setattr(verify, "CompiledPoly", CountingPoly)
+        batch = integrate_batch(fld, starts, box, [(0.0, 0.0)], cfg, lyap=p)
+        # one evaluation on the starts, then one per RK4 proposal
+        assert len(lyap_evals) == 1 + len(proposals)
+        assert len(proposals) > batch.steps.max()  # some step was halved
+        converged = batch.status == STATUS_CONVERGED
+        assert len(set(batch.steps[converged])) == 3
+        assert (batch.max_step_increase > 0).any()
+        for i, start in enumerate(starts):
+            one = integrate_batch(fld, start[None], box, [(0.0, 0.0)], cfg, lyap=p)
+            assert np.array_equal(one.ends[0], batch.ends[i])
+            assert one.steps[0] == batch.steps[i]
+            assert one.max_step_increase[0] == batch.max_step_increase[i]
 
 
 class TestCertify:
