@@ -1,35 +1,28 @@
 """Exact rational coefficient type.
 
-gmpy2's mpq is used when available: composition makes coefficient numerators
-grow to hundreds of digits and mpq is roughly an order of magnitude faster
-than fractions.Fraction there.  Both types are arbitrary precision, always
-reduced, hashable, and interoperate with plain ints, so everything downstream
-is written against the common rational interface.
+Coefficients are fractions.Fraction: arbitrary precision, always reduced,
+hashable, and interoperable with plain ints.  The exact kernel in poly.py
+does its multiply-adds on integer numerators over one common denominator
+and builds a Fraction only once per result term, so no faster rational
+type is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is normally present
-    Rat = Fraction
+Rat = Fraction
 
 
 def rat(a, b=None):
     """Coerce to the exact rational type.
 
-    Accepts ints, strings like "3/4", floats (converted exactly), Fractions,
-    and existing Rat values.  With two arguments, returns a/b.
+    Accepts ints, strings like "3/4", floats (converted exactly), Fractions
+    and other rationals.  With two arguments, returns a/b.
     """
     if b is not None:
-        return Rat(a) / Rat(b)
-    if isinstance(a, str):
-        return Rat(Fraction(a))
-    if isinstance(a, float):
-        return Rat(Fraction(a))
-    return Rat(a)
+        return Fraction(a) / Fraction(b)
+    return Fraction(a)
 
 
 def rat_str(r) -> str:

@@ -1,11 +1,14 @@
 """Small exact linear algebra over rationals.
 
-Matrices are lists of row lists of rationals.  Sizes here are tiny (n <= 6),
-so plain fraction Gaussian elimination is all that is needed.
+Matrices are lists of row lists of rationals.  Sizes here are tiny (n <= 6).
+The determinant uses Bareiss fraction-free elimination on integers; the
+inverse uses Gauss-Jordan on fractions.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import List, Sequence
 
 from ._rat import Rat, rat
@@ -26,11 +29,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def det(m: Matrix) -> Rat:
-    """Determinant by fraction Gaussian elimination with row pivoting."""
+    """Determinant by Bareiss fraction-free elimination with row pivoting.
+
+    The matrix is scaled to integers by the lcm L of its denominators; every
+    division in the elimination is exact, and det(m) = det(L m) / L^n."""
     n = len(m)
-    a = [[rat(x) for x in row] for row in m]
-    sign = rat(1)
-    result = rat(1)
+    rows = [[rat(x) for x in row] for row in m]
+    den = lcm(*[x.denominator for row in rows for x in row])
+    a = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    sign, prev = 1, 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
@@ -38,14 +45,13 @@ def det(m: Matrix) -> Rat:
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
             sign = -sign
-        p = a[col][col]
-        result = result * p
-        for r in range(col + 1, n):
-            factor = a[r][col] / p
-            if factor:
-                for c in range(col, n):
-                    a[r][c] = a[r][c] - factor * a[col][c]
-    return sign * result
+        p, top = a[col][col], a[col]
+        for row in a[col + 1 :]:
+            lead = row[col]
+            for c in range(col + 1, n):
+                row[c] = (row[c] * p - lead * top[c]) // prev
+        prev = p
+    return Fraction(sign * prev, den**n)
 
 
 def inverse(m: Matrix) -> Matrix:

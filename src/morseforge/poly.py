@@ -10,12 +10,19 @@ A PolyMap bundles n-variate polynomials into a polynomial map R^m -> R^k;
 composition of maps shares a power-product cache so that repeated monomial
 images are computed once.
 
+The hot loops (product, composition, partial derivative, evaluation) are
+fraction-free: they work on integer numerators over one common denominator
+and build each result coefficient as a Fraction once, so a result term costs
+one gcd instead of one or two per multiply-add.
+
 All values are immutable after construction and every operation is a pure
 function, so instances are safe to share between threads.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ._rat import Rat, rat, rat_str
@@ -33,9 +40,13 @@ def grlex_key(exps: Exponent):
 
 
 class MultiPoly:
-    """Exact sparse multivariate polynomial."""
+    """Exact sparse multivariate polynomial.
 
-    __slots__ = ("dim", "terms")
+    terms maps exponent tuples to nonzero reduced Fractions and must not be
+    mutated after construction: the integer form that the arithmetic uses is
+    computed from it once and cached."""
+
+    __slots__ = ("dim", "terms", "_ints")
 
     def __init__(self, dim: int, terms=None):
         if dim < 1:
@@ -60,6 +71,7 @@ class MultiPoly:
                 elif exps in clean:
                     del clean[exps]
         self.terms = clean
+        self._ints = None
 
     @classmethod
     def _raw(cls, dim: int, terms: Dict[Exponent, Rat]) -> "MultiPoly":
@@ -67,7 +79,22 @@ class MultiPoly:
         p = object.__new__(cls)
         p.dim = dim
         p.terms = terms
+        p._ints = None
         return p
+
+    def _integer_form(self) -> Tuple[int, Dict[Exponent, int]]:
+        """(L, {exps: c * L}) with L the lcm of the coefficient denominators,
+        computed on first use and cached.  Threads racing here store equal
+        values, so no lock is needed."""
+        form = self._ints
+        if form is None:
+            terms = self.terms
+            den = lcm(*[c.denominator for c in terms.values()])
+            form = self._ints = (
+                den,
+                {e: c.numerator * (den // c.denominator) for e, c in terms.items()},
+            )
+        return form
 
     # ---------------------------------------------------------------- factories
 
@@ -129,20 +156,9 @@ class MultiPoly:
                 return MultiPoly.zero(self.dim)
             return MultiPoly._raw(self.dim, {e: v * c for e, v in self.terms.items()})
         self._check_dim(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: Dict[Exponent, Rat] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                v = out.get(key)
-                v = c1 * c2 if v is None else v + c1 * c2
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return MultiPoly._raw(self.dim, out)
+        den_a, a = self._integer_form()
+        den_b, b = other._integer_form()
+        return MultiPoly._raw(self.dim, _fractions(_convolve(a, b), den_a * den_b))
 
     __rmul__ = __mul__
 
@@ -194,14 +210,14 @@ class MultiPoly:
         """Exact partial derivative with respect to variable var."""
         if not 0 <= var < self.dim:
             raise IndexError(f"variable index {var} out of range for dim {self.dim}")
+        # distinct exponents stay distinct, so nothing accumulates
+        den, nums = self._integer_form()
         out: Dict[Exponent, Rat] = {}
-        for exps, c in self.terms.items():
+        for exps, n in nums.items():
             e = exps[var]
-            if e == 0:
-                continue
-            key = exps[:var] + (e - 1,) + exps[var + 1 :]
-            out[key] = out.get(key, rat(0)) + c * e
-        return MultiPoly._raw(self.dim, {e: c for e, c in out.items() if c})
+            if e:
+                out[exps[:var] + (e - 1,) + exps[var + 1 :]] = Fraction(n * e, den)
+        return MultiPoly._raw(self.dim, out)
 
     def antiderivative(self, var: int) -> "MultiPoly":
         """The unique anti-derivative in var with zero constant term."""
@@ -232,7 +248,8 @@ class MultiPoly:
 
         mapping may be a PolyMap or a sequence of MultiPoly sharing one
         dimension.  A dict may be passed as cache to share monomial power
-        products across several compositions against the same mapping.
+        products across several compositions against the same mapping; its
+        contents are private to this method.
         """
         comps = mapping.components if isinstance(mapping, PolyMap) else tuple(mapping)
         if len(comps) != self.dim:
@@ -245,17 +262,15 @@ class MultiPoly:
                 raise DimensionMismatch("substitution components disagree in dimension")
         if cache is None:
             cache = {}
-        acc: Dict[Exponent, Rat] = {}
-        for exps, coeff in self.terms.items():
-            img = _power_product(exps, comps, cache)
-            for e2, c2 in img.terms.items():
-                v = acc.get(e2)
-                v = coeff * c2 if v is None else v + coeff * c2
-                if v:
-                    acc[e2] = v
-                elif e2 in acc:
-                    del acc[e2]
-        return MultiPoly._raw(m, acc)
+        den, nums = self._integer_form()
+        images = [(n, _power_product(exps, comps, cache)) for exps, n in nums.items()]
+        common = lcm(*[d for _, (d, _) in images])
+        acc: Dict[Exponent, int] = {}
+        for n, (d, img) in images:
+            scale = n * (common // d)
+            for e2, n2 in img.items():
+                acc[e2] = acc.get(e2, 0) + scale * n2
+        return MultiPoly._raw(m, _fractions(acc, den * common))
 
     def embed(self, new_dim: int, positions: Sequence[int]) -> "MultiPoly":
         """Reinterpret in a larger ambient space, sending variable i to
@@ -277,33 +292,36 @@ class MultiPoly:
     # ---------------------------------------------------------------- evaluation
 
     def eval_rational(self, xs: Sequence):
-        """Exact value at a rational point."""
+        """Exact value at a rational point.
+
+        With the point written as a/q over one common denominator and D the
+        largest total degree, L q^D times the value is the integer sum of
+        N_t a^t q^(D - |t|), which is formed first and reduced once."""
         if len(xs) != self.dim:
             raise DimensionMismatch(f"point has length {len(xs)}, expected {self.dim}")
         vals = [rat(x) for x in xs]
-        pows = self._power_tables(vals)
-        total = rat(0)
-        for exps, c in self.terms.items():
-            t = c
-            for i, e in enumerate(exps):
-                if e:
-                    t = t * pows[i][e]
-            total = total + t
-        return total
-
-    def _power_tables(self, vals):
-        maxes = [0] * self.dim
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e > maxes[i]:
-                    maxes[i] = e
+        q = lcm(*[v.denominator for v in vals])
+        den, nums = self._integer_form()
         pows = []
-        for i, v in enumerate(vals):
-            table = [rat(1)]
-            for _ in range(maxes[i]):
-                table.append(table[-1] * v)
+        for v, high in zip(vals, [max(col) for col in zip(*nums)]):
+            a = v.numerator * (q // v.denominator)
+            table = [1]
+            for _ in range(high):
+                table.append(table[-1] * a)
             pows.append(table)
-        return pows
+        # by_degree[s]: the sum over terms of total degree s
+        by_degree: Dict[int, int] = {}
+        for exps, n in nums.items():
+            for table, e in zip(pows, exps):
+                if e:
+                    n *= table[e]
+            s = sum(exps)
+            by_degree[s] = by_degree.get(s, 0) + n
+        top = max(by_degree, default=0)
+        total = 0
+        for s in range(top + 1):
+            total = total * q + by_degree.get(s, 0)
+        return Fraction(total, den * q**top)
 
     # ------------------------------------------------------------- canonical form
 
@@ -355,18 +373,42 @@ class MultiPoly:
         return f"MultiPoly(dim={self.dim}, {self})"
 
 
-def _power_product(exps: Exponent, comps, cache) -> MultiPoly:
-    """Image of the monomial x^exps under substitution, memoized so that each
-    needed monomial is obtained from a predecessor by one multiplication."""
+def _fractions(nums: Dict[Exponent, int], den: int) -> Dict[Exponent, Rat]:
+    """The nonzero numerators over den as reduced Fractions."""
+    return {e: Fraction(v, den) for e, v in nums.items() if v}
+
+
+def _convolve(a: Dict[Exponent, int], b: Dict[Exponent, int]) -> Dict[Exponent, int]:
+    """Integer numerators of the product of two integer forms."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: Dict[Exponent, int] = {}
+    for e1, n1 in a.items():
+        for e2, n2 in b.items():
+            key = tuple([x + y for x, y in zip(e1, e2)])
+            out[key] = out.get(key, 0) + n1 * n2
+    return out
+
+
+def _power_product(exps: Exponent, comps, cache) -> Tuple[int, Dict[Exponent, int]]:
+    """Integer form of the image of the monomial x^exps under substitution,
+    memoized so that each needed monomial is obtained from a predecessor by
+    one multiplication.  The form is reduced by its content, so it equals
+    the integer form of the image's reduced coefficients."""
     got = cache.get(exps)
     if got is not None:
         return got
     j = next((i for i, e in enumerate(exps) if e), None)
     if j is None:
-        res = MultiPoly.constant(comps[0].dim, 1)
+        res = (1, {(0,) * comps[0].dim: 1})
     else:
         prev = exps[:j] + (exps[j] - 1,) + exps[j + 1 :]
-        res = _power_product(prev, comps, cache) * comps[j]
+        den_a, a = _power_product(prev, comps, cache)
+        den_b, b = comps[j]._integer_form()
+        nums = _convolve(a, b)
+        den = den_a * den_b
+        g = gcd(den, *nums.values())
+        res = (den // g, {e: v // g for e, v in nums.items() if v})
     cache[exps] = res
     return res
 
