@@ -19,7 +19,7 @@ import numpy as np
 from . import serialize, synth, verify
 from .coord_change import PointSet, PointSetError
 from .numeric import CompiledPoly
-from .poly import PolyMap
+from .poly import PolyMap, eval_symmetric
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -132,9 +132,7 @@ def cmd_verify(args) -> int:
     grad_consistent = grad == bundle.grad_field
     seconds = bundle.p.hessian()
     points = bundle.pointset.points
-    hessians = {
-        pt: [[e.eval_rational(pt) for e in row] for row in seconds] for pt in points
-    }
+    hessians = {pt: eval_symmetric(seconds, pt) for pt in points}
     hessians_match = len(bundle.hessians) == len(points) and all(
         hessians[pt] == stored for pt, stored in zip(points, bundle.hessians)
     )

@@ -172,7 +172,8 @@ def build_coord_change(xs: PointSet) -> CoordChange:
     n = xs.dimension
     p = choose_direction(xs)
     t_rows = build_linear(p, n)
-    t_inv_rows = exactmat.inverse(t_rows)
+    # T = [p; e_2; ...; e_n] with p_1 = 1 has inverse [1, -p_2, ..., -p_n; e_2; ...]
+    t_inv_rows = build_linear([1, *(-c for c in t_rows[0][1:])], n)
     z_points = [exactmat.mat_vec(t_rows, pt) for pt in xs.points]
     interpolants = build_interpolants(z_points)
 

@@ -1,8 +1,7 @@
 """Small exact linear algebra over rationals.
 
 Matrices are lists of row lists of rationals.  Sizes here are tiny (n <= 6).
-The determinant uses Bareiss fraction-free elimination on integers; the
-inverse uses Gauss-Jordan on fractions.
+The determinant uses Bareiss fraction-free elimination on integers.
 """
 
 from __future__ import annotations
@@ -52,25 +51,6 @@ def det(m: Matrix) -> Rat:
                 row[c] = (row[c] * p - lead * top[c]) // prev
         prev = p
     return Fraction(sign * prev, den**n)
-
-
-def inverse(m: Matrix) -> Matrix:
-    """Exact inverse via Gauss-Jordan; raises ValueError if singular."""
-    n = len(m)
-    a = [[rat(x) for x in row] + [rat(1) if i == j else rat(0) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 def leading_principal_minors(m: Matrix) -> List[Rat]:

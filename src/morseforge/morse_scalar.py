@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ._rat import Rat, rat
-from .poly import MultiPoly, PolyMap
+from .poly import MultiPoly, PolyMap, eval_symmetric
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ def hessian_f(pair: MorsePair, point: Tuple) -> List[List[Rat]]:
     Deliberately not the on-critical-set closed form; the closed form serves
     as an independent oracle in the tests.
     """
-    return [[entry.eval_rational(point) for entry in row] for row in pair.f.hessian()]
+    return eval_symmetric(pair.f.hessian(), point)
 
 
 def critical_points(pair: MorsePair) -> List[Tuple[Rat, Rat]]:

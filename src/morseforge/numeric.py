@@ -1,13 +1,18 @@
-"""Batched float evaluation of polynomials and polynomial maps.
+"""Batched float evaluation of polynomials, polynomial maps and matrices.
 
 The exact kernel is far too slow for 10^4 Newton seeds or 10^3 flow
 trajectories, so numeric routines compile polynomials to numpy data once and
-evaluate whole batches of points per call.  Plane polynomials use a dense
-coefficient matrix with polyval2d; higher dimensions use the sparse
-exponent-matrix product.
+evaluate whole batches of points per call.  One class, CompiledPoly, takes a
+polynomial, a map or a matrix of polynomials and evaluates all of them in
+one call.  Plane polynomials share one zero-padded coefficient array and one
+polyval2d call; higher dimensions share one monomial table over the union of
+their monomials, and each polynomial is a product of its own columns with
+its coefficients.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -16,55 +21,57 @@ from .poly import MultiPoly, PolyMap
 
 
 class CompiledPoly:
-    """One polynomial, evaluable on arrays of shape (..., dim)."""
+    """A polynomial (shape ()), a PolyMap (shape (m,)) or a matrix of
+    polynomials such as a Jacobian (shape (r, c)), all of one dimension;
+    a call maps points of shape (..., dim) to values of shape (..., *shape)."""
 
-    def __init__(self, poly: MultiPoly):
-        self.dim = poly.dim
-        items = poly.sorted_terms()
-        self.exps = np.array(
-            [e for e, _ in items] or np.zeros((0, poly.dim)), dtype=np.int64
-        ).reshape(len(items), poly.dim)
-        self.coefs = np.array([float(c) for _, c in items], dtype=np.float64)
+    def __init__(self, polys):
+        if isinstance(polys, MultiPoly):
+            flat, self.shape = [polys], ()
+        elif isinstance(polys, PolyMap):
+            flat, self.shape = list(polys.components), (polys.codomain_dim,)
+        else:
+            flat = [p for row in polys for p in row]
+            self.shape = (len(polys), len(polys[0]))
+        dims = {p.dim for p in flat}
+        if len(dims) != 1 or len(flat) != math.prod(self.shape):
+            raise ValueError("polynomials must share one dimension and fill the shape")
+        self.dim = dims.pop()
+        items = [p.sorted_terms() for p in flat]
         self._c2d = None
-        if poly.dim == 2 and items:
-            dx = int(self.exps[:, 0].max())
-            dy = int(self.exps[:, 1].max())
-            c = np.zeros((dx + 1, dy + 1))
-            for (ex, ey), coef in zip(self.exps, self.coefs):
-                c[ex, ey] = coef
-            self._c2d = c
+        if self.dim == 2:
+            degs = np.array([e for terms in items for e, _ in terms] or [(0, 0)])
+            self._c2d = np.zeros((*(degs.max(axis=0) + 1), len(flat)))
+            for k, terms in enumerate(items):
+                for (ex, ey), coef in terms:
+                    self._c2d[ex, ey, k] = float(coef)
+            return
+        # one column per distinct monomial; each polynomial keeps its terms
+        # in sorted order, so its product sums in the same order as alone
+        table: dict = {}
+        self._cols = [
+            np.array([table.setdefault(e, len(table)) for e, _ in terms], dtype=np.intp)
+            for terms in items
+        ]
+        self._coefs = [
+            np.array([float(c) for _, c in terms], dtype=np.float64) for terms in items
+        ]
+        self._exps = np.array(list(table), dtype=np.int64).reshape(len(table), self.dim)
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=np.float64)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[-1]}, expected {self.dim}")
-        if self.coefs.size == 0:
-            return np.zeros(pts.shape[:-1])
         with np.errstate(over="ignore", invalid="ignore"):
             if self._c2d is not None:
-                return npp.polyval2d(pts[..., 0], pts[..., 1], self._c2d)
-            mono = np.prod(pts[..., None, :] ** self.exps, axis=-1)
-            return mono @ self.coefs
-
-
-class CompiledMap:
-    """A polynomial map, evaluable on arrays of shape (..., domain_dim)."""
-
-    def __init__(self, pm: PolyMap):
-        self.domain_dim = pm.domain_dim
-        self.codomain_dim = pm.codomain_dim
-        self.components = [CompiledPoly(c) for c in pm.components]
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        return np.stack([c(pts) for c in self.components], axis=-1)
-
-
-class CompiledJacobian:
-    """Jacobian of a map, evaluable to arrays of shape (..., codim, dim)."""
-
-    def __init__(self, pm: PolyMap):
-        self.entries = [[CompiledPoly(e) for e in row] for row in pm.jacobian()]
-
-    def __call__(self, pts: np.ndarray) -> np.ndarray:
-        rows = [np.stack([e(pts) for e in row], axis=-1) for row in self.entries]
-        return np.stack(rows, axis=-2)
+                vals = np.moveaxis(npp.polyval2d(pts[..., 0], pts[..., 1], self._c2d), 0, -1)
+            else:
+                mono = np.prod(pts[..., None, :] ** self._exps, axis=-1)
+                # np.take copies the columns C-contiguously; a fancy-index
+                # gather would hand BLAS strided data and change the sums
+                vals = np.stack(
+                    [np.take(mono, cols, axis=-1) @ coefs
+                     for cols, coefs in zip(self._cols, self._coefs)],
+                    axis=-1,
+                )
+        return vals.reshape(pts.shape[:-1] + self.shape)

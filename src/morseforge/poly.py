@@ -373,6 +373,18 @@ class MultiPoly:
         return f"MultiPoly(dim={self.dim}, {self})"
 
 
+def eval_symmetric(rows: Sequence[Sequence[MultiPoly]], point: Sequence) -> List[List[Rat]]:
+    """Exact values at a rational point of a symmetric polynomial matrix such
+    as MultiPoly.hessian(); each entry on or above the diagonal is evaluated
+    once and mirrored below it."""
+    n = len(rows)
+    vals: List[List[Rat]] = [[rat(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            vals[i][j] = vals[j][i] = rows[i][j].eval_rational(point)
+    return vals
+
+
 def _fractions(nums: Dict[Exponent, int], den: int) -> Dict[Exponent, Rat]:
     """The nonzero numerators over den as reduced Fractions."""
     return {e: Fraction(v, den) for e, v in nums.items() if v}

@@ -19,7 +19,7 @@ from . import exactmat
 from ._rat import Rat, rat
 from .coord_change import CoordChange, PointSet, build_coord_change
 from .morse_scalar import AlphaSpec, MorsePair, build_pair
-from .poly import MultiPoly, PolyMap
+from .poly import MultiPoly, PolyMap, eval_symmetric
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,7 @@ def hessian_at(result: SynthesisResult, x) -> List[List[Rat]]:
 
     The pullback identity J^T H_Q J is deliberately not used here; it serves
     as an independent oracle in the tests."""
-    pt = tuple(rat(c) for c in x)
-    return [[entry.eval_rational(pt) for entry in row] for row in result.p_hessian]
+    return eval_symmetric(result.p_hessian, tuple(rat(c) for c in x))
 
 
 def hessian_minors_at(result: SynthesisResult, x) -> List[Rat]:

@@ -4,6 +4,9 @@ Everything here treats the synthesized objects as claims under test:
 finite-difference checks against the symbolic gradient, Newton searches for
 critical points the construction says cannot exist, eigenvalue sign counts,
 and RK4 integration of the descent flow with convergence classification.
+Every float evaluation goes through numeric.CompiledPoly: a gradient map,
+its Jacobian matrix or a Lyapunov function is compiled once and evaluated
+over a whole batch of points per call.
 
 Newton runs in two phases: a fast float phase over the whole seed grid, then
 an exact-arithmetic polish of the few deduplicated candidates.  Expanded
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import exactmat
 from ._rat import rat
-from .numeric import CompiledJacobian, CompiledMap, CompiledPoly
+from .numeric import CompiledPoly
 from .poly import MultiPoly, PolyMap
 
 
@@ -101,13 +104,13 @@ def fd_gradient_check_batch(p: MultiPoly, pts: np.ndarray, h: float) -> np.ndarr
     if h <= 0:
         raise ValueError("h must be positive")
     cp = CompiledPoly(p)
-    parts = [CompiledPoly(p.partial(i)) for i in range(p.dim)]
     pts = np.asarray(pts, dtype=float)
+    partials = CompiledPoly(PolyMap([p.partial(i) for i in range(p.dim)], p.dim))(pts)
     worst = np.zeros(len(pts))
     for i in range(p.dim):
         shift = np.zeros(p.dim)
         shift[i] = h
-        sym = parts[i](pts)
+        sym = partials[:, i]
         fd = (cp(pts + shift) - cp(pts - shift)) / (2 * h)
         rel = np.abs(sym - fd) / np.maximum.reduce([np.ones(len(pts)), np.abs(sym), np.abs(fd)])
         rel = np.where(np.isfinite(sym) & np.isfinite(fd), rel, np.inf)
@@ -150,7 +153,7 @@ def _dedup(points: np.ndarray, tol: float) -> List[np.ndarray]:
     return reps
 
 
-def _polish_exact(grad: PolyMap, jac_c: CompiledJacobian, x0: np.ndarray, cfg: NewtonConfig):
+def _polish_exact(grad: PolyMap, jac_c: CompiledPoly, x0: np.ndarray, cfg: NewtonConfig):
     """Newton refinement with the gradient evaluated exactly at the float
     iterate; accepts only if the exact residual norm reaches the target."""
     x = np.array(x0, dtype=float)
@@ -189,8 +192,8 @@ def newton_search(
     if seeds_per_axis < 2:
         raise ValueError("seeds_per_axis must be >= 2")
     cfg = cfg or NewtonConfig()
-    gc = CompiledMap(grad)
-    jc = CompiledJacobian(grad)
+    gc = CompiledPoly(grad)
+    jc = CompiledPoly(grad.jacobian())
     seeds = box.grid(seeds_per_axis)
     guard_lo, guard_hi = box.inflated(10.0)
 
@@ -272,6 +275,11 @@ class FlowConfig:
     def __post_init__(self):
         if not (self.dt > 0 and 0 < self.t_max < math.inf):
             raise ValueError("dt and t_max must be positive, t_max finite")
+        tols = (self.grad_tol, self.point_tol, self.lyap_step_tol)
+        if not all(math.isfinite(t) and t > 0 for t in tols):
+            raise ValueError("flow tolerances must be finite and positive")
+        if self.check_every < 1 or self.max_halvings < 0:
+            raise ValueError("check_every must be >= 1 and max_halvings >= 0")
 
 
 @dataclass
@@ -406,7 +414,7 @@ def integrate_batch(
     given, is a scalar polynomial whose per-step increase is both guarded
     against and recorded."""
     cfg = cfg or FlowConfig()
-    fc = CompiledMap(field)
+    fc = CompiledPoly(field)
     lc = CompiledPoly(lyap) if lyap is not None else None
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     B, n = starts.shape

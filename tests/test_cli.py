@@ -156,7 +156,8 @@ class TestFlow:
 
     @pytest.mark.parametrize("flags", [
         ["--dt", "0"], ["--dt", "-1"], ["--dt", "nan"], ["--t-max", "0"],
-        ["--t-max", "inf"],
+        ["--t-max", "inf"], ["--grad-tol", "nan"], ["--grad-tol", "0"],
+        ["--grad-tol", "-1"], ["--point-tol", "nan"], ["--point-tol", "0"],
     ])
     def test_bad_step_flags_rejected(self, two_point_bundle, tmp_path, flags):
         code = cli.main(["flow", "-i", str(two_point_bundle), "-o",

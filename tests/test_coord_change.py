@@ -11,7 +11,7 @@ from morseforge.coord_change import (
     build_linear,
     choose_direction,
 )
-from morseforge.exactmat import det
+from morseforge.exactmat import det, mat_mul
 from morseforge.poly import MultiPoly
 
 
@@ -78,11 +78,15 @@ class TestDirection:
 
 class TestLinearPart:
     def test_shape_and_inverse(self):
-        rows = build_linear([1, 1], 2)
-        assert rows == [[1, 1], [0, 1]]
-        from morseforge.exactmat import inverse
-
-        assert inverse(rows) == [[1, -1], [0, 1]]
+        assert build_linear([1, 1], 2) == [[1, 1], [0, 1]]
+        # T = [p; e_2; ...; e_n] has the inverse [1, -p_2, ..., -p_n; e_2; ...]
+        for p in ([1, 1], [1, 0, "-2/3"], [1, 5, 25, "7/4"]):
+            n = len(p)
+            rows = build_linear(p, n)
+            inv = build_linear([1, *(-rat(c) for c in p[1:])], n)
+            identity = [[int(i == j) for j in range(n)] for i in range(n)]
+            assert mat_mul(rows, inv) == identity
+            assert mat_mul(inv, rows) == identity
 
     def test_unit_first_entry_required(self):
         with pytest.raises(ValueError):

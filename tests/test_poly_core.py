@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import polys, rationals
 from morseforge._rat import rat
 from morseforge.numeric import CompiledPoly
-from morseforge.poly import DimensionMismatch, MultiPoly, PolyMap
+from morseforge.poly import DimensionMismatch, MultiPoly, PolyMap, eval_symmetric
 
 
 def x(dim=1, i=0):
@@ -85,6 +85,12 @@ class TestCalculus:
         for i in range(3):
             for j in range(3):
                 assert h[i][j] == p.partial(i).partial(j) == p.partial(j).partial(i)
+
+    @given(polys(dim=3, max_exp=3), st.lists(rationals(), min_size=3, max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_eval_symmetric_matches_every_entry(self, p, pt):
+        h = p.hessian()
+        assert eval_symmetric(h, pt) == [[e.eval_rational(pt) for e in row] for row in h]
 
 
 class TestCompose:

@@ -105,6 +105,15 @@ def trace_one(fld, start, dt, t_max, box, targets):
 
 
 class TestFlow:
+    @pytest.mark.parametrize("bad", [
+        {"grad_tol": math.nan}, {"grad_tol": 0.0}, {"point_tol": -1.0},
+        {"point_tol": math.inf}, {"lyap_step_tol": math.nan}, {"lyap_step_tol": 0.0},
+        {"check_every": 0}, {"max_halvings": -1},
+    ])
+    def test_invalid_config_rejected(self, bad):
+        with pytest.raises(ValueError):
+            FlowConfig(**bad)
+
     def test_linear_decay_rate(self):
         # dx/dt = -x from (1, 1): |x(1)| = e^-1 within 1 percent
         fld = PolyMap([-x(2, 0), -x(2, 1)])
@@ -190,7 +199,8 @@ class TestFlow:
 
         class CountingPoly(CompiledPoly):
             def __call__(self, pts):
-                lyap_evals.append(len(pts))
+                if self.shape == ():  # the scalar Lyapunov function, not the field
+                    lyap_evals.append(len(pts))
                 return super().__call__(pts)
 
         monkeypatch.setattr(verify, "_step_guarded", counting_step)
