@@ -5,9 +5,11 @@ trajectories, so numeric routines compile polynomials to numpy data once and
 evaluate whole batches of points per call.  One class, CompiledPoly, takes a
 polynomial, a map or a matrix of polynomials and evaluates all of them in
 one call.  Plane polynomials share one zero-padded coefficient array and one
-polyval2d call; higher dimensions share one monomial table over the union of
-their monomials, and each polynomial is a product of its own columns with
-its coefficients.
+polyval2d call.  Higher dimensions build one power table per variable,
+x_v ** (0, 1, ..., d_v) up to that variable's largest exponent, so each
+distinct power is computed once; the monomial table over the union of all
+monomials multiplies one gathered column per variable, in variable order, and
+each polynomial is a product of its own columns with its coefficients.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ class CompiledPoly:
             np.array([float(c) for _, c in terms], dtype=np.float64) for terms in items
         ]
         self._exps = np.array(list(table), dtype=np.int64).reshape(len(table), self.dim)
+        self._powers = [np.arange(d + 1, dtype=np.int64)
+                        for d in self._exps.max(axis=0, initial=0)]
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=np.float64)
@@ -66,7 +70,12 @@ class CompiledPoly:
             if self._c2d is not None:
                 vals = np.moveaxis(npp.polyval2d(pts[..., 0], pts[..., 1], self._c2d), 0, -1)
             else:
-                mono = np.prod(pts[..., None, :] ** self._exps, axis=-1)
+                # the product runs over variables 0, 1, ..., dim-1 like
+                # np.prod(pts[..., None, :] ** exps, axis=-1), bit for bit
+                mono = None
+                for v, powers in enumerate(self._powers):
+                    col = np.take(pts[..., v, None] ** powers, self._exps[:, v], axis=-1)
+                    mono = col if mono is None else mono * col
                 # np.take copies the columns C-contiguously; a fancy-index
                 # gather would hand BLAS strided data and change the sums
                 vals = np.stack(

@@ -9,7 +9,12 @@ its Jacobian matrix or a Lyapunov function is compiled once and evaluated
 over a whole batch of points per call.
 
 Newton runs in two phases: a fast float phase over the whole seed grid, then
-an exact-arithmetic polish of the few deduplicated candidates.  Expanded
+an exact-arithmetic polish of the few deduplicated candidates.  Each float
+iteration makes one call that returns the gradient and the Hessian together
+(grad_hessian: the gradient components plus the upper triangle of their
+Jacobian, mirrored).  Deduplication loops over representatives, not
+candidates: each new representative drops every remaining candidate within
+the tolerance in one row-wise distance.  Expanded
 polynomial evaluation in floats has a cancellation noise floor far above the
 1e-12 residual target, so the final residual is evaluated exactly (rational
 arithmetic at the float iterate) and only then compared against the target.
@@ -36,6 +41,11 @@ from .poly import MultiPoly, PolyMap
 
 
 # --------------------------------------------------------------------- boxes
+
+# Largest grid a command may build: BoxSpec.grid allocates per_axis ** dim
+# rows (the Newton seed grid of `verify`, the raster of `export-grid`), and
+# the CLI refuses a larger request with exit 4 before building it.
+MAX_GRID_POINTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -146,14 +156,49 @@ class NewtonResult:
 
 
 def _dedup(points: np.ndarray, tol: float) -> List[np.ndarray]:
+    """Greedy first-come representatives: each point farther than tol from
+    every earlier representative becomes one.  The loop runs over
+    representatives; each drops every remaining point within tol of it."""
     reps: List[np.ndarray] = []
-    for p in points:
-        if all(np.linalg.norm(p - r) > tol for r in reps):
-            reps.append(p)
+    rest = np.asarray(points)
+    while len(rest):
+        rep = rest[0]
+        reps.append(rep)
+        diff = rest - rep
+        # sqrt(vecdot) is np.linalg.norm of one vector row by row, bit for bit
+        rest = rest[np.sqrt(np.vecdot(diff, diff)) > tol]
     return reps
 
 
-def _polish_exact(grad: PolyMap, jac_c: CompiledPoly, x0: np.ndarray, cfg: NewtonConfig):
+def grad_hessian(grad: PolyMap) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """Compile a gradient map and its symmetric Jacobian into one evaluator.
+
+    One CompiledPoly holds the n components and the upper triangle of the
+    Jacobian; a call on points (..., n) returns the gradient (..., n) and the
+    Jacobian (..., n, n) with its lower triangle mirrored from the upper.
+    Mixed partials of a gradient are equal polynomials, so the mirrored
+    matrix equals CompiledPoly(grad.jacobian()) bit for bit."""
+    n = grad.domain_dim
+    jac = grad.jacobian()
+    if grad.codomain_dim != n or any(jac[i][j] != jac[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("grad must be a gradient map: square with a symmetric Jacobian")
+    rows, cols = np.triu_indices(n)
+    compiled = CompiledPoly(
+        PolyMap([*grad.components, *(jac[i][j] for i, j in zip(rows, cols))], n)
+    )
+
+    def evaluate(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        vals = compiled(pts)
+        upper = vals[..., n:]
+        hess = np.empty(vals.shape[:-1] + (n, n))
+        hess[..., rows, cols] = upper
+        hess[..., cols, rows] = upper
+        return vals[..., :n], hess
+
+    return evaluate
+
+
+def _polish_exact(grad: PolyMap, grad_hess: Callable, x0: np.ndarray, cfg: NewtonConfig):
     """Newton refinement with the gradient evaluated exactly at the float
     iterate; accepts only if the exact residual norm reaches the target."""
     x = np.array(x0, dtype=float)
@@ -168,7 +213,7 @@ def _polish_exact(grad: PolyMap, jac_c: CompiledPoly, x0: np.ndarray, cfg: Newto
             return x
         if attempt == cfg.polish_iter:
             return None
-        jac = jac_c(x[None, :])[0]
+        jac = grad_hess(x[None, :])[1][0]
         try:
             step = np.linalg.solve(jac, g)
         except np.linalg.LinAlgError:
@@ -192,8 +237,7 @@ def newton_search(
     if seeds_per_axis < 2:
         raise ValueError("seeds_per_axis must be >= 2")
     cfg = cfg or NewtonConfig()
-    gc = CompiledPoly(grad)
-    jc = CompiledPoly(grad.jacobian())
+    grad_hess = grad_hessian(grad)
     seeds = box.grid(seeds_per_axis)
     guard_lo, guard_hi = box.inflated(10.0)
 
@@ -204,7 +248,7 @@ def newton_search(
     for _ in range(cfg.max_iter):
         if len(x) == 0:
             break
-        g = gc(x)
+        g, jac = grad_hess(x)
         finite = np.isfinite(g).all(axis=1) & np.isfinite(x).all(axis=1)
         inside = ((x >= guard_lo) & (x <= guard_hi)).all(axis=1)
         gn = np.linalg.norm(np.where(finite[:, None], g, np.inf), axis=1)
@@ -214,11 +258,9 @@ def newton_search(
         lost = ~(finite & inside)
         abandoned += int(lost.sum())
         keep = ~(conv | lost)
-        x = x[keep]
-        g = g[keep]
+        x, g, jac = x[keep], g[keep], jac[keep]
         if len(x) == 0:
             break
-        jac = jc(x)
         dets = np.linalg.det(jac)
         good = np.isfinite(dets) & (np.abs(dets) > 1e-300)
         singular += int((~good).sum())
@@ -231,7 +273,7 @@ def newton_search(
     points: List[np.ndarray] = []
     if candidates:
         for rep in _dedup(np.asarray(candidates), cfg.dedup_tol):
-            polished = _polish_exact(grad, jc, rep, cfg)
+            polished = _polish_exact(grad, grad_hess, rep, cfg)
             if polished is not None:
                 points.append(polished)
         points = _dedup(np.asarray(points), cfg.dedup_tol) if points else []
@@ -536,6 +578,8 @@ class SpuriousSearch:
     all_within_tol: bool
     tol: float
     abandoned: int = 0
+    singular: int = 0
+    newton_recall: float = 0.0  # share of claimed points within tol of a found one
 
     def to_obj(self) -> dict:
         return {
@@ -544,6 +588,8 @@ class SpuriousSearch:
             "all_within_tol_of_X": self.all_within_tol,
             "tol": self.tol,
             "abandoned": self.abandoned,
+            "singular": self.singular,
+            "newton_recall": self.newton_recall,
         }
 
 
@@ -597,16 +643,18 @@ def certify(
         seeds_per_axis = max(2, int(round(2000 ** (1.0 / box.dim))))
     search = newton_search(grad_map, box, seeds_per_axis, newton_cfg)
     ref = np.asarray([[float(c) for c in p] for p in points], dtype=float)
-    all_within = all(
-        np.linalg.norm(ref - np.asarray(p), axis=1).min() <= spurious_tol
-        for p in search.points
-    )
+    found = np.asarray(search.points, dtype=float).reshape(-1, box.dim)
+    # near[i, j]: claimed point i lies within spurious_tol of found point j
+    near = np.linalg.norm(ref[:, None, :] - found[None, :, :], axis=2) <= spurious_tol
+    all_within = bool(near.any(axis=0).all())
     spurious = SpuriousSearch(
         seeds_used=search.seeds_used,
         converged_points=[[float(c) for c in p] for p in search.points],
         all_within_tol=all_within,
         tol=spurious_tol,
         abandoned=search.abandoned,
+        singular=search.singular,
+        newton_recall=float(near.any(axis=1).mean()),
     )
     return CertReport(
         per_point=per,

@@ -133,6 +133,34 @@ class TestVerify:
         assert not (tmp_path / "r.json").exists()
 
 
+    def test_report_has_recall_and_singular(self, two_point_bundle, tmp_path):
+        report = tmp_path / "report.json"
+        assert cli.main(["verify", "-i", str(two_point_bundle), "-o", str(report)]) == 0
+        search = json.loads(report.read_text())["spurious_search"]
+        assert search["newton_recall"] == 1.0
+        assert isinstance(search["singular"], int)
+
+    def test_low_recall_is_reported_not_failed(self, two_point_bundle, tmp_path):
+        report = tmp_path / "report.json"
+        code = cli.main(["verify", "-i", str(two_point_bundle), "-o", str(report),
+                         "--seeds-per-axis", "2"])
+        assert code == 0
+        obj = json.loads(report.read_text())
+        assert obj["spurious_search"]["newton_recall"] < 1.0
+        assert obj["overall_pass"] is True
+
+    def test_oversized_seed_grid_unsupported(self, tmp_path):
+        pts = write_pointset(tmp_path / "pts.json", 3,
+                             [["0", "0", "0"], ["1", "0", "0"]])
+        bundle = tmp_path / "b3.json"
+        assert cli.main(["synthesize", "-i", pts, "-o", str(bundle)]) == 0
+        out = tmp_path / "report.json"
+        code = cli.main(["verify", "-i", str(bundle), "-o", str(out),
+                         "--seeds-per-axis", "100000"])
+        assert code == 4
+        assert not out.exists()
+
+
 class TestFlow:
     def test_descent_converges(self, two_point_bundle, tmp_path):
         out = tmp_path / "trace.json"
@@ -216,6 +244,13 @@ class TestExportGrid:
                          str(tmp_path / "g.csv"), "--resolution", "8", *flags])
         assert code == 2
         assert not (tmp_path / "g.csv").exists()
+
+    def test_oversized_raster_unsupported(self, two_point_bundle, tmp_path):
+        out = tmp_path / "g.csv"
+        code = cli.main(["export-grid", "-i", str(two_point_bundle),
+                         "-o", str(out), "--resolution", "10000000"])
+        assert code == 4
+        assert not out.exists()
 
     def test_higher_dimension_unsupported(self, tmp_path):
         pts = write_pointset(tmp_path / "pts.json", 3,

@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as npp
 
 from conftest import rand_rat
+from morseforge._rat import rat
 from morseforge.numeric import CompiledPoly
 from morseforge.poly import MultiPoly, PolyMap
 
@@ -34,9 +35,27 @@ def random_poly(rng: random.Random, dim: int, degree: int, terms: int) -> MultiP
     return MultiPoly(dim, out)
 
 
+def lopsided(dim: int) -> MultiPoly:
+    """A polynomial whose variables have very different largest exponents
+    (13 in the first, 2 in the second, 1 in the last, 0 in any other), so
+    the per-variable power tables have different lengths."""
+    def unit(*pairs):
+        exps = [0] * dim
+        for i, e in pairs:
+            exps[i] += e
+        return tuple(exps)
+
+    return MultiPoly(dim, [
+        (unit((0, 13)), rat(3, 7)),
+        (unit((0, 5), (min(1, dim - 1), 2)), rat(-5, 2)),
+        (unit((dim - 1, 1)), rat(11)),
+        (unit(), rat(-1, 3)),
+    ])
+
+
 def components(dim: int) -> list:
-    """Six polynomials of different degrees and sizes, sharing monomials,
-    with a zero polynomial and a constant among them."""
+    """Seven polynomials of different degrees and sizes, sharing monomials,
+    with a zero polynomial, a constant and a lopsided one among them."""
     rng = random.Random(dim)
     return [
         random_poly(rng, dim, 9, 60),
@@ -45,25 +64,33 @@ def components(dim: int) -> list:
         MultiPoly.constant(dim, rand_rat(rng, 50)),
         random_poly(rng, dim, 7, 40),
         random_poly(rng, dim, 1, 3),
+        lopsided(dim),
     ]
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("batch", [(1,), (300,), (4, 25)])
-@pytest.mark.parametrize("shape", [(), (6,), (2, 3)])
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
 def test_merged_matches_per_polynomial(dim, batch, shape):
     polys = components(dim)
     if shape == ():
         compiled, refs = CompiledPoly(polys[0]), polys[:1]
-    elif shape == (6,):
+    elif shape == (7,):
         compiled, refs = CompiledPoly(PolyMap(polys, dim)), polys
     else:
-        compiled, refs = CompiledPoly([polys[:3], polys[3:]]), polys
+        compiled, refs = CompiledPoly([polys[:3], polys[3:6]]), polys[:6]
     pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=batch + (dim,))
     out = compiled(pts)
     assert out.shape == batch + shape
     expected = np.stack([reference(p, pts) for p in refs], axis=-1).reshape(out.shape)
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_lopsided_alone_matches(dim):
+    poly = lopsided(dim)
+    pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(300, dim))
+    assert np.array_equal(CompiledPoly(poly)(pts), reference(poly, pts))
 
 
 def test_jacobian_matrix_of_a_map():

@@ -1,7 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morseforge import verify
 from morseforge._rat import rat
@@ -19,6 +22,7 @@ from morseforge.verify import (
     certify,
     eigen_signs,
     fd_gradient_check_batch,
+    grad_hessian,
     integrate_batch,
     newton_search,
 )
@@ -83,6 +87,82 @@ class TestNewton:
         box = BoxSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0))
         with pytest.raises(ValueError):
             newton_search(grad, box, seeds_per_axis=1)
+
+
+def greedy_dedup(points, tol):
+    """The census's first-come deduplication, one candidate at a time."""
+    reps = []
+    for p in points:
+        if all(np.linalg.norm(p - r) > tol for r in reps):
+            reps.append(p)
+    return reps
+
+
+@st.composite
+def candidate_sets(draw):
+    """Candidates around a few centres: exact duplicates, offsets of 0.5 to
+    3 times tol, and offsets within a few ulps of tol, along an axis or in a
+    random direction."""
+    n = draw(st.sampled_from([2, 3]))
+    tol = draw(st.sampled_from([1e-8, 1e-3, 0.5]))
+    coord = st.floats(-10.0, 10.0, allow_nan=False)
+    # at the origin an offset is its own difference, so its norm lands
+    # within ulps of tol; elsewhere the subtraction rounds it
+    centers = [(0.0,) * n] + draw(st.lists(st.tuples(*[coord] * n), max_size=3))
+    pts = []
+    for _ in range(draw(st.integers(1, 30))):
+        center = np.array(draw(st.sampled_from(centers)))
+        ulps = draw(st.integers(-3, 3)) * np.finfo(float).eps
+        scale = draw(st.sampled_from([0.0, 0.5, 1.0 + ulps, 1.5, 2.0, 3.0])) * tol
+        if draw(st.booleans()):
+            direction = np.eye(n)[draw(st.integers(0, n - 1))] * draw(st.sampled_from([-1, 1]))
+        else:
+            direction = np.array(draw(st.tuples(*[st.floats(-1.0, 1.0)] * n)))
+            direction /= max(np.linalg.norm(direction), 1e-3)
+        pts.append(center + scale * direction)
+    return np.array(pts), tol
+
+
+class TestDedup:
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_sets())
+    def test_matches_greedy_loop(self, case):
+        pts, tol = case
+        got, want = verify._dedup(pts, tol), greedy_dedup(pts, tol)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_single_point(self):
+        pts = np.array([[0.25, -1.0, 3.0]])
+        (rep,) = verify._dedup(pts, 1e-8)
+        assert np.array_equal(rep, pts[0])
+
+
+def gradient_map(dim: int) -> PolyMap:
+    rng = random.Random(dim)
+    terms = []
+    for _ in range(40):
+        exps = [0] * dim
+        for _ in range(rng.randint(0, 8)):
+            exps[rng.randrange(dim)] += 1
+        terms.append((tuple(exps), rat(rng.randint(-99, 99), rng.randint(1, 99))))
+    p = MultiPoly(dim, terms)
+    return PolyMap([-p.partial(i) for i in range(dim)], dim)
+
+
+class TestGradHessian:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("rows", [1, 300])
+    def test_matches_separate_evaluators(self, dim, rows):
+        grad = gradient_map(dim)
+        pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(rows, dim))
+        g, jac = grad_hessian(grad)(pts)
+        assert np.array_equal(g, CompiledPoly(grad)(pts))
+        assert np.array_equal(jac, CompiledPoly(grad.jacobian())(pts))
+
+    def test_non_gradient_map_rejected(self):
+        with pytest.raises(ValueError):
+            grad_hessian(PolyMap([x(2, 1), x(2, 0) ** 2]))
 
 
 class TestEigenSigns:
@@ -247,3 +327,16 @@ class TestCertify:
             seeds_per_axis=20,
         )
         json.dumps(report.to_obj())
+
+    def test_recall_and_singular_reported(self):
+        pair = build_pair(AlphaSpec(["-1/2", "1/2"]))
+        pts = [(r, rat(0)) for r in pair.roots]
+        report = certify(
+            points=pts,
+            grad_map=grad_f(pair),
+            hessian_at=lambda p: hessian_f(pair, p),
+            seeds_per_axis=30,
+        )
+        obj = report.to_obj()["spurious_search"]
+        assert obj["newton_recall"] == 1.0
+        assert isinstance(obj["singular"], int) and obj["singular"] >= 0
