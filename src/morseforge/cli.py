@@ -95,15 +95,6 @@ def _parse_box(flags: Optional[List[str]], dim: int) -> Optional[verify.BoxSpec]
         raise CommandError(EXIT_PARSE, str(exc)) from exc
 
 
-def _check_grid(per_axis: int, dim: int, flag: str) -> None:
-    if per_axis ** dim > verify.MAX_GRID_POINTS:
-        raise CommandError(
-            EXIT_UNSUPPORTED,
-            f"{flag} {per_axis} asks for {per_axis}^{dim} grid points; "
-            f"the limit is {verify.MAX_GRID_POINTS}",
-        )
-
-
 def _flow_config(args, **opts) -> verify.FlowConfig:
     try:
         return verify.FlowConfig(dt=args.dt, t_max=args.t_max, **opts)
@@ -124,7 +115,6 @@ def cmd_verify(args) -> int:
     if args.seeds_per_axis is not None:
         if args.seeds_per_axis < 2:
             raise CommandError(EXIT_PARSE, "--seeds-per-axis must be >= 2")
-        _check_grid(args.seeds_per_axis, n, "--seeds-per-axis")
     if not (math.isfinite(args.spurious_tol) and args.spurious_tol > 0):
         raise CommandError(EXIT_PARSE, "--spurious-tol must be finite and positive")
     try:
@@ -207,7 +197,6 @@ def cmd_export_grid(args) -> int:
         raise CommandError(EXIT_UNSUPPORTED, "export-grid supports n = 2 only")
     if args.resolution < 8:
         raise CommandError(EXIT_PARSE, "resolution must be >= 8")
-    _check_grid(args.resolution, 2, "--resolution")
     cfg = _flow_config(args)
     box = verify.BoxSpec.from_points(bundle.pointset.points)
     nodes = box.grid(args.resolution)
@@ -281,6 +270,9 @@ def main(argv=None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except verify.GridTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
 
 
 if __name__ == "__main__":

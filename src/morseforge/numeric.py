@@ -25,7 +25,10 @@ from .poly import MultiPoly, PolyMap
 class CompiledPoly:
     """A polynomial (shape ()), a PolyMap (shape (m,)) or a matrix of
     polynomials such as a Jacobian (shape (r, c)), all of one dimension;
-    a call maps points of shape (..., dim) to values of shape (..., *shape)."""
+    a call maps points of shape (..., dim) to values of shape (..., *shape).
+    Outside the plane each polynomial is one BLAS matrix-vector product over
+    the batch, whose summation order may depend on a row's place in it, so a
+    point's value can differ in the last bit between batches."""
 
     def __init__(self, polys):
         if isinstance(polys, MultiPoly):

@@ -42,10 +42,13 @@ from .poly import MultiPoly, PolyMap
 
 # --------------------------------------------------------------------- boxes
 
-# Largest grid a command may build: BoxSpec.grid allocates per_axis ** dim
-# rows (the Newton seed grid of `verify`, the raster of `export-grid`), and
-# the CLI refuses a larger request with exit 4 before building it.
+# Largest grid BoxSpec.grid builds (the Newton seed grid, the raster of
+# `export-grid`): per_axis ** dim rows above this raise GridTooLarge.
 MAX_GRID_POINTS = 2 ** 20
+
+
+class GridTooLarge(ValueError):
+    """A grid request of more than MAX_GRID_POINTS rows."""
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,11 @@ class BoxSpec:
         return c - factor * h, c + factor * h
 
     def grid(self, per_axis: int) -> np.ndarray:
+        if int(per_axis) ** self.dim > MAX_GRID_POINTS:
+            raise GridTooLarge(
+                f"a grid of {per_axis}^{self.dim} points exceeds the limit of "
+                f"{MAX_GRID_POINTS}"
+            )
         axes = [np.linspace(lo, hi, per_axis) for lo, hi in zip(self.lower, self.upper)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
@@ -165,8 +173,10 @@ def _dedup(points: np.ndarray, tol: float) -> List[np.ndarray]:
         rep = rest[0]
         reps.append(rep)
         diff = rest - rep
-        # sqrt(vecdot) is np.linalg.norm of one vector row by row, bit for bit
-        rest = rest[np.sqrt(np.vecdot(diff, diff)) > tol]
+        # a (1, n) @ (n, 1) product per row is the dot product that
+        # np.linalg.norm takes of one vector, so the distances match it
+        sq = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+        rest = rest[np.sqrt(sq) > tol]
     return reps
 
 
@@ -176,8 +186,10 @@ def grad_hessian(grad: PolyMap) -> Callable[[np.ndarray], Tuple[np.ndarray, np.n
     One CompiledPoly holds the n components and the upper triangle of the
     Jacobian; a call on points (..., n) returns the gradient (..., n) and the
     Jacobian (..., n, n) with its lower triangle mirrored from the upper.
-    Mixed partials of a gradient are equal polynomials, so the mirrored
-    matrix equals CompiledPoly(grad.jacobian()) bit for bit."""
+    Mixed partials of a gradient are equal polynomials, so on the same batch
+    the mirrored matrix equals CompiledPoly(grad.jacobian()) bit for bit.
+    Across batches it need not: outside the plane a CompiledPoly value may
+    depend on the row's place in the batch (see numeric.CompiledPoly)."""
     n = grad.domain_dim
     jac = grad.jacobian()
     if grad.codomain_dim != n or any(jac[i][j] != jac[j][i] for i in range(n) for j in range(i)):
@@ -620,7 +632,8 @@ def certify(
 ) -> CertReport:
     """Exact certification at the claimed critical points plus a numeric
     search for critical points anywhere else in the box.  Failures become
-    report entries; nothing raises."""
+    report entries; only a seed grid over MAX_GRID_POINTS raises
+    (GridTooLarge)."""
     per = []
     for pt in points:
         pt = tuple(rat(c) for c in pt)

@@ -160,6 +160,17 @@ class TestVerify:
         assert code == 4
         assert not out.exists()
 
+    def test_oversized_default_seed_grid_unsupported(self, tmp_path):
+        # default seeds at n = 21 are 2 per axis, 2^21 rows
+        n = 21
+        pts = write_pointset(tmp_path / "pts.json", n,
+                             [["0"] * n, ["1"] + ["0"] * (n - 1)])
+        bundle = tmp_path / "b21.json"
+        assert cli.main(["synthesize", "-i", pts, "-o", str(bundle)]) == 0
+        out = tmp_path / "report.json"
+        assert cli.main(["verify", "-i", str(bundle), "-o", str(out)]) == 4
+        assert not out.exists()
+
 
 class TestFlow:
     def test_descent_converges(self, two_point_bundle, tmp_path):

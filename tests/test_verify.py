@@ -17,6 +17,7 @@ from morseforge.verify import (
     STATUS_CONVERGED,
     BoxSpec,
     FlowConfig,
+    GridTooLarge,
     NewtonConfig,
     basin_sample,
     certify,
@@ -47,6 +48,14 @@ class TestBox:
     def test_grid_count(self):
         box = BoxSpec(lower=(0.0, 0.0), upper=(1.0, 1.0))
         assert box.grid(5).shape == (25, 2)
+
+    def test_grid_over_limit_refused(self):
+        box = BoxSpec(lower=(0.0,) * 21, upper=(1.0,) * 21)
+        assert box.grid(1).shape == (1, 21)
+        with pytest.raises(GridTooLarge):
+            box.grid(2)
+        with pytest.raises(GridTooLarge):
+            BoxSpec(lower=(0.0, 0.0), upper=(1.0, 1.0)).grid(1025)
 
     def test_samples_stay_inside(self):
         box = BoxSpec(lower=(-2.0, 1.0), upper=(-1.0, 3.0))
