@@ -17,7 +17,6 @@ from .morse_scalar import (
     build_alpha,
     build_f,
     build_pair,
-    hessian_f,
 )
 from .poly import DimensionMismatch, MultiPoly, PolyMap
 from .synth import (
@@ -33,10 +32,7 @@ from .verify import (
     FlowConfig,
     FlowTrace,
     NewtonConfig,
-    basin_sample,
     certify,
-    eigen_signs,
-    fd_gradient_check_batch,
     integrate_batch,
     newton_search,
 )

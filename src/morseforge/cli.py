@@ -19,7 +19,6 @@ import numpy as np
 from . import serialize, synth, verify
 from .coord_change import PointSet, PointSetError
 from .numeric import CompiledPoly
-from .poly import PolyMap, eval_symmetric
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -35,13 +34,6 @@ class CommandError(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("MORSEFORGE_SEED", "0"))
-    except ValueError:
-        return 0
 
 
 def _load_json(path: str):
@@ -126,30 +118,25 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise CommandError(EXIT_PARSE, str(exc)) from exc
 
-    # nothing from the bundle is trusted: gradient and Hessians are
-    # recomputed from the stored polynomial and compared against its claims,
-    # and every point must carry exactly one stored Hessian and minors row
-    grad = PolyMap([-bundle.p.partial(i) for i in range(n)], n)
-    grad_consistent = grad == bundle.grad_field
-    seconds = bundle.p.hessian()
-    points = bundle.pointset.points
-    hessians = {pt: eval_symmetric(seconds, pt) for pt in points}
-    hessians_match = len(bundle.hessians) == len(points) and all(
-        hessians[pt] == stored for pt, stored in zip(points, bundle.hessians)
-    )
-
+    # nothing from the bundle is trusted: certify recomputes the gradient
+    # and Hessians from the stored polynomial, and they are compared against
+    # the bundle's claims; every point must carry exactly one stored Hessian
+    # and minors row
     report = verify.certify(
-        points=points,
-        grad_map=grad,
-        hessian_at=hessians.__getitem__,
+        points=bundle.pointset.points,
+        p=bundle.p,
         box=box,
         seeds_per_axis=args.seeds_per_axis,
         newton_cfg=cfg,
         spurious_tol=args.spurious_tol,
     )
-    minors_match = len(bundle.minors) == len(points) and all(
-        cert.minors == stored
-        for cert, stored in zip(report.per_point, bundle.minors)
+    certs = report.per_point
+    grad_consistent = report.grad == bundle.grad_field
+    hessians_match = len(bundle.hessians) == len(certs) and all(
+        cert.hessian == stored for cert, stored in zip(certs, bundle.hessians)
+    )
+    minors_match = len(bundle.minors) == len(certs) and all(
+        cert.minors == stored for cert, stored in zip(certs, bundle.minors)
     )
     overall = (
         report.overall_pass and minors_match and hessians_match and grad_consistent
@@ -174,7 +161,7 @@ def cmd_flow(args) -> int:
     if len(start) != n:
         raise CommandError(EXIT_PARSE, f"--start needs {n} coordinates")
     box = verify.BoxSpec.from_points(bundle.pointset.points)
-    lo, hi = box.inflated(10.0)
+    lo, hi = box.guard()
     if not all(l <= s <= h for l, s, h in zip(lo, start, hi)):
         raise CommandError(EXIT_PARSE, "start point lies outside the 10x inflated box")
     cfg = _flow_config(args, grad_tol=args.grad_tol, point_tol=args.point_tol)
@@ -224,7 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, output_required=False):
         sp.add_argument("-i", "--input", required=True)
         sp.add_argument("-o", "--output", required=output_required)
-        sp.add_argument("--seed", type=int, default=_default_seed())
+        # argparse converts a string default with type, so a malformed
+        # MORSEFORGE_SEED exits 2 like a malformed --seed
+        sp.add_argument("--seed", type=int, default=os.environ.get("MORSEFORGE_SEED", "0"))
 
     sp = sub.add_parser("synthesize", help="point set file -> audit bundle")
     common(sp)

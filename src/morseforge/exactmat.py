@@ -19,14 +19,6 @@ def mat_vec(m: Matrix, v: Sequence) -> List[Rat]:
     return [sum((row[j] * rat(v[j]) for j in range(len(v))), rat(0)) for row in m]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), rat(0)) for j in range(m)]
-        for i in range(n)
-    ]
-
-
 def det(m: Matrix) -> Rat:
     """Determinant by Bareiss fraction-free elimination with row pivoting.
 
@@ -57,7 +49,3 @@ def leading_principal_minors(m: Matrix) -> List[Rat]:
     """Determinants of the top-left 1x1, 2x2, ..., nxn submatrices."""
     n = len(m)
     return [det([row[: k + 1] for row in m[: k + 1]]) for k in range(n)]
-
-
-def transpose(m: Matrix) -> Matrix:
-    return [list(col) for col in zip(*m)]

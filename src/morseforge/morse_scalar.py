@@ -13,10 +13,10 @@ canonical; the constant does not move the critical set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ._rat import Rat, rat
-from .poly import MultiPoly, PolyMap, eval_symmetric
+from .poly import MultiPoly
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,11 @@ class AlphaSpec:
 @dataclass(frozen=True)
 class MorsePair:
     """alpha, beta = alpha - alpha', and the plane polynomial f built from
-    them.  roots is carried when known (always, via build_pair) so the
-    critical set can be certified without root isolation."""
+    them."""
 
     alpha: MultiPoly
     beta: MultiPoly
     f: MultiPoly
-    roots: Optional[Tuple[Rat, ...]] = None
 
 
 def build_alpha(spec: AlphaSpec) -> MultiPoly:
@@ -107,7 +105,7 @@ def has_simple_zeroes(alpha: MultiPoly) -> bool:
     return gcd_degree(alpha, alpha.partial(0)) == 0
 
 
-def build_f(alpha: MultiPoly, roots: Optional[Sequence] = None) -> MorsePair:
+def build_f(alpha: MultiPoly) -> MorsePair:
     """Build the plane Morse polynomial for a given univariate alpha.
 
     alpha must be nonconstant with simple zeroes; the simple-zero hypothesis
@@ -124,32 +122,8 @@ def build_f(alpha: MultiPoly, roots: Optional[Sequence] = None) -> MorsePair:
     b2 = beta.embed(2, (0,))
     y = MultiPoly.variable(2, 1)
     f = (a2 - b2 * b2 * y) ** 2 - (alpha * beta).antiderivative(0).embed(2, (0,))
-    return MorsePair(
-        alpha=alpha,
-        beta=beta,
-        f=f,
-        roots=tuple(rat(r) for r in roots) if roots is not None else None,
-    )
+    return MorsePair(alpha=alpha, beta=beta, f=f)
 
 
 def build_pair(spec: AlphaSpec) -> MorsePair:
-    return build_f(build_alpha(spec), roots=spec.roots)
-
-
-def grad_f(pair: MorsePair) -> PolyMap:
-    return PolyMap([pair.f.partial(0), pair.f.partial(1)])
-
-
-def hessian_f(pair: MorsePair, point: Tuple) -> List[List[Rat]]:
-    """Exact Hessian of f at a rational point via symbolic second partials.
-
-    Deliberately not the on-critical-set closed form; the closed form serves
-    as an independent oracle in the tests.
-    """
-    return eval_symmetric(pair.f.hessian(), point)
-
-
-def critical_points(pair: MorsePair) -> List[Tuple[Rat, Rat]]:
-    if pair.roots is None:
-        raise ValueError("pair does not carry its root set")
-    return [(r, rat(0)) for r in pair.roots]
+    return build_f(build_alpha(spec))

@@ -8,7 +8,7 @@ graded-lex order; files round-trip bit-exactly on canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from . import exactmat
 from ._rat import Rat, rat, rat_str
@@ -83,7 +83,7 @@ def parse_bundle(obj: dict) -> ParsedBundle:
     if not isinstance(obj, dict) or obj.get("schema") != BUNDLE_SCHEMA:
         raise ValueError(f"not a {BUNDLE_SCHEMA} document")
     cc = obj["coord_change"]
-    return ParsedBundle(
+    bundle = ParsedBundle(
         pointset=PointSet.from_obj(obj["pointset"]),
         forward=PolyMap.from_obj(cc["forward"]),
         inverse=PolyMap.from_obj(cc["inverse"]),
@@ -93,6 +93,14 @@ def parse_bundle(obj: dict) -> ParsedBundle:
         minors=[[rat(m) for m in row] for row in obj["minors"]],
         axis_images=[rat(a) for a in cc["axis_images"]],
     )
+    n = bundle.pointset.dimension
+    maps = (bundle.forward, bundle.inverse, bundle.grad_field)
+    if bundle.p.dim != n or any(m.domain_dim != n or m.codomain_dim != n for m in maps):
+        raise ValueError(
+            f"p, grad_field, forward and inverse must all be in the point "
+            f"set's {n} variables"
+        )
+    return bundle
 
 
 def saddle_obj(sf: SaddleField) -> dict:

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from . import exactmat
 from ._rat import Rat, rat
 from .coord_change import CoordChange, PointSet, build_coord_change
-from .morse_scalar import AlphaSpec, MorsePair, build_pair
+from .morse_scalar import AlphaSpec, MorsePair, build_alpha, build_pair
 from .poly import MultiPoly, PolyMap, eval_symmetric
 
 
@@ -79,22 +78,6 @@ def hessian_at(result: SynthesisResult, x) -> List[List[Rat]]:
     return eval_symmetric(result.p_hessian, tuple(rat(c) for c in x))
 
 
-def hessian_minors_at(result: SynthesisResult, x) -> List[Rat]:
-    return exactmat.leading_principal_minors(hessian_at(result, x))
-
-
-def transported_hessian(result: SynthesisResult, x) -> List[List[Rat]]:
-    """Oracle: J^T H_Q J with J the Jacobian of F at x.  At a critical point
-    this must equal the symbolic Hessian of P exactly."""
-    pt = tuple(rat(c) for c in x)
-    jac_polys = result.change.forward.jacobian()
-    j = [[entry.eval_rational(pt) for entry in row] for row in jac_polys]
-    fx = result.change.forward.eval_rational(pt)
-    hq = [[entry.eval_rational(fx) for entry in row] for row in result.q.hessian()]
-    jt = exactmat.transpose(j)
-    return exactmat.mat_mul(jt, exactmat.mat_mul(hq, j))
-
-
 @dataclass(frozen=True)
 class SaddleField:
     """Vector field (gamma(x1), -x2, ..., -xn) in the transformed frame.
@@ -119,12 +102,7 @@ def build_saddle_field(xs: PointSet) -> SaddleField:
         (a + b) / 2 for a, b in zip(stable, stable[1:])
     )
 
-    x = MultiPoly.variable(1, 0)
-    gamma = MultiPoly.constant(1, -1)
-    for r in stable:
-        gamma = gamma * (x - MultiPoly.constant(1, r))
-    for r in saddles:
-        gamma = gamma * (x - MultiPoly.constant(1, r))
+    gamma = -build_alpha(AlphaSpec(stable + saddles))
 
     comps = [gamma.embed(n, (0,))]
     for j in range(1, n):
@@ -156,12 +134,3 @@ def build_saddle_field(xs: PointSet) -> SaddleField:
         change=change,
         pullback=pullback,
     )
-
-
-def saddle_jacobian_at(sf: SaddleField, x1) -> List[List[Rat]]:
-    """Exact Jacobian of the transformed field at (x1, 0, ..., 0); diagonal
-    with entries (gamma'(x1), -1, ..., -1)."""
-    n = sf.field.domain_dim
-    jac = sf.field.jacobian()
-    pt = tuple([rat(x1)] + [rat(0)] * (n - 1))
-    return [[entry.eval_rational(pt) for entry in row] for row in jac]

@@ -1,9 +1,9 @@
 """Independent numeric verification layer.
 
-Everything here treats the synthesized objects as claims under test:
-finite-difference checks against the symbolic gradient, Newton searches for
-critical points the construction says cannot exist, eigenvalue sign counts,
-and RK4 integration of the descent flow with convergence classification.
+Everything here treats the synthesized objects as claims under test: a
+Newton search for critical points the construction says cannot exist, RK4
+integration of the descent flow with convergence classification, and the
+certification report that rebuilds the gradient and Hessians from P alone.
 Every float evaluation goes through numeric.CompiledPoly: a gradient map,
 its Jacobian matrix or a Lyapunov function is compiled once and evaluated
 over a whole batch of points per call.
@@ -20,10 +20,10 @@ polynomial evaluation in floats has a cancellation noise floor far above the
 arithmetic at the float iterate) and only then compared against the target.
 
 The flow integrator is classical fixed-step RK4 with a local safeguard: a
-step whose result leaves the 10x inflated box, goes non-finite, or increases
-the Lyapunov value beyond half the per-step tolerance is redone as two half
-steps, recursively up to max_halvings.  A trajectory is classified diverged
-only when the safeguard bottoms out still outside the guard box or non-finite.
+step whose result leaves the guard box, goes non-finite, or increases the
+Lyapunov value beyond half of LYAP_STEP_TOL is redone as two half steps,
+recursively up to MAX_HALVINGS.  A trajectory is classified diverged only
+when the safeguard bottoms out still outside the guard box or non-finite.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 from . import exactmat
 from ._rat import rat
 from .numeric import CompiledPoly
-from .poly import MultiPoly, PolyMap
+from .poly import MultiPoly, PolyMap, eval_symmetric
 
 
 # --------------------------------------------------------------------- boxes
@@ -45,6 +45,13 @@ from .poly import MultiPoly, PolyMap
 # Largest grid BoxSpec.grid builds (the Newton seed grid, the raster of
 # `export-grid`): per_axis ** dim rows above this raise GridTooLarge.
 MAX_GRID_POINTS = 2 ** 20
+# BoxSpec.from_points: the points' bounding box scaled about its centre by
+# BOX_INFLATE, then padded by BOX_MARGIN on every side
+BOX_INFLATE = 2.0
+BOX_MARGIN = 1.0
+# BoxSpec.guard: Newton iterates and flow states outside the box scaled
+# about its centre by GUARD_FACTOR are lost
+GUARD_FACTOR = 10.0
 
 
 class GridTooLarge(ValueError):
@@ -68,28 +75,30 @@ class BoxSpec:
             raise ValueError("box must satisfy lower < upper componentwise")
 
     @classmethod
-    def from_points(cls, points, inflate: float = 2.0, margin: float = 1.0) -> "BoxSpec":
+    def from_points(cls, points) -> "BoxSpec":
         pts = np.asarray([[float(c) for c in p] for p in points], dtype=float)
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
         center = (lo + hi) / 2
         half = (hi - lo) / 2
         return cls(
-            tuple(center - inflate * half - margin),
-            tuple(center + inflate * half + margin),
-            derivation=f"bounding box of {len(pts)} points, inflated x{inflate} plus margin {margin}",
+            tuple(center - BOX_INFLATE * half - BOX_MARGIN),
+            tuple(center + BOX_INFLATE * half + BOX_MARGIN),
+            derivation=f"bounding box of {len(pts)} points, "
+            f"inflated x{BOX_INFLATE} plus margin {BOX_MARGIN}",
         )
 
     @property
     def dim(self) -> int:
         return len(self.lower)
 
-    def inflated(self, factor: float):
+    def guard(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners of the box scaled by GUARD_FACTOR."""
         lo = np.asarray(self.lower)
         hi = np.asarray(self.upper)
         c = (lo + hi) / 2
         h = (hi - lo) / 2
-        return c - factor * h, c + factor * h
+        return c - GUARD_FACTOR * h, c + GUARD_FACTOR * h
 
     def grid(self, per_axis: int) -> np.ndarray:
         if int(per_axis) ** self.dim > MAX_GRID_POINTS:
@@ -101,9 +110,6 @@ class BoxSpec:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def sample(self, num: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper, size=(num, self.dim))
-
     def to_obj(self) -> dict:
         return {
             "lower": list(self.lower),
@@ -112,47 +118,27 @@ class BoxSpec:
         }
 
 
-# ------------------------------------------------------- finite differences
-
-
-def fd_gradient_check_batch(p: MultiPoly, pts: np.ndarray, h: float) -> np.ndarray:
-    """Max over components of the relative deviation between the symbolic
-    partial and the central difference, one value per row of pts.  Rows
-    with non-finite intermediates report inf."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    cp = CompiledPoly(p)
-    pts = np.asarray(pts, dtype=float)
-    partials = CompiledPoly(PolyMap([p.partial(i) for i in range(p.dim)], p.dim))(pts)
-    worst = np.zeros(len(pts))
-    for i in range(p.dim):
-        shift = np.zeros(p.dim)
-        shift[i] = h
-        sym = partials[:, i]
-        fd = (cp(pts + shift) - cp(pts - shift)) / (2 * h)
-        rel = np.abs(sym - fd) / np.maximum.reduce([np.ones(len(pts)), np.abs(sym), np.abs(fd)])
-        rel = np.where(np.isfinite(sym) & np.isfinite(fd), rel, np.inf)
-        worst = np.maximum(worst, rel)
-    return worst
-
-
 # ----------------------------------------------------------- Newton search
+
+
+# float iterates with |grad| below COARSE_TOL become polish candidates; the
+# exact polish takes at most POLISH_ITER Newton steps
+COARSE_TOL = 1e-6
+POLISH_ITER = 10
 
 
 @dataclass(frozen=True)
 class NewtonConfig:
     residual_tol: float = 1e-12
-    coarse_tol: float = 1e-6
     dedup_tol: float = 1e-8
     max_iter: int = 100
-    polish_iter: int = 10
 
     def __post_init__(self):
-        tols = (self.residual_tol, self.coarse_tol, self.dedup_tol)
+        tols = (self.residual_tol, self.dedup_tol)
         if not all(math.isfinite(t) and t > 0 for t in tols):
             raise ValueError("Newton tolerances must be finite and positive")
-        if self.max_iter < 1 or self.polish_iter < 0:
-            raise ValueError("max_iter must be >= 1 and polish_iter >= 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
@@ -214,7 +200,7 @@ def _polish_exact(grad: PolyMap, grad_hess: Callable, x0: np.ndarray, cfg: Newto
     """Newton refinement with the gradient evaluated exactly at the float
     iterate; accepts only if the exact residual norm reaches the target."""
     x = np.array(x0, dtype=float)
-    for attempt in range(cfg.polish_iter + 1):
+    for attempt in range(POLISH_ITER + 1):
         exact_pt = [rat(float(c)) for c in x]
         g = np.array(
             [float(comp.eval_rational(exact_pt)) for comp in grad.components]
@@ -223,7 +209,7 @@ def _polish_exact(grad: PolyMap, grad_hess: Callable, x0: np.ndarray, cfg: Newto
             return None
         if np.linalg.norm(g) < cfg.residual_tol:
             return x
-        if attempt == cfg.polish_iter:
+        if attempt == POLISH_ITER:
             return None
         jac = grad_hess(x[None, :])[1][0]
         try:
@@ -251,7 +237,7 @@ def newton_search(
     cfg = cfg or NewtonConfig()
     grad_hess = grad_hessian(grad)
     seeds = box.grid(seeds_per_axis)
-    guard_lo, guard_hi = box.inflated(10.0)
+    guard_lo, guard_hi = box.guard()
 
     x = seeds.copy()
     abandoned = 0
@@ -264,7 +250,7 @@ def newton_search(
         finite = np.isfinite(g).all(axis=1) & np.isfinite(x).all(axis=1)
         inside = ((x >= guard_lo) & (x <= guard_hi)).all(axis=1)
         gn = np.linalg.norm(np.where(finite[:, None], g, np.inf), axis=1)
-        conv = finite & inside & (gn < cfg.coarse_tol)
+        conv = finite & inside & (gn < COARSE_TOL)
         if conv.any():
             candidates.extend(x[conv])
         lost = ~(finite & inside)
@@ -297,23 +283,15 @@ def newton_search(
     )
 
 
-# ------------------------------------------------------- eigenvalue signs
-
-
-def eigen_signs(matrix, tol: float) -> Tuple[int, int, int]:
-    """Counts of (positive, negative, ambiguous) eigenvalues; symmetric input
-    uses the symmetric solver, general input the real parts."""
-    m = np.asarray([[float(e) for e in row] for row in matrix], dtype=float)
-    if np.allclose(m, m.T, rtol=1e-12, atol=1e-12):
-        w = np.linalg.eigvalsh(m)
-    else:
-        w = np.linalg.eigvals(m).real
-    pos = int((w > tol).sum())
-    neg = int((w < -tol).sum())
-    return pos, neg, len(w) - pos - neg
-
-
 # ------------------------------------------------------------ flow tracing
+
+
+# convergence is checked every CHECK_EVERY steps; a rejected step is halved
+# at most MAX_HALVINGS times; a proposal raising the Lyapunov value by more
+# than half of LYAP_STEP_TOL is rejected
+CHECK_EVERY = 25
+MAX_HALVINGS = 40
+LYAP_STEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -322,18 +300,13 @@ class FlowConfig:
     t_max: float = 200.0
     grad_tol: float = 1e-6
     point_tol: float = 1e-3
-    check_every: int = 25
-    max_halvings: int = 40
-    lyap_step_tol: float = 1e-9
 
     def __post_init__(self):
         if not (self.dt > 0 and 0 < self.t_max < math.inf):
             raise ValueError("dt and t_max must be positive, t_max finite")
-        tols = (self.grad_tol, self.point_tol, self.lyap_step_tol)
+        tols = (self.grad_tol, self.point_tol)
         if not all(math.isfinite(t) and t > 0 for t in tols):
             raise ValueError("flow tolerances must be finite and positive")
-        if self.check_every < 1 or self.max_halvings < 0:
-            raise ValueError("check_every must be >= 1 and max_halvings >= 0")
 
 
 @dataclass
@@ -366,7 +339,7 @@ def _rk4(f: Callable, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _step_guarded(f, x, vx, dt, lo, hi, depth, max_depth, lyap, lyap_tol):
+def _step_guarded(f, x, vx, dt, lo, hi, lyap, depth=0):
     """Advance every row by dt.  vx holds lyap at x (None without lyap);
     returns (new_x, lyap at new_x, diverged_mask)."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -378,11 +351,11 @@ def _step_guarded(f, x, vx, dt, lo, hi, depth, max_depth, lyap, lyap_tol):
         if lyap is not None:
             vp = lyap(prop)
             inc = vp - vx
-            ok &= ~(np.isfinite(inc) & (inc > 0.5 * lyap_tol))
+            ok &= ~(np.isfinite(inc) & (inc > 0.5 * LYAP_STEP_TOL))
     bad = ~ok
     diverged = np.zeros(len(x), dtype=bool)
     if bad.any():
-        if depth >= max_depth:
+        if depth >= MAX_HALVINGS:
             # only guard/finiteness violations count as divergence; a
             # Lyapunov wiggle at the halving floor is evaluation noise
             diverged = bad & hard_bad
@@ -391,12 +364,8 @@ def _step_guarded(f, x, vx, dt, lo, hi, depth, max_depth, lyap, lyap_tol):
                 vp[diverged] = vx[diverged]
         else:
             sub_v = None if vx is None else vx[bad]
-            h1, v1, d1 = _step_guarded(
-                f, x[bad], sub_v, dt / 2, lo, hi, depth + 1, max_depth, lyap, lyap_tol
-            )
-            h2, v2, d2 = _step_guarded(
-                f, h1, v1, dt / 2, lo, hi, depth + 1, max_depth, lyap, lyap_tol
-            )
+            h1, v1, d1 = _step_guarded(f, x[bad], sub_v, dt / 2, lo, hi, lyap, depth + 1)
+            h2, v2, d2 = _step_guarded(f, h1, v1, dt / 2, lo, hi, lyap, depth + 1)
             prop[bad] = h2
             if vp is not None:
                 vp[bad] = v2
@@ -426,10 +395,6 @@ class BatchFlowResult:
     @property
     def num_diverged(self) -> int:
         return int((self.status == STATUS_DIVERGED).sum())
-
-    @property
-    def num_timeout(self) -> int:
-        return int((self.status == STATUS_TIMEOUT).sum())
 
     def traces(self) -> List[FlowTrace]:
         names = {
@@ -473,7 +438,7 @@ def integrate_batch(
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     B, n = starts.shape
     tg = np.asarray([[float(c) for c in t] for t in targets], dtype=float)
-    lo, hi = box.inflated(10.0)
+    lo, hi = box.guard()
 
     x = starts.copy()
     status = np.full(B, STATUS_ACTIVE, dtype=np.int64)
@@ -511,9 +476,7 @@ def integrate_batch(
     for step in range(1, total + 1):
         if len(active) == 0:
             break
-        xa, vn, div = _step_guarded(
-            fc, xa, va, cfg.dt, lo, hi, 0, cfg.max_halvings, lc, cfg.lyap_step_tol
-        )
+        xa, vn, div = _step_guarded(fc, xa, va, cfg.dt, lo, hi, lc)
         steps[active] = step
         x[active] = xa
         if lc is not None:
@@ -527,7 +490,7 @@ def integrate_batch(
             va = None if va is None else va[~div]
             if len(active) == 0:
                 break
-        if step % cfg.check_every == 0 or step == total:
+        if step % CHECK_EVERY == 0 or step == total:
             keep = classify(active, xa)
             active, xa = active[keep], xa[keep]
             va = None if va is None else va[keep]
@@ -544,22 +507,6 @@ def integrate_batch(
     )
 
 
-def basin_sample(
-    field,
-    targets,
-    box: BoxSpec,
-    num_seeds: int,
-    seed: int,
-    cfg: Optional[FlowConfig] = None,
-    lyap=None,
-) -> BatchFlowResult:
-    """Integrate num_seeds reproducible uniform seeds; fraction_converged on
-    the result is the fraction classified converged to a target."""
-    rng = np.random.default_rng(seed)
-    starts = box.sample(num_seeds, rng)
-    return integrate_batch(field, starts, box, targets, cfg, lyap)
-
-
 # ------------------------------------------------------------ certification
 
 
@@ -568,6 +515,7 @@ class PointCert:
     point: Tuple
     residues: Tuple
     gradient_zero: bool
+    hessian: List[List]  # exact Hessian of P at point; not in to_obj
     minors: List
     passed: bool
 
@@ -610,6 +558,7 @@ class CertReport:
     per_point: List[PointCert]
     spurious: SpuriousSearch
     box: BoxSpec
+    grad: PolyMap  # -grad P, recomputed from P; not in to_obj
     overall_pass: bool
 
     def to_obj(self) -> dict:
@@ -623,28 +572,35 @@ class CertReport:
 
 def certify(
     points,
-    grad_map: PolyMap,
-    hessian_at: Callable,
+    p: MultiPoly,
     box: Optional[BoxSpec] = None,
     seeds_per_axis: Optional[int] = None,
     newton_cfg: Optional[NewtonConfig] = None,
     spurious_tol: float = 1e-6,
 ) -> CertReport:
-    """Exact certification at the claimed critical points plus a numeric
-    search for critical points anywhere else in the box.  Failures become
-    report entries; only a seed grid over MAX_GRID_POINTS raises
-    (GridTooLarge)."""
+    """Exact certification of P at the claimed critical points plus a
+    numeric search for critical points of P anywhere else in the box.
+
+    The gradient field -grad P and the Hessians are derived from P itself,
+    and the report carries both so that a caller can compare them with
+    stored claims.  Failures become report entries; only a seed grid over
+    MAX_GRID_POINTS raises (GridTooLarge)."""
+    n = p.dim
+    grad = PolyMap([-p.partial(i) for i in range(n)], n)
+    seconds = p.hessian()
     per = []
     for pt in points:
         pt = tuple(rat(c) for c in pt)
-        residues = grad_map.eval_rational(pt)
+        residues = grad.eval_rational(pt)
         zero = all(r == 0 for r in residues)
-        minors = exactmat.leading_principal_minors(hessian_at(pt))
+        hessian = eval_symmetric(seconds, pt)
+        minors = exactmat.leading_principal_minors(hessian)
         per.append(
             PointCert(
                 point=pt,
                 residues=residues,
                 gradient_zero=zero,
+                hessian=hessian,
                 minors=minors,
                 passed=zero and all(m > 0 for m in minors),
             )
@@ -654,7 +610,7 @@ def certify(
     if seeds_per_axis is None:
         # roughly 2000 seeds total regardless of dimension
         seeds_per_axis = max(2, int(round(2000 ** (1.0 / box.dim))))
-    search = newton_search(grad_map, box, seeds_per_axis, newton_cfg)
+    search = newton_search(grad, box, seeds_per_axis, newton_cfg)
     ref = np.asarray([[float(c) for c in p] for p in points], dtype=float)
     found = np.asarray(search.points, dtype=float).reshape(-1, box.dim)
     # near[i, j]: claimed point i lies within spurious_tol of found point j
@@ -673,5 +629,6 @@ def certify(
         per_point=per,
         spurious=spurious,
         box=box,
-        overall_pass=all(p.passed for p in per) and all_within,
+        grad=grad,
+        overall_pass=all(c.passed for c in per) and all_within,
     )

@@ -13,24 +13,18 @@ import numpy as np
 from conftest import rand_rat
 from morseforge._rat import rat
 from morseforge.coord_change import PointSet, build_coord_change
-from morseforge.exactmat import det
-from morseforge.morse_scalar import AlphaSpec, build_pair, hessian_f
-from morseforge.poly import PolyMap
-from morseforge.synth import (
-    build_saddle_field,
-    hessian_at,
-    hessian_minors_at,
-    synthesize,
-)
+from morseforge.exactmat import det, leading_principal_minors
+from morseforge.morse_scalar import AlphaSpec, build_pair
+from morseforge.poly import PolyMap, eval_symmetric
+from morseforge.synth import build_saddle_field, hessian_at, synthesize
 from morseforge.verify import (
     BoxSpec,
     FlowConfig,
     NewtonConfig,
-    basin_sample,
-    eigen_signs,
-    fd_gradient_check_batch,
+    integrate_batch,
     newton_search,
 )
+from oracles import eigen_signs, fd_gradient_check_batch, sample_box
 
 # ten plane instances, one to four minima each, exercising both the trivial
 # coordinate change and the sheared one (repeated first coordinates)
@@ -95,13 +89,12 @@ def flow_results():
         for pts in FLOW_INSTANCES:
             res = synthesize(PointSet(2, pts))
             box = BoxSpec.from_points(res.input.points)
-            out = basin_sample(
+            out = integrate_batch(
                 res.grad_field,
-                res.input.points,
+                sample_box(box, 1000, np.random.default_rng(0)),
                 box,
-                num_seeds=1000,
-                seed=0,
-                cfg=FlowConfig(dt=1e-2, t_max=200.0),
+                res.input.points,
+                FlowConfig(dt=1e-2, t_max=200.0),
                 lyap=res.p_poly,
             )
             _flow_cache[tuple(map(tuple, pts))] = (res, out)
@@ -116,7 +109,7 @@ def test_criterion_1_exact_critical_set(capsys):
         for pt in xs.points:
             if any(v != 0 for v in res.grad_field.eval_rational(pt)):
                 ok = False
-            if any(m <= 0 for m in hessian_minors_at(res, pt)):
+            if any(m <= 0 for m in leading_principal_minors(hessian_at(res, pt))):
                 ok = False
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
@@ -133,11 +126,13 @@ def test_criterion_2_hessian_closed_form(capsys):
         roots = set()
         while len(roots) < k:
             roots.add(rand_rat(rng, 10))
-        pair = build_pair(AlphaSpec(sorted(roots)))
+        spec = AlphaSpec(sorted(roots))
+        pair = build_pair(spec)
         da = pair.alpha.partial(0)
-        for r in pair.roots:
+        seconds = pair.f.hessian()
+        for r in spec.roots:
             d = da.eval_rational([r])
-            h = hessian_f(pair, (r, rat(0)))
+            h = eval_symmetric(seconds, (r, rat(0)))
             if h != [[3 * d * d, -2 * d ** 3], [-2 * d ** 3, 2 * d ** 4]]:
                 ok = False
             if det(h) != 2 * d ** 6:
@@ -202,7 +197,7 @@ def test_criterion_5_finite_difference_gradient(capsys):
     for pts in PLANE_INSTANCES:
         res = synthesize(PointSet(2, pts))
         box = BoxSpec.from_points(res.input.points)
-        sample = box.sample(100, rng)
+        sample = sample_box(box, 100, rng)
         errs = fd_gradient_check_batch(res.p_poly, sample, 1e-6)
         if float(errs.max()) > 1e-5:
             ok = False
@@ -263,9 +258,9 @@ def test_criterion_7_saddle_census(capsys):
                 ok = False
         box = BoxSpec.from_points([(float(a), 0.0) for a in sf.stable_set])
         targets = [(float(a), 0.0) for a in sf.stable_set]
-        out = basin_sample(
-            sf.field, targets, box, num_seeds=1000, seed=0,
-            cfg=FlowConfig(dt=1e-2, t_max=200.0),
+        out = integrate_batch(
+            sf.field, sample_box(box, 1000, np.random.default_rng(0)), box,
+            targets, FlowConfig(dt=1e-2, t_max=200.0),
         )
         if out.fraction_converged < 0.99:
             ok = False

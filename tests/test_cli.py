@@ -293,6 +293,28 @@ def test_zero_denominator_rejected(command, extra, two_point_bundle, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tamper", ["pointset", "p"])
+@pytest.mark.parametrize("command", ["verify", "flow", "export-grid"])
+def test_dimension_disagreement_rejected(command, tamper, two_point_bundle, tmp_path):
+    # the point set, or P, moved to 3 variables; everything else stays in 2
+    obj = json.loads(two_point_bundle.read_text())
+    if tamper == "pointset":
+        points = [p + ["0"] for p in obj["pointset"]["points"]]
+        obj["pointset"] = {"dimension": 3, "points": points}
+    else:
+        obj["p"] = MultiPoly.from_obj(obj["p"]).embed(3, (0, 1)).to_obj()
+    extra = {
+        "verify": [],
+        "flow": ["--start", "0,0,0" if tamper == "pointset" else "0.4,0.2"],
+        "export-grid": ["--resolution", "8"],
+    }[command]
+    src = tmp_path / "mixed.json"
+    src.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert cli.main([command, "-i", str(src), "-o", str(out), *extra]) == 2
+    assert not out.exists()
+
+
 class TestSeedPlumbing:
     def test_env_seed_lands_in_report(self, two_point_bundle, tmp_path, monkeypatch):
         monkeypatch.setenv("MORSEFORGE_SEED", "42")
@@ -301,3 +323,12 @@ class TestSeedPlumbing:
                          "-o", str(report), "--seeds-per-axis", "30"])
         assert code == 0
         assert json.loads(report.read_text())["seed"] == 42
+
+    def test_malformed_env_seed_rejected(self, two_point_bundle, tmp_path, monkeypatch):
+        monkeypatch.setenv("MORSEFORGE_SEED", "abc")
+        report = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "-i", str(two_point_bundle),
+                      "-o", str(report), "--seeds-per-axis", "30"])
+        assert exc.value.code == 2
+        assert not report.exists()

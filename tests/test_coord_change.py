@@ -11,8 +11,9 @@ from morseforge.coord_change import (
     build_linear,
     choose_direction,
 )
-from morseforge.exactmat import det, mat_mul
+from morseforge.exactmat import det
 from morseforge.poly import MultiPoly
+from oracles import mat_mul
 
 
 @st.composite

@@ -9,18 +9,21 @@ from morseforge.morse_scalar import (
     build_alpha,
     build_f,
     build_pair,
-    critical_points,
-    grad_f,
     gcd_degree,
     has_simple_zeroes,
-    hessian_f,
 )
-from morseforge.poly import MultiPoly
+from morseforge.poly import MultiPoly, eval_symmetric
 from morseforge.verify import certify
 
 
 def xvar():
     return MultiPoly.variable(1, 0)
+
+
+def hessian_f(pair, point):
+    """Exact Hessian of f at a rational point via symbolic second partials;
+    the closed form on the critical set is the oracle it is checked against."""
+    return eval_symmetric(pair.f.hessian(), point)
 
 
 @st.composite
@@ -117,9 +120,10 @@ class TestConstruction:
     @settings(max_examples=30, deadline=None)
     def test_gradient_vanishes_on_critical_set(self, spec):
         pair = build_pair(spec)
-        g = grad_f(pair)
-        for pt in critical_points(pair):
-            assert all(v == 0 for v in g.eval_rational(pt))
+        for r in spec.roots:
+            pt = (r, rat(0))
+            assert pair.f.partial(0).eval_rational(pt) == 0
+            assert pair.f.partial(1).eval_rational(pt) == 0
 
 
 def closed_form_hessian(pair, root):
@@ -130,7 +134,7 @@ def closed_form_hessian(pair, root):
 
 class TestHessian:
     def test_linear_alpha_hessian(self):
-        pair = build_f(xvar(), roots=[0])
+        pair = build_f(xvar())
         h = hessian_f(pair, (rat(0), rat(0)))
         assert h == [[3, -2], [-2, 2]]
         assert det(h) == 2
@@ -142,9 +146,10 @@ class TestHessian:
         assert det(hessian_f(pair, (rat(1), rat(0)))) == 128
 
     def test_cubic_alpha_determinants(self):
-        pair = build_pair(AlphaSpec(["1/3", "1/2", 2]))
+        spec = AlphaSpec(["1/3", "1/2", 2])
+        pair = build_pair(spec)
         da = pair.alpha.partial(0)
-        for r in pair.roots:
+        for r in spec.roots:
             d = da.eval_rational([r])
             assert det(hessian_f(pair, (r, rat(0)))) == 2 * d ** 6
 
@@ -164,27 +169,26 @@ class TestHessian:
             assert h[0][0] > 0 and det(h) > 0
 
 
-def certify_pair(pair):
+def certify_pair(spec):
     """Exact per-root certification plus a numeric spurious-point search."""
     return certify(
-        points=critical_points(pair),
-        grad_map=grad_f(pair),
-        hessian_at=lambda p: hessian_f(pair, p),
+        points=[(r, rat(0)) for r in spec.roots],
+        p=build_pair(spec).f,
         seeds_per_axis=40,
     )
 
 
 class TestCertification:
     def test_single_root(self):
-        report = certify_pair(build_pair(AlphaSpec([0])))
+        report = certify_pair(AlphaSpec([0]))
         assert report.overall_pass
 
     def test_two_roots(self):
-        report = certify_pair(build_pair(AlphaSpec(["-1/2", "1/2"])))
+        report = certify_pair(AlphaSpec(["-1/2", "1/2"]))
         assert report.overall_pass
         assert all(c.gradient_zero for c in report.per_point)
         assert all(min(c.minors) > 0 for c in report.per_point)
 
     def test_no_spurious_points_found(self):
-        report = certify_pair(build_pair(AlphaSpec([-1, 0, 1])))
+        report = certify_pair(AlphaSpec([-1, 0, 1]))
         assert report.spurious.all_within_tol

@@ -5,17 +5,11 @@ from hypothesis import strategies as st
 
 from morseforge._rat import rat
 from morseforge.coord_change import PointSet
+from morseforge.exactmat import leading_principal_minors
 from morseforge.morse_scalar import AlphaSpec, build_pair
 from morseforge.poly import MultiPoly
-from morseforge.synth import (
-    build_saddle_field,
-    hessian_at,
-    hessian_minors_at,
-    saddle_jacobian_at,
-    synthesize,
-    transported_hessian,
-)
-from morseforge.verify import fd_gradient_check_batch
+from morseforge.synth import build_saddle_field, hessian_at, synthesize
+from oracles import fd_gradient_check_batch, saddle_jacobian_at, transported_hessian
 from test_coord_change import point_sets
 
 
@@ -49,7 +43,7 @@ class TestSynthesize:
     def test_hessian_positive_definite_on_input(self, xs):
         res = synthesize(xs)
         for pt in xs.points:
-            assert all(m > 0 for m in hessian_minors_at(res, pt))
+            assert all(m > 0 for m in leading_principal_minors(hessian_at(res, pt)))
 
     @given(point_sets(max_dim=3, max_points=3, height=6))
     @settings(max_examples=10, deadline=None)

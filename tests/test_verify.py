@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from morseforge import verify
 from morseforge._rat import rat
 from morseforge.coord_change import PointSet
-from morseforge.morse_scalar import AlphaSpec, build_pair, grad_f, hessian_f
+from morseforge.exactmat import leading_principal_minors
+from morseforge.morse_scalar import AlphaSpec, build_pair
 from morseforge.numeric import CompiledPoly
 from morseforge.poly import MultiPoly, PolyMap
 from morseforge.synth import build_saddle_field, synthesize
@@ -19,14 +20,12 @@ from morseforge.verify import (
     FlowConfig,
     GridTooLarge,
     NewtonConfig,
-    basin_sample,
     certify,
-    eigen_signs,
-    fd_gradient_check_batch,
     grad_hessian,
     integrate_batch,
     newton_search,
 )
+from oracles import eigen_signs, fd_gradient_check_batch, sample_box
 
 
 def x(dim=1, i=0):
@@ -59,7 +58,7 @@ class TestBox:
 
     def test_samples_stay_inside(self):
         box = BoxSpec(lower=(-2.0, 1.0), upper=(-1.0, 3.0))
-        pts = box.sample(100, np.random.default_rng(0))
+        pts = sample_box(box, 100, np.random.default_rng(0))
         assert ((pts >= box.lower) & (pts <= box.upper)).all()
 
 
@@ -191,8 +190,7 @@ def trace_one(fld, start, dt, t_max, box, targets):
 class TestFlow:
     @pytest.mark.parametrize("bad", [
         {"grad_tol": math.nan}, {"grad_tol": 0.0}, {"point_tol": -1.0},
-        {"point_tol": math.inf}, {"lyap_step_tol": math.nan}, {"lyap_step_tol": 0.0},
-        {"check_every": 0}, {"max_halvings": -1},
+        {"point_tol": math.inf},
     ])
     def test_invalid_config_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -239,29 +237,29 @@ class TestFlow:
     def test_basin_sample_full_convergence(self):
         sf = build_saddle_field(PointSet(2, [[-1, 0], [1, 0]]))
         box = BoxSpec(lower=(-2.0, -1.0), upper=(2.0, 1.0))
-        res = basin_sample(sf.field, [(-1.0, 0.0), (1.0, 0.0)], box,
-                           num_seeds=200, seed=3,
-                           cfg=FlowConfig(dt=1e-2, t_max=200.0))
+        starts = sample_box(box, 200, np.random.default_rng(3))
+        res = integrate_batch(sf.field, starts, box, [(-1.0, 0.0), (1.0, 0.0)],
+                              FlowConfig(dt=1e-2, t_max=200.0))
         assert res.num_diverged == 0
         assert res.fraction_converged >= 0.99
 
     def test_basin_sample_is_reproducible(self):
         fld = PolyMap([-x(2, 0), -x(2, 1)])
         box = BoxSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        a = basin_sample(fld, [(0.0, 0.0)], box, num_seeds=20, seed=7,
-                         cfg=FlowConfig(dt=1e-2, t_max=30.0))
-        b = basin_sample(fld, [(0.0, 0.0)], box, num_seeds=20, seed=7,
-                         cfg=FlowConfig(dt=1e-2, t_max=30.0))
+        a, b = (
+            integrate_batch(fld, sample_box(box, 20, np.random.default_rng(7)),
+                            box, [(0.0, 0.0)], FlowConfig(dt=1e-2, t_max=30.0))
+            for _ in range(2)
+        )
         assert np.array_equal(a.starts, b.starts)
         assert np.array_equal(a.status, b.status)
 
     def test_lyapunov_tracking(self):
         res = synthesize(PointSet(2, [[0, 0]]))
         box = BoxSpec.from_points(res.input.points)
-        out = basin_sample(res.grad_field, res.input.points, box,
-                           num_seeds=50, seed=1,
-                           cfg=FlowConfig(dt=1e-2, t_max=100.0),
-                           lyap=res.p_poly)
+        starts = sample_box(box, 50, np.random.default_rng(1))
+        out = integrate_batch(res.grad_field, starts, box, res.input.points,
+                              FlowConfig(dt=1e-2, t_max=100.0), lyap=res.p_poly)
         assert float(out.max_step_increase.max()) <= 1e-9
 
     def test_batch_rows_match_single_runs(self, monkeypatch):
@@ -271,7 +269,8 @@ class TestFlow:
         p = x(2, 0) ** 2 + 10 * x(2, 1) ** 2
         fld = PolyMap([-p.partial(0), -p.partial(1)])
         box = BoxSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0))
-        cfg = FlowConfig(dt=0.15, t_max=10.0, check_every=5)
+        monkeypatch.setattr(verify, "CHECK_EVERY", 5)
+        cfg = FlowConfig(dt=0.15, t_max=10.0)
         starts = np.array([[1.0, 0.0], [1e-3, 0.0], [-1.5, 0.0],
                            [0.5, 0.3], [-1.5, 1.0], [0.0, 0.0]])
         proposals, lyap_evals = [], []
@@ -305,19 +304,17 @@ class TestFlow:
 
 class TestCertify:
     def test_plane_pair_passes(self):
-        pair = build_pair(AlphaSpec(["-1/2", "1/2"]))
-        pts = [(r, rat(0)) for r in pair.roots]
-        report = certify(
-            points=pts,
-            grad_map=grad_f(pair),
-            hessian_at=lambda p: hessian_f(pair, p),
-            seeds_per_axis=30,
-        )
+        spec = AlphaSpec(["-1/2", "1/2"])
+        pts = [(r, rat(0)) for r in spec.roots]
+        f = build_pair(spec).f
+        report = certify(points=pts, p=f, seeds_per_axis=30)
         assert report.overall_pass
+        assert report.grad == PolyMap([-f.partial(0), -f.partial(1)])
         assert len(report.per_point) == 2
         for cert in report.per_point:
             assert cert.gradient_zero
             assert all(m > 0 for m in cert.minors)
+            assert cert.minors == leading_principal_minors(cert.hessian)
         assert report.spurious.all_within_tol
         assert report.spurious.newton_recall == 1.0
 
@@ -325,10 +322,5 @@ class TestCertify:
         import json
 
         pair = build_pair(AlphaSpec([0]))
-        report = certify(
-            points=[(rat(0), rat(0))],
-            grad_map=grad_f(pair),
-            hessian_at=lambda p: hessian_f(pair, p),
-            seeds_per_axis=20,
-        )
+        report = certify(points=[(rat(0), rat(0))], p=pair.f, seeds_per_axis=20)
         json.dumps(report.to_obj())
