@@ -1,11 +1,11 @@
 """Independent numeric verification layer.
 
 Everything here treats the synthesized objects as claims under test: a
-Newton search for critical points the construction says cannot exist, RK4
-integration of the descent flow with convergence classification, and the
-certification report that rebuilds the gradient and Hessians from P alone.
-Every float evaluation goes through numeric.CompiledPoly: a gradient map,
-its Jacobian matrix or a Lyapunov function is compiled once and evaluated
+Newton search for critical points the construction says cannot exist,
+adaptive integration of the descent flow with convergence classification,
+and the certification report that rebuilds the gradient and Hessians from P
+alone.  Every float evaluation goes through numeric.CompiledPoly: a gradient
+map, its Jacobian matrix or a Lyapunov function is compiled once and evaluated
 over a whole batch of points per call.
 
 Newton runs in two phases: a fast float phase over the whole seed grid, then
@@ -19,11 +19,20 @@ polynomial evaluation in floats has a cancellation noise floor far above the
 1e-12 residual target, so the final residual is evaluated exactly (rational
 arithmetic at the float iterate) and only then compared against the target.
 
-The flow integrator is classical fixed-step RK4 with a local safeguard: a
-step whose result leaves the guard box, goes non-finite, or increases the
-Lyapunov value beyond half of LYAP_STEP_TOL is redone as two half steps,
-recursively up to MAX_HALVINGS.  A trajectory is classified diverged only
-when the safeguard bottoms out still outside the guard box or non-finite.
+The descent flows are stiff (Hessian eigenvalues from below 1 at a minimum to
+1e9 at the box corners), so the flow integrator is the linearly implicit
+Rosenbrock pair of ode23s (Shampine & Reichelt, SIAM J. Sci. Comput. 1997),
+orders 2 and 3, batched over trajectories.  Each row keeps its own time and
+step; FlowConfig.dt is only the first step.  One attempt evaluates the field
+at the midpoint and the field with its full Jacobian at the proposal, and
+solves three systems against one W = I - h d J (one inverse, three
+products).  The evaluation at an accepted proposal starts the next step and
+classifies convergence.  A proposal that fails the error test, leaves the
+guard box, goes non-finite, or increases the Lyapunov value beyond half of
+LYAP_STEP_TOL is rejected and the step shrunk.  A trajectory is classified
+diverged only when the step floor is reached with the proposal still outside
+the guard box or non-finite, and times out at t_max or after MAX_ATTEMPTS
+attempts, whichever comes first.
 """
 
 from __future__ import annotations
@@ -286,17 +295,28 @@ def newton_search(
 # ------------------------------------------------------------ flow tracing
 
 
-# convergence is checked every CHECK_EVERY steps; a rejected step is halved
-# at most MAX_HALVINGS times; a proposal raising the Lyapunov value by more
-# than half of LYAP_STEP_TOL is rejected
-CHECK_EVERY = 25
-MAX_HALVINGS = 40
+# ode23s (Shampine & Reichelt 1997): a linearly implicit Rosenbrock pair of
+# orders 2 and 3 with the exact Jacobian, stable on stiff fields
+_D = 1.0 / (2.0 + math.sqrt(2.0))
+_E32 = 6.0 + math.sqrt(2.0)
+# a step passes the error test when the RMS of err_i / (ATOL + RTOL *
+# max(|x_i|, |x_new_i|)) is at most 1; the next step is the last one times
+# 0.9 * err^(-1/3) clipped to [MIN_FACTOR, MAX_FACTOR]
+RTOL = 1e-6
+ATOL = 1e-9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 5.0
+# every trajectory makes at most MAX_ATTEMPTS step attempts; no step is
+# shorter than MIN_STEP_RATIO times the first step FlowConfig.dt; a proposal
+# raising the Lyapunov value by more than half of LYAP_STEP_TOL is rejected
+MAX_ATTEMPTS = 3000
+MIN_STEP_RATIO = 2.0 ** -40
 LYAP_STEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class FlowConfig:
-    dt: float = 1e-3
+    dt: float = 1e-3  # the first step of every trajectory
     t_max: float = 200.0
     grad_tol: float = 1e-6
     point_tol: float = 1e-3
@@ -318,6 +338,7 @@ class FlowTrace:
     converged_index: Optional[int]
     final_grad_norm: float
     max_step_increase: float
+    timeout_reason: Optional[str] = None  # t_max | step_budget when timed out
 
     def to_obj(self) -> dict:
         return {
@@ -328,51 +349,42 @@ class FlowTrace:
             "converged_index": self.converged_index,
             "final_grad_norm": self.final_grad_norm,
             "max_step_increase": self.max_step_increase,
+            "timeout_reason": self.timeout_reason,
         }
 
 
-def _rk4(f: Callable, x: np.ndarray, dt: float) -> np.ndarray:
-    k1 = f(x)
-    k2 = f(x + 0.5 * dt * k1)
-    k3 = f(x + 0.5 * dt * k2)
-    k4 = f(x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _field_jacobian(field: PolyMap) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """Compile a field and its full Jacobian matrix into one evaluator that
+    maps points (B, n) to the field (B, n) and the Jacobian (B, n, n)."""
+    n = field.domain_dim
+    compiled = CompiledPoly(
+        PolyMap([*field.components, *(e for row in field.jacobian() for e in row)], n)
+    )
+
+    def evaluate(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        vals = compiled(pts)
+        return vals[:, :n], vals[:, n:].reshape(len(vals), n, n)
+
+    return evaluate
 
 
-def _step_guarded(f, x, vx, dt, lo, hi, lyap, depth=0):
-    """Advance every row by dt.  vx holds lyap at x (None without lyap);
-    returns (new_x, lyap at new_x, diverged_mask)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        prop = _rk4(f, x, dt)
-        ok = np.isfinite(prop).all(axis=1)
-        ok &= ((prop >= lo) & (prop <= hi)).all(axis=1)
-        hard_bad = ~ok
-        vp = None
-        if lyap is not None:
-            vp = lyap(prop)
-            inc = vp - vx
-            ok &= ~(np.isfinite(inc) & (inc > 0.5 * LYAP_STEP_TOL))
-    bad = ~ok
-    diverged = np.zeros(len(x), dtype=bool)
-    if bad.any():
-        if depth >= MAX_HALVINGS:
-            # only guard/finiteness violations count as divergence; a
-            # Lyapunov wiggle at the halving floor is evaluation noise
-            diverged = bad & hard_bad
-            prop[diverged] = x[diverged]
-            if vp is not None:
-                vp[diverged] = vx[diverged]
-        else:
-            sub_v = None if vx is None else vx[bad]
-            h1, v1, d1 = _step_guarded(f, x[bad], sub_v, dt / 2, lo, hi, lyap, depth + 1)
-            h2, v2, d2 = _step_guarded(f, h1, v1, dt / 2, lo, hi, lyap, depth + 1)
-            prop[bad] = h2
-            if vp is not None:
-                vp[bad] = v2
-            dv = d1 | d2
-            idx = np.flatnonzero(bad)
-            diverged[idx[dv]] = True
-    return prop, vp, diverged
+def _inverse(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverses of a batch of matrices and a mask of the failed rows.  When
+    LAPACK meets an exactly singular matrix, every row whose determinant is
+    zero or not finite is flagged and inverted as the identity."""
+    bad = np.zeros(len(w), dtype=bool)
+    try:
+        return np.linalg.inv(w), bad
+    except np.linalg.LinAlgError:
+        det = np.linalg.det(w)
+        bad = ~(np.isfinite(det) & (det != 0))
+        w = w.copy()
+        w[bad] = np.eye(w.shape[-1])
+        return np.linalg.inv(w), bad
+
+
+def _solve(w_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return (w_inv @ rhs[:, :, None])[:, :, 0]
 
 
 STATUS_ACTIVE, STATUS_CONVERGED, STATUS_TIMEOUT, STATUS_DIVERGED = 0, 1, 2, 3
@@ -384,9 +396,10 @@ class BatchFlowResult:
     ends: np.ndarray
     status: np.ndarray  # STATUS_* per trajectory
     conv_idx: np.ndarray
-    steps: np.ndarray
+    steps: np.ndarray  # accepted steps per trajectory
     final_grad_norm: np.ndarray
     max_step_increase: np.ndarray
+    timeout_reason: np.ndarray  # "t_max" | "step_budget" when timed out, else None
 
     @property
     def fraction_converged(self) -> float:
@@ -410,10 +423,11 @@ class BatchFlowResult:
                     start=tuple(self.starts[i]),
                     steps=int(self.steps[i]),
                     end=tuple(self.ends[i]),
-                    classified=names.get(st, "max_time_reached"),
+                    classified=names[st],
                     converged_index=int(self.conv_idx[i]) if st == STATUS_CONVERGED else None,
                     final_grad_norm=float(self.final_grad_norm[i]),
                     max_step_increase=float(self.max_step_increase[i]),
+                    timeout_reason=self.timeout_reason[i],
                 )
             )
         return out
@@ -431,14 +445,17 @@ def integrate_batch(
 
     targets are the points convergence is classified against; lyap, when
     given, is a scalar polynomial whose per-step increase is both guarded
-    against and recorded."""
+    against and recorded.  Every row keeps its own time and step size; each
+    pass over the loop makes one step attempt for every active row."""
     cfg = cfg or FlowConfig()
     fc = CompiledPoly(field)
+    fj = _field_jacobian(field)
     lc = CompiledPoly(lyap) if lyap is not None else None
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     B, n = starts.shape
     tg = np.asarray([[float(c) for c in t] for t in targets], dtype=float)
     lo, hi = box.guard()
+    h_min = cfg.dt * MIN_STEP_RATIO
 
     x = starts.copy()
     status = np.full(B, STATUS_ACTIVE, dtype=np.int64)
@@ -446,14 +463,11 @@ def integrate_batch(
     steps = np.zeros(B, dtype=np.int64)
     gnorm = np.full(B, np.nan)
     max_inc = np.zeros(B)
+    reason = np.full(B, None, dtype=object)
 
-    active = np.arange(B)
-    xa = starts.copy()
-    total = int(round(cfg.t_max / cfg.dt))
-
-    def classify(idx, pts):
-        """Mark converged trajectories among idx; returns the local keep mask."""
-        g = fc(pts)
+    def classify(idx, pts, g):
+        """Mark converged trajectories among idx, given the field g at pts;
+        returns the local mask of the others."""
         gn = np.linalg.norm(g, axis=1)
         gnorm[idx] = gn
         if len(tg):
@@ -468,34 +482,75 @@ def integrate_batch(
         conv_idx[idx[conv]] = nearest[conv]
         return ~conv
 
-    keep0 = classify(active, xa)  # seeds already at a target converge in 0 steps
-    active, xa = active[keep0], xa[keep0]
-    # lyap at each active row, carried from step to step and filtered with xa
+    # per active row: index, state, field and Jacobian there (the last
+    # proposal's evaluation, first same as last), lyap there, time, next
+    # step and attempts made
+    idx = np.arange(B)
+    xa = starts.copy()
+    f0, jac = fj(xa)
+    keep = classify(idx, xa, f0)  # seeds already at a target converge in 0 steps
+    idx, xa, f0, jac = idx[keep], xa[keep], f0[keep], jac[keep]
     va = lc(xa) if lc is not None else None
+    t = np.zeros(len(idx))
+    h = np.full(len(idx), cfg.dt)
+    attempts = np.zeros(len(idx), dtype=np.int64)
+    eye = np.eye(n)
 
-    for step in range(1, total + 1):
-        if len(active) == 0:
-            break
-        xa, vn, div = _step_guarded(fc, xa, va, cfg.dt, lo, hi, lc)
-        steps[active] = step
-        x[active] = xa
+    while len(idx):
+        last = h >= cfg.t_max - t
+        ht = np.where(last, cfg.t_max - t, h)
+        col = ht[:, None]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w_inv, singular = _inverse(eye - (_D * ht)[:, None, None] * jac)
+            k1 = _solve(w_inv, f0)
+            f1 = fc(xa + 0.5 * col * k1)
+            k2 = _solve(w_inv, f1 - k1) + k1
+            xn = xa + col * k2
+            f2, jn = fj(xn)
+            k3 = _solve(w_inv, f2 - _E32 * (k2 - f1) - 2.0 * (k1 - f0))
+            scale = ATOL + RTOL * np.maximum(np.abs(xa), np.abs(xn))
+            err = np.sqrt(np.mean((col / 6.0 * (k1 - 2.0 * k2 + k3) / scale) ** 2, axis=1))
+            err = np.where(np.isfinite(err) & ~singular, err, np.inf)
+            hard_ok = np.isfinite(xn).all(axis=1) & ((xn >= lo) & (xn <= hi)).all(axis=1)
+            guard_ok = hard_ok
+            vn = inc = None
+            if lc is not None:
+                vn = lc(xn)
+                inc = vn - va
+                guard_ok = hard_ok & ~(np.isfinite(inc) & (inc > 0.5 * LYAP_STEP_TOL))
+            fac = np.clip(0.9 * err ** (-1.0 / 3.0), MIN_FACTOR, MAX_FACTOR)
+        # at the step floor only guard/finiteness violations count as
+        # divergence; a failed error test or Lyapunov wiggle there is noise
+        floor = ht <= h_min
+        acc = hard_ok & ((guard_ok & (err <= 1.0)) | floor)
+        diverged = ~hard_ok & floor
+        attempts += 1
+        h = np.maximum(ht * np.where(guard_ok, fac, np.minimum(fac, 0.5)), h_min)
+
+        xa[acc], f0[acc], jac[acc] = xn[acc], f2[acc], jn[acc]
+        t[acc] += ht[acc]
+        steps[idx[acc]] += 1
         if lc is not None:
-            inc = vn - va
-            ok = np.isfinite(inc) & ~div
-            np.maximum.at(max_inc, active[ok], inc[ok])
-        va = vn
-        if div.any():
-            status[active[div]] = STATUS_DIVERGED
-            active, xa = active[~div], xa[~div]
-            va = None if va is None else va[~div]
-            if len(active) == 0:
-                break
-        if step % CHECK_EVERY == 0 or step == total:
-            keep = classify(active, xa)
-            active, xa = active[keep], xa[keep]
-            va = None if va is None else va[keep]
+            va[acc] = vn[acc]
+            ok = acc & np.isfinite(inc)
+            np.maximum.at(max_inc, idx[ok], inc[ok])
+        x[idx] = xa
+        status[idx[diverged]] = STATUS_DIVERGED
+        # FSAL: the field at an accepted proposal classifies it
+        sel = np.flatnonzero(acc)
+        done = diverged.copy()
+        done[sel] = ~classify(idx[sel], xa[sel], f0[sel])
+        out_of_time = acc & last & ~done
+        out_of_budget = (attempts >= MAX_ATTEMPTS) & ~done & ~out_of_time
+        status[idx[out_of_time | out_of_budget]] = STATUS_TIMEOUT
+        reason[idx[out_of_time]] = "t_max"
+        reason[idx[out_of_budget]] = "step_budget"
+        keep = ~(done | out_of_time | out_of_budget)
+        idx, xa, f0, jac, t, h, attempts = (
+            a[keep] for a in (idx, xa, f0, jac, t, h, attempts)
+        )
+        va = None if va is None else va[keep]
 
-    status[status == STATUS_ACTIVE] = STATUS_TIMEOUT
     return BatchFlowResult(
         starts=starts,
         ends=x,
@@ -504,6 +559,7 @@ def integrate_batch(
         steps=steps,
         final_grad_norm=gnorm,
         max_step_increase=max_inc,
+        timeout_reason=reason,
     )
 
 

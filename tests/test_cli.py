@@ -182,6 +182,16 @@ class TestFlow:
         obj = json.loads(out.read_text())
         assert obj["classified"] == "converged_to"
         assert obj["converged_index"] in (0, 1)
+        assert obj["timeout_reason"] is None
+
+    def test_timeout_reason_in_trace(self, two_point_bundle, tmp_path):
+        out = tmp_path / "trace.json"
+        code = cli.main(["flow", "-i", str(two_point_bundle), "-o", str(out),
+                         "--start", "0.4,0.2", "--t-max", "0.01"])
+        assert code == 1
+        obj = json.loads(out.read_text())
+        assert obj["classified"] == "max_time_reached"
+        assert obj["timeout_reason"] == "t_max"
 
     def test_far_start_rejected(self, two_point_bundle):
         code = cli.main(["flow", "-i", str(two_point_bundle),
@@ -240,6 +250,31 @@ class TestExportGrid:
             exact = float(bundle.p.eval_rational([float(x), float(y)]))
             assert abs(float(v) - exact) <= 1e-12 * max(1.0, abs(exact))
             assert int(lab) in (-1, 0, 1)
+
+    def test_basin_labels_match_reference(self, tmp_path):
+        # reference labels at t = 50 from an implicit Radau integration at
+        # rtol 1e-11 and again at 1e-9 (computed offline; both agree on every
+        # node), then the export-grid rule: a basin when |grad P| < 1e-6 within
+        # 1e-3 of a minimum, else -1.  Rows are x nodes, columns y nodes.
+        reference = [
+            [0, 0, 0, 0, 0, 0, 0, -1],
+            [-1, 0, 0, 0, 0, 0, 0, -1],
+            [-1, -1, 0, 0, 0, 0, -1, -1],
+            [-1, -1, 0, 0, 0, 0, -1, -1],
+            [-1, -1, 1, 1, 1, 1, -1, -1],
+            [-1, -1, 1, 1, 1, 1, 1, 1],
+            [1, 1, 1, 1, 1, 1, 1, 1],
+            [1, 1, 1, 1, 1, 1, 1, 1],
+        ]
+        pts = write_pointset(tmp_path / "pts.json", 2, [["-5/8", "1/2"], ["3/8", "3/4"]])
+        bundle = tmp_path / "bundle.json"
+        assert cli.main(["synthesize", "-i", pts, "-o", str(bundle)]) == 0
+        out = tmp_path / "grid.csv"
+        assert cli.main(["export-grid", "-i", str(bundle), "-o", str(out),
+                         "--resolution", "8", "--t-max", "50"]) == 0
+        with open(out) as fh:
+            labels = [int(row[3]) for row in list(csv.reader(fh))[1:]]
+        assert labels == [lab for row in reference for lab in row]
 
     def test_small_resolution_rejected(self, two_point_bundle):
         code = cli.main(["export-grid", "-i", str(two_point_bundle),

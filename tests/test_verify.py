@@ -203,6 +203,7 @@ class TestFlow:
         trace = trace_one(fld, [1.0, 1.0], dt=1e-3, t_max=1.0,
                           box=box, targets=[])
         assert trace.classified == "max_time_reached"
+        assert trace.timeout_reason == "t_max"
         expected = math.exp(-1.0)
         for c in trace.end:
             assert abs(c - expected) <= 0.01 * expected
@@ -262,41 +263,73 @@ class TestFlow:
                               FlowConfig(dt=1e-2, t_max=100.0), lyap=res.p_poly)
         assert float(out.max_step_increase.max()) <= 1e-9
 
-    def test_batch_rows_match_single_runs(self, monkeypatch):
-        # at dt = 0.15 RK4 overshoots along y for P = x^2 + 10 y^2: rows off
-        # y = 0 get halved steps and time out on a sub-tolerance Lyapunov
-        # wiggle, rows on y = 0 converge after different step counts
+    def test_stiff_quadratic_converges_off_axis(self):
+        # dt = 0.15 is past the explicit RK4 stability limit along y for
+        # P = x^2 + 10 y^2; a fixed step there overshoots and hovers in a
+        # sub-tolerance Lyapunov wiggle until t_max
         p = x(2, 0) ** 2 + 10 * x(2, 1) ** 2
         fld = PolyMap([-p.partial(0), -p.partial(1)])
         box = BoxSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0))
-        monkeypatch.setattr(verify, "CHECK_EVERY", 5)
-        cfg = FlowConfig(dt=0.15, t_max=10.0)
-        starts = np.array([[1.0, 0.0], [1e-3, 0.0], [-1.5, 0.0],
-                           [0.5, 0.3], [-1.5, 1.0], [0.0, 0.0]])
-        proposals, lyap_evals = [], []
-        real_step = verify._step_guarded
+        out = integrate_batch(fld, [[0.5, 0.3], [-1.5, 1.0]], box, [(0.0, 0.0)],
+                              FlowConfig(dt=0.15, t_max=10.0), lyap=p)
+        assert (out.status == STATUS_CONVERGED).all()
+        assert float(out.max_step_increase.max()) <= 1e-9
 
-        def counting_step(*args):
-            proposals.append(len(args[1]))
-            return real_step(*args)
+    def test_timeout_reasons(self, monkeypatch):
+        fld = PolyMap([-x(2, 0), -x(2, 1)])
+        box = BoxSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0))
+        starts = [[1.0, 1.0], [0.0, 0.0]]
+        out = integrate_batch(fld, starts, box, [(0.0, 0.0)], FlowConfig(dt=1e-2, t_max=1.0))
+        assert [t.timeout_reason for t in out.traces()] == ["t_max", None]
+        monkeypatch.setattr(verify, "MAX_ATTEMPTS", 5)
+        out = integrate_batch(fld, starts, box, [(0.0, 0.0)], FlowConfig(dt=1e-2, t_max=50.0))
+        trace = out.traces()[0]
+        assert trace.classified == "max_time_reached"
+        assert trace.timeout_reason == "step_budget"
+        assert trace.steps <= 5
+        assert out.traces()[1].timeout_reason is None
+
+    def test_singular_step_matrix_is_flagged(self):
+        w = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]]])
+        inv, bad = verify._inverse(w)
+        assert bad.tolist() == [False, True]
+        assert np.array_equal(inv[0], np.diag([0.5, 0.25]))
+        assert np.array_equal(inv[1], np.eye(2))
+
+    def test_batch_rows_match_single_runs(self, monkeypatch):
+        # a first step of 0.15 against a stiffest rate of 2e5 is rejected by
+        # the error test and shrunk; the 1e4 scale lifts the float noise of
+        # P near its minimum to ~1e-13, so some accepted steps record a
+        # sub-tolerance Lyapunov increase; rows converge after different
+        # numbers of steps, and the start at the minimum after none
+        p = 10 ** 4 * ((x(2, 0) - rat("1/3")) ** 2 + 10 * (x(2, 1) - rat("1/7")) ** 2)
+        fld = PolyMap([-p.partial(0), -p.partial(1)])
+        box = BoxSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0))
+        target = [(1 / 3, 1 / 7)]
+        cfg = FlowConfig(dt=0.15, t_max=10.0)
+        starts = np.array([[1.0, 0.0], [1e-3, 0.0], [-1.5, 0.0], [0.5, 0.3],
+                           [-1.5, 1.0], [0.0, 0.0], [1 / 3, 1 / 7]])
+        proposals, lyap_evals = [], []
 
         class CountingPoly(CompiledPoly):
             def __call__(self, pts):
-                if self.shape == ():  # the scalar Lyapunov function, not the field
+                if self.shape == ():  # the scalar Lyapunov function
                     lyap_evals.append(len(pts))
+                elif self.shape == (2,):  # the field alone: one midpoint per proposal
+                    proposals.append(len(pts))
                 return super().__call__(pts)
 
-        monkeypatch.setattr(verify, "_step_guarded", counting_step)
         monkeypatch.setattr(verify, "CompiledPoly", CountingPoly)
-        batch = integrate_batch(fld, starts, box, [(0.0, 0.0)], cfg, lyap=p)
-        # one evaluation on the starts, then one per RK4 proposal
-        assert len(lyap_evals) == 1 + len(proposals)
-        assert len(proposals) > batch.steps.max()  # some step was halved
+        batch = integrate_batch(fld, starts, box, target, cfg, lyap=p)
+        # one evaluation on the unconverged starts, then one per proposal
+        assert lyap_evals == [len(starts) - 1] + proposals
+        assert sum(proposals) > batch.steps.sum()  # some proposal was rejected
         converged = batch.status == STATUS_CONVERGED
-        assert len(set(batch.steps[converged])) == 3
+        assert converged.all()
+        assert len(set(batch.steps[converged])) == 6
         assert (batch.max_step_increase > 0).any()
         for i, start in enumerate(starts):
-            one = integrate_batch(fld, start[None], box, [(0.0, 0.0)], cfg, lyap=p)
+            one = integrate_batch(fld, start[None], box, target, cfg, lyap=p)
             assert np.array_equal(one.ends[0], batch.ends[i])
             assert one.steps[0] == batch.steps[i]
             assert one.max_step_increase[0] == batch.max_step_increase[i]
