@@ -42,7 +42,7 @@ def _load_json(path: str):
 
 
 def _write_json(path: Optional[str], obj) -> None:
-    text = json.dumps(obj, indent=2)
+    text = json.dumps(obj, indent=2, cls=serialize.IndentEncoder)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

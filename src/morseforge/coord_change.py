@@ -1,15 +1,21 @@
 """Polynomial automorphisms moving a finite point set onto the first axis.
 
-Given k distinct points in R^n (n >= 2), produce F = Pi o T where T is an
-invertible linear map whose first row separates the points, and Pi is a
+Given k distinct points in R^n (n >= 2), produce F = Pi o T where T is a
+unimodular linear map whose first row p separates the points, and Pi is a
 triangular shear z_j -> z_j - p_j(z_1) built from Lagrange interpolants.
 F maps every input point to (z_1, 0, ..., 0) exactly and has the polynomial
 inverse T^{-1} o Pi^{-1} (shear with "+ p_j(z_1)").
+
+The direction p is as sparse as the point set allows: P = Q o F has degree
+4k in z_1 = p.x, so every variable in the support of p enters every
+monomial of that degree.  Supports of size 1, 2, 3 and then all n are tried
+in turn, so a set with distinct x_1 keeps p = e_1 and T = I.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import List, Sequence, Tuple
 
 from . import exactmat
@@ -77,39 +83,74 @@ class CoordChange:
 
 
 def choose_direction(xs: PointSet) -> Tuple[Rat, ...]:
-    """First direction p(t) = (1, t, t^2, ..., t^{n-1}), t = 0, 1, 2, ...
-    separating all point pairs; the sweep is deterministic and always
-    terminates since each pair rules out at most n-1 values of t."""
+    """The first separating direction among supports of increasing size.
+
+    Supports S (0-based variable indices) are tried by size 1, 2, 3 and
+    then the full support, each size in lexicographic order.  S is skipped
+    unless the points' projections onto S are distinct.  On the first S
+    kept, the moment curve p_S(t) = (1, t, t^2, ...) on S (zero elsewhere)
+    is swept over t = 1, 2, ...; this terminates since each pair of points
+    rules out at most |S| - 1 values of t.  S = {0} gives e_1, and the full
+    support is the dense sweep (1, t, ..., t^{n-1})."""
     n = xs.dimension
-    diffs = []
-    for i in range(len(xs.points)):
-        for j in range(i + 1, len(xs.points)):
-            diffs.append(
-                tuple(a - b for a, b in zip(xs.points[i], xs.points[j]))
-            )
-    t = 0
+    pts = xs.points
+    for size in [s for s in (1, 2, 3) if s < n] + [n]:
+        for support in combinations(range(n), size):
+            if len({tuple(pt[m] for m in support) for pt in pts}) == len(pts):
+                return _sweep(pts, support, n)
+    raise AssertionError("distinct points have distinct full projections")
+
+
+def _sweep(pts, support: Tuple[int, ...], n: int) -> Tuple[Rat, ...]:
+    diffs = [tuple(a[m] - b[m] for m in support) for a, b in combinations(pts, 2)]
+    t = 1
     while True:
-        tv = rat(t)
-        p = [rat(1)]
-        for _ in range(n - 1):
-            p.append(p[-1] * tv)
-        if all(
-            sum((pc * dc for pc, dc in zip(p, d)), rat(0)) != 0 for d in diffs
-        ):
+        curve = [rat(t) ** j for j in range(len(support))]
+        if all(sum(c * d for c, d in zip(curve, diff)) != 0 for diff in diffs):
+            p = [rat(0)] * n
+            for m, c in zip(support, curve):
+                p[m] = c
             return tuple(p)
         t += 1
 
 
-def build_linear(p: Sequence, n: int) -> List[List[Rat]]:
-    """T with rows [p; e_2; ...; e_n]; det T = p_1 = 1."""
+def _frame(p: Sequence, n: int):
+    """p as rationals, its pivot i (first nonzero entry, which must be 1)
+    and the unit rows of T = [p; e_m for m != i] as (m, sign) pairs.
+
+    Moving row p down to row i takes i row swaps and leaves a triangular
+    matrix with unit diagonal, so det T = (-1)^i; for odd i the first unit
+    row is negated, which makes det T = 1 for every pivot."""
     p = [rat(c) for c in p]
     if len(p) != n:
         raise ValueError(f"direction has length {len(p)}, expected {n}")
-    if p[0] != 1:
-        raise ValueError("first entry of the direction must be 1")
-    rows = [list(p)]
-    for i in range(1, n):
-        rows.append([rat(1) if j == i else rat(0) for j in range(n)])
+    i = next((m for m, c in enumerate(p) if c != 0), None)
+    if i is None or p[i] != 1:
+        raise ValueError("first nonzero entry of the direction must be 1")
+    units = [(m, rat(1)) for m in range(n) if m != i]
+    if i % 2:
+        units[0] = (units[0][0], rat(-1))
+    return p, i, units
+
+
+def build_linear(p: Sequence, n: int) -> List[List[Rat]]:
+    """T with rows [p; e_m for m != i], i the pivot of p; det T = 1."""
+    p, _, units = _frame(p, n)
+    rows = [p]
+    for m, sign in units:
+        rows.append([sign if j == m else rat(0) for j in range(n)])
+    return rows
+
+
+def linear_inverse(p: Sequence, n: int) -> List[List[Rat]]:
+    """T^{-1} in closed form: z_r = s_r x_m for the unit rows gives
+    x_m = s_r z_r, and x_i = z_1 - sum_{m != i} p_m x_m."""
+    p, i, units = _frame(p, n)
+    rows = [[rat(0)] * n for _ in range(n)]
+    rows[i][0] = rat(1)
+    for r, (m, sign) in enumerate(units, start=1):
+        rows[m][r] = sign
+        rows[i][r] = -p[m] * sign
     return rows
 
 
@@ -172,8 +213,7 @@ def build_coord_change(xs: PointSet) -> CoordChange:
     n = xs.dimension
     p = choose_direction(xs)
     t_rows = build_linear(p, n)
-    # T = [p; e_2; ...; e_n] with p_1 = 1 has inverse [1, -p_2, ..., -p_n; e_2; ...]
-    t_inv_rows = build_linear([1, *(-c for c in t_rows[0][1:])], n)
+    t_inv_rows = linear_inverse(p, n)
     z_points = [exactmat.mat_vec(t_rows, pt) for pt in xs.points]
     interpolants = build_interpolants(z_points)
 

@@ -7,7 +7,10 @@ graded-lex order; files round-trip bit-exactly on canonical form.
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import List
 
 from . import exactmat
@@ -113,3 +116,83 @@ def saddle_obj(sf: SaddleField) -> dict:
         "saddle_set": [rat_str(b) for b in sf.saddle_set],
         "coord_change": coord_change_obj(sf.change),
     }
+
+
+class _Unsupported(Exception):
+    """A value the fast path leaves to the standard encoder."""
+
+
+class IndentEncoder(json.JSONEncoder):
+    """``json.dumps(obj, indent=..., cls=IndentEncoder)`` writes the same
+    text as the standard encoder, about twice as fast.
+
+    With ``indent`` set the standard library cannot use its C encoder and
+    walks the object through one Python generator per container, yielding
+    every token.  Here each container is one ``str.join`` over its encoded
+    items, with the C string encoder.  The fast path takes dicts with str
+    keys, lists and tuples, all of exact type, and str, int, float, bool and
+    None with their subclasses.  Anything else (container subclasses, other
+    keys, non-finite floats, containers too deep or circular for the
+    recursion) and ``sort_keys`` send the whole object to the standard
+    encoder, so its output, errors and ``default`` hook stay as documented."""
+
+    def encode(self, o):
+        if self.indent is None or self.sort_keys:
+            return super().encode(o)
+        unit = self.indent if isinstance(self.indent, str) else " " * self.indent
+        enc_str = encode_basestring_ascii if self.ensure_ascii else encode_basestring
+        try:
+            return _indented(o, unit, self.item_separator, self.key_separator, enc_str)
+        except (_Unsupported, RecursionError):
+            return super().encode(o)
+
+
+def _unsupported(o):
+    raise _Unsupported
+
+
+def _float(o: float) -> str:
+    if not math.isfinite(o):
+        raise _Unsupported
+    return float.__repr__(o)
+
+
+def _indented(obj, unit: str, item_sep: str, key_sep: str, enc_str) -> str:
+    leaf = {
+        str: enc_str,
+        int: int.__repr__,
+        float: _float,
+        bool: {True: "true", False: "false"}.__getitem__,
+        type(None): {None: "null"}.__getitem__,
+    }.get
+
+    def value(o, ind: str) -> str:
+        t = type(o)
+        if t is dict:
+            if not o:
+                return "{}"
+            inner = ind + unit
+            items = [
+                (enc_str(k) if type(k) is str else _unsupported(k)) + key_sep
+                + (f(v) if (f := leaf(type(v))) else value(v, inner))
+                for k, v in o.items()
+            ]
+            return "{" + inner + (item_sep + inner).join(items) + ind + "}"
+        if t is list or t is tuple:
+            if not o:
+                return "[]"
+            inner = ind + unit
+            items = [f(v) if (f := leaf(type(v))) else value(v, inner) for v in o]
+            return "[" + inner + (item_sep + inner).join(items) + ind + "]"
+        # scalar subclasses (numpy floats, IntEnum), in the standard
+        # encoder's order of checks
+        if isinstance(o, str):
+            return enc_str(o)
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if isinstance(o, float):
+            return _float(o)
+        raise _Unsupported
+
+    f = leaf(type(obj))
+    return f(obj) if f else value(obj, "\n")

@@ -30,6 +30,20 @@ def transpose(m: Matrix) -> Matrix:
     return [list(col) for col in zip(*m)]
 
 
+def poly_det(m: List[List[MultiPoly]]) -> MultiPoly:
+    """Determinant of a small matrix of polynomials by Laplace expansion
+    along the first row, as an exact polynomial identity."""
+    if len(m) == 1:
+        return m[0][0]
+    total = MultiPoly.zero(m[0][0].dim)
+    for j, entry in enumerate(m[0]):
+        if entry.is_zero():
+            continue
+        minor = poly_det([row[:j] + row[j + 1:] for row in m[1:]])
+        total = total + entry * minor if j % 2 == 0 else total - entry * minor
+    return total
+
+
 def transported_hessian(result: SynthesisResult, x) -> Matrix:
     """J^T H_Q J with J the Jacobian of F at x.  At a critical point this
     must equal the symbolic Hessian of P exactly."""

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,11 @@ from morseforge.coord_change import (
     build_interpolants,
     build_linear,
     choose_direction,
+    linear_inverse,
 )
 from morseforge.exactmat import det
 from morseforge.poly import MultiPoly
-from oracles import mat_mul
+from oracles import mat_mul, poly_det
 
 
 @st.composite
@@ -32,6 +35,41 @@ def point_sets(draw, max_dim=4, max_points=5, height=12):
             )
         )
     return PointSet(n, sorted(pts))
+
+
+@st.composite
+def sheared_sets(draw, max_dim=4, max_points=5):
+    """Point sets on x1 = 0 with small integer coordinates, so that many
+    coordinates and coordinate pairs repeat and the separating direction
+    needs a support other than {x1}."""
+    n = draw(st.integers(min_value=2, max_value=max_dim))
+    k = draw(st.integers(min_value=2, max_value=min(max_points, 3 ** (n - 1))))
+    pts = draw(
+        st.sets(
+            st.tuples(*[st.integers(min_value=-1, max_value=1)] * (n - 1)),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    return PointSet(n, sorted((0, *p) for p in pts))
+
+
+def support(p):
+    return tuple(m for m, c in enumerate(p) if c != 0)
+
+
+def distinct_on(xs, s):
+    return len({tuple(pt[m] for m in s) for pt in xs.points}) == len(xs)
+
+
+def pivot_sets():
+    """(n, points) whose direction has each pivot i at n = 2..4: the points
+    agree before coordinate i and differ in it."""
+    cases = []
+    for n in (2, 3, 4):
+        for i in range(n):
+            cases.append((n, [[1] * i + [j] + [j * j - 1] * (n - i - 1) for j in range(3)]))
+    return cases
 
 
 class TestPointSet:
@@ -66,8 +104,32 @@ class TestDirection:
         assert choose_direction(xs) == (rat(1), rat(0))
 
     def test_vertical_pair_needs_t_one(self):
+        # x2 alone separates the pair, so the direction is e2 and not the
+        # dense (1, 1) of the full-support sweep
         xs = PointSet(2, [[0, 0], [0, 1]])
-        assert choose_direction(xs) == (rat(1), rat(1))
+        assert choose_direction(xs) == (rat(0), rat(1))
+
+    def test_full_support_is_the_last_resort(self):
+        # neither coordinate separates, so the full sweep runs from t = 1
+        xs = PointSet(2, [[0, 0], [0, 1], [1, 0]])
+        assert choose_direction(xs) == (rat(1), rat(2))
+
+    @given(st.one_of(point_sets(), sheared_sets()))
+    @settings(max_examples=80, deadline=None)
+    def test_direction_is_sparsest(self, xs):
+        p = choose_direction(xs)
+        imgs = [sum((pc * c for pc, c in zip(p, pt)), rat(0)) for pt in xs.points]
+        assert len(set(imgs)) == len(imgs)
+        s = support(p)
+        assert p[s[0]] == 1
+        assert distinct_on(xs, s)
+        n = xs.dimension
+        # no smaller support, and no earlier one of the same size, has
+        # distinct projections (sizes 4 .. n-1 are not searched)
+        for size in range(1, min(len(s), 4)):
+            assert not any(distinct_on(xs, c) for c in combinations(range(n), size))
+        earlier = [c for c in combinations(range(n), len(s)) if c < s]
+        assert not any(distinct_on(xs, c) for c in earlier)
 
     @given(point_sets())
     @settings(max_examples=40, deadline=None)
@@ -92,6 +154,26 @@ class TestLinearPart:
     def test_unit_first_entry_required(self):
         with pytest.raises(ValueError):
             build_linear([2, 0], 2)
+
+    def test_unit_pivot_required(self):
+        for p in ([0, 2], [0, 0, "1/2"], [0, 0]):
+            with pytest.raises(ValueError):
+                build_linear(p, len(p))
+            with pytest.raises(ValueError):
+                linear_inverse(p, len(p))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_pivot_is_unimodular(self, n):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        tail = [rat(5), rat(-2, 3), rat(7, 4)]
+        for i in range(n):
+            p = [0] * i + [1] + tail[: n - i - 1]
+            rows = build_linear(p, n)
+            inv = linear_inverse(p, n)
+            assert rows[0] == [rat(c) for c in p]
+            assert det(rows) == 1
+            assert mat_mul(rows, inv) == identity
+            assert mat_mul(inv, rows) == identity
 
     def test_det_is_one(self):
         assert det(build_linear([1, 5, 25], 3)) == 1
@@ -173,6 +255,32 @@ class TestAutomorphism:
             assert det(rows) == 1
 
     def test_direction_is_stable(self):
-        # regression pin: the deterministic sweep must not change
+        # regression pin: the deterministic search must not change; no single
+        # coordinate and neither {x1, x2} nor {x1, x3} separates, and on
+        # {x2, x3} t = 1 maps (0, 1, 0) and (0, 0, 1) together
         xs = PointSet(3, [[0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
-        assert choose_direction(xs) == (rat(1), rat(2), rat(4))
+        assert choose_direction(xs) == (rat(0), rat(1), rat(2))
+
+    @pytest.mark.parametrize("n, points", pivot_sets())
+    def test_every_pivot_gives_an_exact_automorphism(self, n, points):
+        xs = PointSet(n, points)
+        cc = build_coord_change(xs)
+        assert support(cc.direction)[0] == next(
+            i for i in range(n) if len({pt[i] for pt in xs.points}) > 1
+        )
+        self._check_automorphism(xs, cc)
+
+    @given(sheared_sets())
+    @settings(max_examples=30, deadline=None)
+    def test_sheared_sets_give_exact_automorphisms(self, xs):
+        self._check_automorphism(xs, build_coord_change(xs))
+
+    @staticmethod
+    def _check_automorphism(xs, cc):
+        n = xs.dimension
+        assert cc.forward.compose(cc.inverse).is_identity()
+        assert cc.inverse.compose(cc.forward).is_identity()
+        assert poly_det(cc.forward.jacobian()) == MultiPoly.constant(n, 1)
+        assert cc.linear_part == build_linear(cc.direction, n)
+        for pt, r in zip(xs.points, cc.axis_images):
+            assert cc.forward.eval_rational(pt) == (r, *[rat(0)] * (n - 1))

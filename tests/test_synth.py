@@ -10,7 +10,7 @@ from morseforge.morse_scalar import AlphaSpec, build_pair
 from morseforge.poly import MultiPoly
 from morseforge.synth import build_saddle_field, hessian_at, synthesize
 from oracles import fd_gradient_check_batch, saddle_jacobian_at, transported_hessian
-from test_coord_change import point_sets
+from test_coord_change import point_sets, sheared_sets
 
 
 class TestSynthesize:
@@ -52,6 +52,32 @@ class TestSynthesize:
         res = synthesize(xs)
         for pt in xs.points:
             assert hessian_at(res, pt) == transported_hessian(res, pt)
+
+    @given(sheared_sets(max_points=4))
+    @settings(max_examples=15, deadline=None)
+    def test_sheared_sets_are_exact_minima(self, xs):
+        res = synthesize(xs)
+        for pt in xs.points:
+            assert all(v == 0 for v in res.grad_field.eval_rational(pt))
+            assert all(m > 0 for m in leading_principal_minors(hessian_at(res, pt)))
+
+    def test_sparse_direction_bounds_terms(self):
+        # every point on x1 = 0: a dense direction makes z1 = p.x involve
+        # all five variables, and f (degree 4k in z1) then expands into
+        # every monomial; the first set needs the 3-sparse (0, 1, t, t^2, 0)
+        # (575,751 terms with the dense direction), the second a single
+        # coordinate
+        rng = random.Random(5)
+        random_set = set()
+        while len(random_set) < 6:
+            random_set.add((0, *(rat(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4))))
+        for pts in (
+            [[0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+             [0, 1, 1, 0, 0], [0, 0, 0, 1, 1], [0, 1, 0, 1, 1]],
+            sorted(random_set),
+        ):
+            res = synthesize(PointSet(5, pts))
+            assert res.p_poly.num_terms() < 10_000
 
     def test_numeric_gradient_cross_check(self):
         res = synthesize(PointSet(2, [[-1, 0], [0, "1/4"], [1, "-1/4"]]))
