@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 
 from . import exactmat
 from ._rat import Rat, rat
-from .poly import MultiPoly, PolyMap
+from .poly import MultiPoly, PolyMap, json_int
 
 
 class PointSetError(ValueError):
@@ -67,7 +67,7 @@ class PointSet:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PointSet":
-        return cls(int(obj["dimension"]), [list(p) for p in obj["points"]])
+        return cls(json_int(obj["dimension"]), [list(p) for p in obj["points"]])
 
 
 @dataclass(frozen=True)

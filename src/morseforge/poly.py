@@ -34,6 +34,14 @@ class DimensionMismatch(ValueError):
     """Operands live in different ambient dimensions (or wrong arity)."""
 
 
+def json_int(value) -> int:
+    """value, if it is a JSON integer; int() would truncate 2.5 to 2 and
+    read true as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def grlex_key(exps: Exponent):
     """Sort key realizing the graded lexicographic canonical order."""
     return (sum(exps), exps)
@@ -348,9 +356,9 @@ class MultiPoly:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "MultiPoly":
-        dim = int(obj["dimension"])
+        dim = json_int(obj["dimension"])
         terms = [
-            (tuple(int(x) for x in t["exponents"]), rat(int(t["num"]), int(t["den"])))
+            (tuple(json_int(x) for x in t["exponents"]), rat(int(t["num"]), int(t["den"])))
             for t in obj["terms"]
         ]
         return cls(dim, terms)
@@ -498,5 +506,5 @@ class PolyMap:
     def from_obj(cls, obj: dict) -> "PolyMap":
         return cls(
             [MultiPoly.from_obj(c) for c in obj["components"]],
-            int(obj["domain_dim"]),
+            json_int(obj["domain_dim"]),
         )

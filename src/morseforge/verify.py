@@ -4,15 +4,16 @@ Everything here treats the synthesized objects as claims under test: a
 Newton search for critical points the construction says cannot exist,
 adaptive integration of the descent flow with convergence classification,
 and the certification report that rebuilds the gradient and Hessians from P
-alone.  Every float evaluation goes through numeric.CompiledPoly: a gradient
-map, its Jacobian matrix or a Lyapunov function is compiled once and evaluated
-over a whole batch of points per call.
+alone.  Every float evaluation goes through numeric.CompiledPoly, whose value
+at a point does not depend on the batch it is evaluated in: a field, a
+Lyapunov function, or a field with its Jacobian (field_jacobian, the one
+evaluator that Newton, its polish and the flows share) is compiled once and
+evaluated over a whole batch of points per call.
 
 Newton runs in two phases: a fast float phase over the whole seed grid, then
 an exact-arithmetic polish of the few deduplicated candidates.  Each float
-iteration makes one call that returns the gradient and the Hessian together
-(grad_hessian: the gradient components plus the upper triangle of their
-Jacobian, mirrored).  Deduplication loops over representatives, not
+iteration makes one field_jacobian call that returns the gradient and the
+Hessian together.  Deduplication loops over representatives, not
 candidates: each new representative drops every remaining candidate within
 the tolerance in one row-wise distance.  Expanded
 polynomial evaluation in floats has a cancellation noise floor far above the
@@ -175,32 +176,20 @@ def _dedup(points: np.ndarray, tol: float) -> List[np.ndarray]:
     return reps
 
 
-def grad_hessian(grad: PolyMap) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """Compile a gradient map and its symmetric Jacobian into one evaluator.
-
-    One CompiledPoly holds the n components and the upper triangle of the
-    Jacobian; a call on points (..., n) returns the gradient (..., n) and the
-    Jacobian (..., n, n) with its lower triangle mirrored from the upper.
-    Mixed partials of a gradient are equal polynomials, so on the same batch
-    the mirrored matrix equals CompiledPoly(grad.jacobian()) bit for bit.
-    Across batches it need not: outside the plane a CompiledPoly value may
-    depend on the row's place in the batch (see numeric.CompiledPoly)."""
-    n = grad.domain_dim
-    jac = grad.jacobian()
-    if grad.codomain_dim != n or any(jac[i][j] != jac[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("grad must be a gradient map: square with a symmetric Jacobian")
-    rows, cols = np.triu_indices(n)
-    compiled = CompiledPoly(
-        PolyMap([*grad.components, *(jac[i][j] for i, j in zip(rows, cols))], n)
-    )
+def field_jacobian(field: PolyMap) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+    """Compile a field and its Jacobian into one evaluator that maps points
+    (..., n) to the field (..., n) and the Jacobian (..., n, n).  Each
+    distinct polynomial among the components and the entries is compiled
+    once, so a gradient's equal mixed partials are evaluated once."""
+    n = field.domain_dim
+    entries = [*field.components, *(e for row in field.jacobian() for e in row)]
+    distinct: dict = {}
+    where = np.array([distinct.setdefault(e, len(distinct)) for e in entries], dtype=np.intp)
+    compiled = CompiledPoly(PolyMap(list(distinct), n))
 
     def evaluate(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        vals = compiled(pts)
-        upper = vals[..., n:]
-        hess = np.empty(vals.shape[:-1] + (n, n))
-        hess[..., rows, cols] = upper
-        hess[..., cols, rows] = upper
-        return vals[..., :n], hess
+        vals = np.take(compiled(pts), where, axis=-1)
+        return vals[..., :n], vals[..., n:].reshape(vals.shape[:-1] + (n, n))
 
     return evaluate
 
@@ -244,7 +233,7 @@ def newton_search(
     if seeds_per_axis < 2:
         raise ValueError("seeds_per_axis must be >= 2")
     cfg = cfg or NewtonConfig()
-    grad_hess = grad_hessian(grad)
+    grad_hess = field_jacobian(grad)
     seeds = box.grid(seeds_per_axis)
     guard_lo, guard_hi = box.guard()
 
@@ -353,21 +342,6 @@ class FlowTrace:
         }
 
 
-def _field_jacobian(field: PolyMap) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
-    """Compile a field and its full Jacobian matrix into one evaluator that
-    maps points (B, n) to the field (B, n) and the Jacobian (B, n, n)."""
-    n = field.domain_dim
-    compiled = CompiledPoly(
-        PolyMap([*field.components, *(e for row in field.jacobian() for e in row)], n)
-    )
-
-    def evaluate(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        vals = compiled(pts)
-        return vals[:, :n], vals[:, n:].reshape(len(vals), n, n)
-
-    return evaluate
-
-
 def _inverse(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Inverses of a batch of matrices and a mask of the failed rows.  When
     LAPACK meets an exactly singular matrix, every row whose determinant is
@@ -449,7 +423,7 @@ def integrate_batch(
     pass over the loop makes one step attempt for every active row."""
     cfg = cfg or FlowConfig()
     fc = CompiledPoly(field)
-    fj = _field_jacobian(field)
+    fj = field_jacobian(field)
     lc = CompiledPoly(lyap) if lyap is not None else None
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     B, n = starts.shape

@@ -308,13 +308,15 @@ class TestExportGrid:
         assert code == 4
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("synthesize", []),
-    ("saddle-field", []),
+BUNDLE_COMMANDS = [
     ("verify", []),
     ("flow", ["--start", "0.4,0.2"]),
     ("export-grid", ["--resolution", "8"]),
-])
+]
+EVERY_COMMAND = [("synthesize", []), ("saddle-field", []), *BUNDLE_COMMANDS]
+
+
+@pytest.mark.parametrize("command, extra", EVERY_COMMAND)
 def test_zero_denominator_rejected(command, extra, two_point_bundle, tmp_path):
     if command in ("synthesize", "saddle-field"):
         src = write_pointset(tmp_path / "zero.json", 2, [["1/0", "0"], ["1", "0"]])
@@ -323,6 +325,34 @@ def test_zero_denominator_rejected(command, extra, two_point_bundle, tmp_path):
         obj["p"]["terms"][-1]["den"] = "0"
         src = tmp_path / "zero.json"
         src.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert cli.main([command, "-i", str(src), "-o", str(out), *extra]) == 2
+    assert not out.exists()
+
+
+# int() would truncate these to 2 (or read true as 1) and run the command
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("command, extra", EVERY_COMMAND)
+def test_non_integer_dimension_rejected(command, extra, value, two_point_bundle, tmp_path):
+    if command in ("synthesize", "saddle-field"):
+        src = write_pointset(tmp_path / "dim.json", value, [["-1/2", "0"], ["1/2", "1/4"]])
+    else:
+        obj = json.loads(two_point_bundle.read_text())
+        obj["pointset"]["dimension"] = value
+        src = tmp_path / "dim.json"
+        src.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert cli.main([command, "-i", str(src), "-o", str(out), *extra]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", BUNDLE_COMMANDS)
+def test_fractional_exponent_rejected(command, extra, two_point_bundle, tmp_path):
+    # int() would truncate e + 1/2 back to e and run the command on P
+    obj = json.loads(two_point_bundle.read_text())
+    obj["p"]["terms"][-1]["exponents"][0] += 0.5
+    src = tmp_path / "exp.json"
+    src.write_text(json.dumps(obj))
     out = tmp_path / "out"
     assert cli.main([command, "-i", str(src), "-o", str(out), *extra]) == 2
     assert not out.exists()

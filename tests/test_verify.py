@@ -21,7 +21,7 @@ from morseforge.verify import (
     GridTooLarge,
     NewtonConfig,
     certify,
-    grad_hessian,
+    field_jacobian,
     integrate_batch,
     newton_search,
 )
@@ -153,19 +153,52 @@ def gradient_map(dim: int) -> PolyMap:
     return PolyMap([-p.partial(i) for i in range(dim)], dim)
 
 
-class TestGradHessian:
+def saddle_map(dim: int) -> PolyMap:
+    """The saddle field of three points off the first axis: a pullback through
+    a nonlinear change of coordinates, so its Jacobian is not symmetric."""
+    pts = [[0] * dim, [1] + [1] * (dim - 1), [2, 0] + [-1] * (dim - 2)]
+    return build_saddle_field(PointSet(dim, pts)).pullback
+
+
+def separately(field: PolyMap, pts: np.ndarray):
+    """The field and every Jacobian entry compiled on their own."""
+    n = field.domain_dim
+    entries = PolyMap([e for row in field.jacobian() for e in row], n)
+    return CompiledPoly(field)(pts), CompiledPoly(entries)(pts).reshape(len(pts), n, n)
+
+
+class TestFieldJacobian:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("rows", [1, 300])
     def test_matches_separate_evaluators(self, dim, rows):
         grad = gradient_map(dim)
         pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(rows, dim))
-        g, jac = grad_hessian(grad)(pts)
-        assert np.array_equal(g, CompiledPoly(grad)(pts))
-        assert np.array_equal(jac, CompiledPoly(grad.jacobian())(pts))
+        g, jac = field_jacobian(grad)(pts)
+        want_g, want_jac = separately(grad, pts)
+        assert np.array_equal(g, want_g)
+        assert np.array_equal(jac, want_jac)
+        assert np.array_equal(jac, np.swapaxes(jac, 1, 2))
 
-    def test_non_gradient_map_rejected(self):
-        with pytest.raises(ValueError):
-            grad_hessian(PolyMap([x(2, 1), x(2, 0) ** 2]))
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("rows", [1, 300])
+    def test_non_symmetric_map(self, dim, rows):
+        fld = saddle_map(dim)
+        jac_polys = fld.jacobian()
+        assert any(jac_polys[i][j] != jac_polys[j][i] for i in range(dim) for j in range(i))
+        pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(rows, dim))
+        f, jac = field_jacobian(fld)(pts)
+        want_f, want_jac = separately(fld, pts)
+        assert np.array_equal(f, want_f)
+        assert np.array_equal(jac, want_jac)
+        assert not np.array_equal(jac, np.swapaxes(jac, 1, 2))
+
+    def test_jacobian_of_a_map(self):
+        x0, x1, x2 = (x(3, i) for i in range(3))
+        f, jac = field_jacobian(PolyMap([x0 * x1 - x2 ** 2, x0 ** 3, x1 + 1]))(
+            np.array([[1.0, 2.0, 3.0]])
+        )
+        assert f.tolist() == [[-7.0, 1.0, 3.0]]
+        assert jac.tolist() == [[[2.0, 1.0, -6.0], [3.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]
 
 
 class TestEigenSigns:
@@ -296,26 +329,30 @@ class TestFlow:
         assert np.array_equal(inv[0], np.diag([0.5, 0.25]))
         assert np.array_equal(inv[1], np.eye(2))
 
-    def test_batch_rows_match_single_runs(self, monkeypatch):
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batch_rows_match_single_runs(self, monkeypatch, dim):
         # a first step of 0.15 against a stiffest rate of 2e5 is rejected by
         # the error test and shrunk; the 1e4 scale lifts the float noise of
         # P near its minimum to ~1e-13, so some accepted steps record a
         # sub-tolerance Lyapunov increase; rows converge after different
-        # numbers of steps, and the start at the minimum after none
-        p = 10 ** 4 * ((x(2, 0) - rat("1/3")) ** 2 + 10 * (x(2, 1) - rat("1/7")) ** 2)
-        fld = PolyMap([-p.partial(0), -p.partial(1)])
-        box = BoxSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0))
-        target = [(1 / 3, 1 / 7)]
+        # numbers of steps (in the plane two of them alike), and the start at
+        # the minimum after none
+        centre = (rat("1/3"), rat("1/7"), rat("-1/5"))[:dim]
+        weights = (1, 10, 3)
+        p = 10 ** 4 * sum(weights[i] * (x(dim, i) - c) ** 2 for i, c in enumerate(centre))
+        fld = PolyMap([-p.partial(i) for i in range(dim)])
+        box = BoxSpec(lower=(-2.0,) * dim, upper=(2.0,) * dim)
+        target = [tuple(float(c) for c in centre)]
         cfg = FlowConfig(dt=0.15, t_max=10.0)
-        starts = np.array([[1.0, 0.0], [1e-3, 0.0], [-1.5, 0.0], [0.5, 0.3],
-                           [-1.5, 1.0], [0.0, 0.0], [1 / 3, 1 / 7]])
+        starts = np.array([[1.0, 0.0, 0.0], [1e-3, 0.0, 0.5], [-1.5, 0.0, -1.0], [0.5, 0.3, 0.2],
+                           [-1.5, 1.0, 1.0], [0.0, 0.0, 0.0], [1 / 3, 1 / 7, -1 / 5]])[:, :dim]
         proposals, lyap_evals = [], []
 
         class CountingPoly(CompiledPoly):
             def __call__(self, pts):
                 if self.shape == ():  # the scalar Lyapunov function
                     lyap_evals.append(len(pts))
-                elif self.shape == (2,):  # the field alone: one midpoint per proposal
+                elif self.shape == (dim,):  # the field alone: one midpoint per proposal
                     proposals.append(len(pts))
                 return super().__call__(pts)
 
@@ -326,7 +363,7 @@ class TestFlow:
         assert sum(proposals) > batch.steps.sum()  # some proposal was rejected
         converged = batch.status == STATUS_CONVERGED
         assert converged.all()
-        assert len(set(batch.steps[converged])) == 6
+        assert len(set(batch.steps[converged])) == {2: 6, 3: 7}[dim]
         assert (batch.max_step_increase > 0).any()
         for i, start in enumerate(starts):
             one = integrate_batch(fld, start[None], box, target, cfg, lyap=p)
