@@ -47,11 +47,11 @@ def main(argv=None):
     )
     print(f"{'start x1':>12}  {'outcome':<18} {'end':>22}")
     for trace in res.traces():
-        end = f"({trace.end[0]:+.6f}, {trace.end[1]:+.6f})"
-        where = trace.classified
-        if trace.converged_index is not None:
-            where = f"minimum at x1={targets[trace.converged_index][0]:+.0f}"
-        print(f"{trace.start[0]:>12.1e}  {where:<18} {end:>22}")
+        end = f"({trace['end'][0]:+.6f}, {trace['end'][1]:+.6f})"
+        where = trace["classified"]
+        if trace["converged_index"] is not None:
+            where = f"minimum at x1={targets[trace['converged_index']][0]:+.0f}"
+        print(f"{trace['start'][0]:>12.1e}  {where:<18} {end:>22}")
 
     converged = int((res.status == STATUS_CONVERGED).sum())
     timed_out = res.status == STATUS_TIMEOUT

@@ -30,8 +30,6 @@ from .verify import (
     BoxSpec,
     CertReport,
     FlowConfig,
-    FlowTrace,
-    NewtonConfig,
     certify,
     integrate_batch,
     newton_search,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from typing import List, Optional
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import serialize, synth, verify
 from .coord_change import PointSet, PointSetError
-from .numeric import CompiledPoly
+from .numeric import CoefficientTooLarge, CompiledPoly
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -87,9 +86,9 @@ def _parse_box(flags: Optional[List[str]], dim: int) -> Optional[verify.BoxSpec]
         raise CommandError(EXIT_PARSE, str(exc)) from exc
 
 
-def _flow_config(args, **opts) -> verify.FlowConfig:
+def _flow_config(args) -> verify.FlowConfig:
     try:
-        return verify.FlowConfig(dt=args.dt, t_max=args.t_max, **opts)
+        return verify.FlowConfig(dt=args.dt, t_max=args.t_max)
     except ValueError as exc:
         raise CommandError(EXIT_PARSE, str(exc)) from exc
 
@@ -107,16 +106,6 @@ def cmd_verify(args) -> int:
     if args.seeds_per_axis is not None:
         if args.seeds_per_axis < 2:
             raise CommandError(EXIT_PARSE, "--seeds-per-axis must be >= 2")
-    if not (math.isfinite(args.spurious_tol) and args.spurious_tol > 0):
-        raise CommandError(EXIT_PARSE, "--spurious-tol must be finite and positive")
-    try:
-        cfg = verify.NewtonConfig(
-            residual_tol=args.residual_tol,
-            dedup_tol=args.dedup_tol,
-            max_iter=args.max_iter,
-        )
-    except ValueError as exc:
-        raise CommandError(EXIT_PARSE, str(exc)) from exc
 
     # nothing from the bundle is trusted: certify recomputes the gradient
     # and Hessians from the stored polynomial, and they are compared against
@@ -127,8 +116,6 @@ def cmd_verify(args) -> int:
         p=bundle.p,
         box=box,
         seeds_per_axis=args.seeds_per_axis,
-        newton_cfg=cfg,
-        spurious_tol=args.spurious_tol,
     )
     certs = report.per_point
     grad_consistent = report.grad == bundle.grad_field
@@ -164,12 +151,12 @@ def cmd_flow(args) -> int:
     lo, hi = box.guard()
     if not all(l <= s <= h for l, s, h in zip(lo, start, hi)):
         raise CommandError(EXIT_PARSE, "start point lies outside the 10x inflated box")
-    cfg = _flow_config(args, grad_tol=args.grad_tol, point_tol=args.point_tol)
+    cfg = _flow_config(args)
     trace = verify.integrate_batch(
         bundle.grad_field, [start], box, bundle.pointset.points, cfg, lyap=bundle.p
     ).traces()[0]
-    _write_json(args.output, trace.to_obj())
-    return EXIT_OK if trace.classified == "converged_to" else EXIT_FAIL
+    _write_json(args.output, trace)
+    return EXIT_OK if trace["classified"] == "converged_to" else EXIT_FAIL
 
 
 def cmd_saddle_field(args) -> int:
@@ -224,10 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--box", action="append", metavar="LO,HI",
                     help="search box override, one flag per axis")
     sp.add_argument("--seeds-per-axis", type=int, default=None)
-    sp.add_argument("--residual-tol", type=float, default=1e-12)
-    sp.add_argument("--dedup-tol", type=float, default=1e-8)
-    sp.add_argument("--max-iter", type=int, default=100)
-    sp.add_argument("--spurious-tol", type=float, default=1e-6)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("flow", help="integrate the descent flow from a point")
@@ -235,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--start", required=True, metavar="X,Y,...")
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--t-max", type=float, default=200.0)
-    sp.add_argument("--grad-tol", type=float, default=1e-6)
-    sp.add_argument("--point-tol", type=float, default=1e-3)
     sp.set_defaults(func=cmd_flow)
 
     sp = sub.add_parser("saddle-field", help="point set -> saddle-augmented field")
@@ -259,7 +240,7 @@ def main(argv=None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except verify.GridTooLarge as exc:
+    except (verify.GridTooLarge, CoefficientTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
 

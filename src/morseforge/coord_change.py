@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
-from . import exactmat
 from ._rat import Rat, rat
 from .poly import MultiPoly, PolyMap, json_int
 
@@ -214,11 +213,11 @@ def build_coord_change(xs: PointSet) -> CoordChange:
     p = choose_direction(xs)
     t_rows = build_linear(p, n)
     t_inv_rows = linear_inverse(p, n)
-    z_points = [exactmat.mat_vec(t_rows, pt) for pt in xs.points]
-    interpolants = build_interpolants(z_points)
-
     t_map = _linear_map(t_rows)
     t_inv_map = _linear_map(t_inv_rows)
+    z_points = [t_map.eval_rational(pt) for pt in xs.points]
+    interpolants = build_interpolants(z_points)
+
     pi = _shear_map(n, interpolants, -1)
     pi_inv = _shear_map(n, interpolants, +1)
 

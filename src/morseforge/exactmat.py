@@ -8,15 +8,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import List, Sequence
+from typing import List
 
 from ._rat import Rat, rat
 
 Matrix = List[List[Rat]]
-
-
-def mat_vec(m: Matrix, v: Sequence) -> List[Rat]:
-    return [sum((row[j] * rat(v[j]) for j in range(len(v))), rat(0)) for row in m]
 
 
 def det(m: Matrix) -> Rat:

@@ -33,6 +33,19 @@ from .poly import MultiPoly, PolyMap
 BLOCK = 256
 
 
+class CoefficientTooLarge(ValueError):
+    """A coefficient whose magnitude does not fit in a double."""
+
+
+def _float(coef) -> float:
+    try:
+        return float(coef)
+    except OverflowError as exc:
+        raise CoefficientTooLarge(
+            "a polynomial coefficient is too large for float evaluation"
+        ) from exc
+
+
 class CompiledPoly:
     """A polynomial (shape ()) or a PolyMap (shape (m,)); a call maps points
     of shape (..., dim) to values of shape (..., *shape)."""
@@ -51,7 +64,7 @@ class CompiledPoly:
             self._c2d = np.zeros((*(degs.max(axis=0) + 1), len(flat)))
             for k, terms in enumerate(items):
                 for (ex, ey), coef in terms:
-                    self._c2d[ex, ey, k] = float(coef)
+                    self._c2d[ex, ey, k] = _float(coef)
             return
         # one row per distinct monomial, and one row per term of every
         # polynomial, its terms in sorted order and its own rows contiguous
@@ -59,7 +72,7 @@ class CompiledPoly:
         self._rows = np.array(
             [table.setdefault(e, len(table)) for terms in items for e, _ in terms], dtype=np.intp
         )
-        self._coefs = np.array([[float(c)] for terms in items for _, c in terms])
+        self._coefs = np.array([[_float(c)] for terms in items for _, c in terms])
         self._starts = np.cumsum([0] + [len(terms) for terms in items[:-1]])
         self._exps = np.array(list(table), dtype=np.int64)
         self._powers = [np.arange(d + 1, dtype=np.int64)[:, None] for d in self._exps.max(axis=0)]

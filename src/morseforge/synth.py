@@ -46,17 +46,21 @@ class SynthesisResult:
         }
 
 
-def synthesize(xs: PointSet) -> SynthesisResult:
-    change = build_coord_change(xs)
-    spec = AlphaSpec(change.axis_images)
-    morse = build_pair(spec)
-    n = xs.dimension
-
+def build_q(axis_images, n: int) -> Tuple[MorsePair, MultiPoly]:
+    """The Morse pair on the axis images and Q = f(x1, x2) + 1/2 sum_{i>2}
+    x_i^2 in n variables: the one path from the axis images to Q."""
+    morse = build_pair(AlphaSpec(axis_images))
     q = morse.f.embed(n, (0, 1))
     half = rat(1, 2)
     for i in range(2, n):
         q = q + MultiPoly.variable(n, i) ** 2 * half
+    return morse, q
 
+
+def synthesize(xs: PointSet) -> SynthesisResult:
+    change = build_coord_change(xs)
+    n = xs.dimension
+    morse, q = build_q(change.axis_images, n)
     p_poly = q.compose(change.forward)
     grad_field = PolyMap([-p_poly.partial(i) for i in range(n)], n)
     return SynthesisResult(

@@ -15,21 +15,25 @@ an exact-arithmetic polish of the few deduplicated candidates.  Each float
 iteration makes one field_jacobian call that returns the gradient and the
 Hessian together.  Deduplication loops over representatives, not
 candidates: each new representative drops every remaining candidate within
-the tolerance in one row-wise distance.  Expanded
-polynomial evaluation in floats has a cancellation noise floor far above the
-1e-12 residual target, so the final residual is evaluated exactly (rational
+DEDUP_TOL in one row-wise distance.  Expanded polynomial evaluation in
+floats has a cancellation noise floor far above the residual target
+RESIDUAL_TOL, so the final residual is evaluated exactly (rational
 arithmetic at the float iterate) and only then compared against the target.
+The census only cross-checks the construction, so its tolerances, like the
+flow's, are module constants of one recipe; the caller chooses only the
+search box and the seed density.
 
 The descent flows are stiff (Hessian eigenvalues from below 1 at a minimum to
 1e9 at the box corners), so the flow integrator is the linearly implicit
 Rosenbrock pair of ode23s (Shampine & Reichelt, SIAM J. Sci. Comput. 1997),
 orders 2 and 3, batched over trajectories.  Each row keeps its own time and
-step; FlowConfig.dt is only the first step.  One attempt evaluates the field
-at the midpoint and the field with its full Jacobian at the proposal, and
-solves three systems against one W = I - h d J (one inverse, three
-products).  The evaluation at an accepted proposal starts the next step and
-classifies convergence.  A proposal that fails the error test, leaves the
-guard box, goes non-finite, or increases the Lyapunov value beyond half of
+step; FlowConfig holds only the first step dt and the horizon t_max.  One
+attempt evaluates the field at the midpoint and the field with its full
+Jacobian at the proposal, and solves three systems against one
+W = I - h d J (one inverse, three products).  The evaluation at an accepted
+proposal starts the next step and classifies convergence (GRAD_TOL,
+POINT_TOL).  A proposal that fails the error test, leaves the guard box,
+goes non-finite, or increases the Lyapunov value beyond half of
 LYAP_STEP_TOL is rejected and the step shrunk.  A trajectory is classified
 diverged only when the step floor is reached with the proposal still outside
 the guard box or non-finite, and times out at t_max or after MAX_ATTEMPTS
@@ -131,24 +135,19 @@ class BoxSpec:
 # ----------------------------------------------------------- Newton search
 
 
-# float iterates with |grad| below COARSE_TOL become polish candidates; the
-# exact polish takes at most POLISH_ITER Newton steps
+# The census recipe.  The float phase runs at most MAX_ITER Newton steps
+# per seed; an iterate with |grad| below COARSE_TOL becomes a polish
+# candidate.  Candidates closer than DEDUP_TOL collapse to one
+# representative, before and after the polish.  The exact polish takes at
+# most POLISH_ITER Newton steps and accepts a point once the exact |grad| is
+# below RESIDUAL_TOL.  certify matches a claimed point to a found one within
+# SPURIOUS_TOL.
+MAX_ITER = 100
 COARSE_TOL = 1e-6
+DEDUP_TOL = 1e-8
 POLISH_ITER = 10
-
-
-@dataclass(frozen=True)
-class NewtonConfig:
-    residual_tol: float = 1e-12
-    dedup_tol: float = 1e-8
-    max_iter: int = 100
-
-    def __post_init__(self):
-        tols = (self.residual_tol, self.dedup_tol)
-        if not all(math.isfinite(t) and t > 0 for t in tols):
-            raise ValueError("Newton tolerances must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+RESIDUAL_TOL = 1e-12
+SPURIOUS_TOL = 1e-6
 
 
 @dataclass
@@ -194,7 +193,7 @@ def field_jacobian(field: PolyMap) -> Callable[[np.ndarray], Tuple[np.ndarray, n
     return evaluate
 
 
-def _polish_exact(grad: PolyMap, grad_hess: Callable, x0: np.ndarray, cfg: NewtonConfig):
+def _polish_exact(grad: PolyMap, grad_hess: Callable, x0: np.ndarray):
     """Newton refinement with the gradient evaluated exactly at the float
     iterate; accepts only if the exact residual norm reaches the target."""
     x = np.array(x0, dtype=float)
@@ -205,7 +204,7 @@ def _polish_exact(grad: PolyMap, grad_hess: Callable, x0: np.ndarray, cfg: Newto
         )
         if not np.isfinite(g).all():
             return None
-        if np.linalg.norm(g) < cfg.residual_tol:
+        if np.linalg.norm(g) < RESIDUAL_TOL:
             return x
         if attempt == POLISH_ITER:
             return None
@@ -220,19 +219,13 @@ def _polish_exact(grad: PolyMap, grad_hess: Callable, x0: np.ndarray, cfg: Newto
     return None
 
 
-def newton_search(
-    grad: PolyMap,
-    box: BoxSpec,
-    seeds_per_axis: int,
-    cfg: Optional[NewtonConfig] = None,
-) -> NewtonResult:
+def newton_search(grad: PolyMap, box: BoxSpec, seeds_per_axis: int) -> NewtonResult:
     """Newton iteration on grad = 0 from a uniform seed grid over box.
 
-    Converged points are deduplicated at cfg.dedup_tol and certified by the
+    Converged points are deduplicated at DEDUP_TOL and certified by the
     exact-residual polish before being reported."""
     if seeds_per_axis < 2:
         raise ValueError("seeds_per_axis must be >= 2")
-    cfg = cfg or NewtonConfig()
     grad_hess = field_jacobian(grad)
     seeds = box.grid(seeds_per_axis)
     guard_lo, guard_hi = box.guard()
@@ -241,7 +234,7 @@ def newton_search(
     abandoned = 0
     singular = 0
     candidates: List[np.ndarray] = []
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         if len(x) == 0:
             break
         g, jac = grad_hess(x)
@@ -268,11 +261,11 @@ def newton_search(
 
     points: List[np.ndarray] = []
     if candidates:
-        for rep in _dedup(np.asarray(candidates), cfg.dedup_tol):
-            polished = _polish_exact(grad, grad_hess, rep, cfg)
+        for rep in _dedup(np.asarray(candidates), DEDUP_TOL):
+            polished = _polish_exact(grad, grad_hess, rep)
             if polished is not None:
                 points.append(polished)
-        points = _dedup(np.asarray(points), cfg.dedup_tol) if points else []
+        points = _dedup(np.asarray(points), DEDUP_TOL) if points else []
     return NewtonResult(
         points=points,
         seeds_used=len(seeds),
@@ -293,6 +286,10 @@ _E32 = 6.0 + math.sqrt(2.0)
 # 0.9 * err^(-1/3) clipped to [MIN_FACTOR, MAX_FACTOR]
 RTOL = 1e-6
 ATOL = 1e-9
+# a trajectory has converged to a target once |field| < GRAD_TOL at a point
+# within POINT_TOL of it
+GRAD_TOL = 1e-6
+POINT_TOL = 1e-3
 MIN_FACTOR = 0.2
 MAX_FACTOR = 5.0
 # every trajectory makes at most MAX_ATTEMPTS step attempts; no step is
@@ -307,39 +304,10 @@ LYAP_STEP_TOL = 1e-9
 class FlowConfig:
     dt: float = 1e-3  # the first step of every trajectory
     t_max: float = 200.0
-    grad_tol: float = 1e-6
-    point_tol: float = 1e-3
 
     def __post_init__(self):
         if not (self.dt > 0 and 0 < self.t_max < math.inf):
             raise ValueError("dt and t_max must be positive, t_max finite")
-        tols = (self.grad_tol, self.point_tol)
-        if not all(math.isfinite(t) and t > 0 for t in tols):
-            raise ValueError("flow tolerances must be finite and positive")
-
-
-@dataclass
-class FlowTrace:
-    start: Tuple[float, ...]
-    steps: int
-    end: Tuple[float, ...]
-    classified: str  # converged_to | max_time_reached | diverged
-    converged_index: Optional[int]
-    final_grad_norm: float
-    max_step_increase: float
-    timeout_reason: Optional[str] = None  # t_max | step_budget when timed out
-
-    def to_obj(self) -> dict:
-        return {
-            "start": list(self.start),
-            "steps": self.steps,
-            "end": list(self.end),
-            "classified": self.classified,
-            "converged_index": self.converged_index,
-            "final_grad_norm": self.final_grad_norm,
-            "max_step_increase": self.max_step_increase,
-            "timeout_reason": self.timeout_reason,
-        }
 
 
 def _inverse(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -383,7 +351,10 @@ class BatchFlowResult:
     def num_diverged(self) -> int:
         return int((self.status == STATUS_DIVERGED).sum())
 
-    def traces(self) -> List[FlowTrace]:
+    def traces(self) -> List[dict]:
+        """One trace object per trajectory, as `flow` writes it; classified
+        is converged_to, max_time_reached or diverged, and timeout_reason
+        t_max or step_budget when timed out, else None."""
         names = {
             STATUS_CONVERGED: "converged_to",
             STATUS_TIMEOUT: "max_time_reached",
@@ -392,18 +363,16 @@ class BatchFlowResult:
         out = []
         for i in range(len(self.starts)):
             st = int(self.status[i])
-            out.append(
-                FlowTrace(
-                    start=tuple(self.starts[i]),
-                    steps=int(self.steps[i]),
-                    end=tuple(self.ends[i]),
-                    classified=names[st],
-                    converged_index=int(self.conv_idx[i]) if st == STATUS_CONVERGED else None,
-                    final_grad_norm=float(self.final_grad_norm[i]),
-                    max_step_increase=float(self.max_step_increase[i]),
-                    timeout_reason=self.timeout_reason[i],
-                )
-            )
+            out.append({
+                "start": list(self.starts[i]),
+                "steps": int(self.steps[i]),
+                "end": list(self.ends[i]),
+                "classified": names[st],
+                "converged_index": int(self.conv_idx[i]) if st == STATUS_CONVERGED else None,
+                "final_grad_norm": float(self.final_grad_norm[i]),
+                "max_step_increase": float(self.max_step_increase[i]),
+                "timeout_reason": self.timeout_reason[i],
+            })
         return out
 
 
@@ -451,7 +420,7 @@ def integrate_batch(
         else:
             nearest = np.zeros(len(pts), dtype=np.int64)
             mind = np.full(len(pts), np.inf)
-        conv = np.isfinite(gn) & (gn < cfg.grad_tol) & (mind < cfg.point_tol)
+        conv = np.isfinite(gn) & (gn < GRAD_TOL) & (mind < POINT_TOL)
         status[idx[conv]] = STATUS_CONVERGED
         conv_idx[idx[conv]] = nearest[conv]
         return ~conv
@@ -566,17 +535,16 @@ class SpuriousSearch:
     seeds_used: int
     converged_points: List[List[float]]
     all_within_tol: bool
-    tol: float
     abandoned: int = 0
     singular: int = 0
-    newton_recall: float = 0.0  # share of claimed points within tol of a found one
+    newton_recall: float = 0.0  # share of claimed points within SPURIOUS_TOL of a found one
 
     def to_obj(self) -> dict:
         return {
             "seeds_used": self.seeds_used,
             "converged_points": [list(p) for p in self.converged_points],
             "all_within_tol_of_X": self.all_within_tol,
-            "tol": self.tol,
+            "tol": SPURIOUS_TOL,
             "abandoned": self.abandoned,
             "singular": self.singular,
             "newton_recall": self.newton_recall,
@@ -605,8 +573,6 @@ def certify(
     p: MultiPoly,
     box: Optional[BoxSpec] = None,
     seeds_per_axis: Optional[int] = None,
-    newton_cfg: Optional[NewtonConfig] = None,
-    spurious_tol: float = 1e-6,
 ) -> CertReport:
     """Exact certification of P at the claimed critical points plus a
     numeric search for critical points of P anywhere else in the box.
@@ -640,17 +606,16 @@ def certify(
     if seeds_per_axis is None:
         # roughly 2000 seeds total regardless of dimension
         seeds_per_axis = max(2, int(round(2000 ** (1.0 / box.dim))))
-    search = newton_search(grad, box, seeds_per_axis, newton_cfg)
+    search = newton_search(grad, box, seeds_per_axis)
     ref = np.asarray([[float(c) for c in p] for p in points], dtype=float)
     found = np.asarray(search.points, dtype=float).reshape(-1, box.dim)
-    # near[i, j]: claimed point i lies within spurious_tol of found point j
-    near = np.linalg.norm(ref[:, None, :] - found[None, :, :], axis=2) <= spurious_tol
+    # near[i, j]: claimed point i lies within SPURIOUS_TOL of found point j
+    near = np.linalg.norm(ref[:, None, :] - found[None, :, :], axis=2) <= SPURIOUS_TOL
     all_within = bool(near.any(axis=0).all())
     spurious = SpuriousSearch(
         seeds_used=search.seeds_used,
         converged_points=[[float(c) for c in p] for p in search.points],
         all_within_tol=all_within,
-        tol=spurious_tol,
         abandoned=search.abandoned,
         singular=search.singular,
         newton_recall=float(near.any(axis=1).mean()),

@@ -20,7 +20,6 @@ from morseforge.synth import build_saddle_field, hessian_at, synthesize
 from morseforge.verify import (
     BoxSpec,
     FlowConfig,
-    NewtonConfig,
     integrate_batch,
     newton_search,
 )
@@ -174,7 +173,7 @@ def test_criterion_4_newton_recovery(capsys):
         res = synthesize(PointSet(2, pts))
         box = BoxSpec.from_points(res.input.points)
         grad = PolyMap([res.p_poly.partial(0), res.p_poly.partial(1)])
-        found = newton_search(grad, box, seeds_per_axis=100, cfg=NewtonConfig())
+        found = newton_search(grad, box, seeds_per_axis=100)
         targets = np.array([[float(c) for c in p] for p in res.input.points])
         for p in found.points:
             if np.linalg.norm(targets - p, axis=1).min() > 1e-6:

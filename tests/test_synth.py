@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,9 +9,11 @@ from morseforge.coord_change import PointSet
 from morseforge.exactmat import leading_principal_minors
 from morseforge.morse_scalar import AlphaSpec, build_pair
 from morseforge.poly import MultiPoly
-from morseforge.synth import build_saddle_field, hessian_at, synthesize
+from morseforge.serialize import bundle_obj
+from morseforge.synth import build_q, build_saddle_field, hessian_at, synthesize
 from oracles import fd_gradient_check_batch, saddle_jacobian_at, transported_hessian
 from test_coord_change import point_sets, sheared_sets
+from test_golden import AXIS_N3_K3, TWO_POINT
 
 
 class TestSynthesize:
@@ -84,6 +87,17 @@ class TestSynthesize:
         rng = random.Random(4)
         pts = [[rng.uniform(-2, 2), rng.uniform(-1, 1)] for _ in range(20)]
         assert fd_gradient_check_batch(res.p_poly, pts, 1e-6).max() <= 1e-5
+
+    # the golden sets are axis-aligned; [[0, 0], [0, 1]] needs a shear
+    @pytest.mark.parametrize("points", [TWO_POINT, AXIS_N3_K3, [[0, 0], [0, 1]]])
+    def test_build_q_rebuilds_the_bundle(self, points):
+        obj = bundle_obj(synthesize(PointSet(len(points[0]), points)))
+        images = [rat(a) for a in obj["coord_change"]["axis_images"]]
+        morse, q = build_q(images, len(points[0]))
+        assert morse.alpha == MultiPoly.from_obj(obj["alpha"])
+        assert morse.beta == MultiPoly.from_obj(obj["beta"])
+        assert morse.f == MultiPoly.from_obj(obj["f"])
+        assert q == MultiPoly.from_obj(obj["q"])
 
     def test_degree_audit_fields(self):
         res = synthesize(PointSet(2, [[0, 0], [0, 1]]))
