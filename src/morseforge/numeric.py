@@ -34,16 +34,15 @@ BLOCK = 256
 
 
 class CoefficientTooLarge(ValueError):
-    """A coefficient whose magnitude does not fit in a double."""
+    """A coefficient or a point coordinate whose magnitude does not fit in a
+    double."""
 
 
-def _float(coef) -> float:
+def _float(value, what: str = "a polynomial coefficient") -> float:
     try:
-        return float(coef)
+        return float(value)
     except OverflowError as exc:
-        raise CoefficientTooLarge(
-            "a polynomial coefficient is too large for float evaluation"
-        ) from exc
+        raise CoefficientTooLarge(f"{what} is too large for float evaluation") from exc
 
 
 class CompiledPoly:

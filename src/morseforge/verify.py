@@ -11,11 +11,19 @@ evaluator that Newton, its polish and the flows share) is compiled once and
 evaluated over a whole batch of points per call.
 
 Newton runs in two phases: a fast float phase over the whole seed grid, then
-an exact-arithmetic polish of the few deduplicated candidates.  Each float
+an exact-arithmetic polish of one candidate per critical point.  Each float
 iteration makes one field_jacobian call that returns the gradient and the
-Hessian together.  Deduplication loops over representatives, not
-candidates: each new representative drops every remaining candidate within
-DEDUP_TOL in one row-wise distance.  Expanded polynomial evaluation in
+Hessian together, and one batched solve that gives both the next iterate of
+every row still searching and the float Newton image x - J^-1 g of every row
+accepted as a candidate (none where the Jacobian is singular).
+Deduplication loops over representatives, not candidates: each new
+representative drops every remaining candidate within DEDUP_TOL in one
+row-wise distance.  The representatives are polished in order, except one
+whose image lies within DEDUP_TOL of a point already polished: its polish
+would land there too and the final dedup of the polished points would drop
+it, so the census reports what polishing every representative would, at
+about one polish per point.  A failed polish marks nothing, and a candidate
+without an image is always polished.  Expanded polynomial evaluation in
 floats has a cancellation noise floor far above the residual target
 RESIDUAL_TOL, so the final residual is evaluated exactly (rational
 arithmetic at the float iterate) and only then compared against the target.
@@ -50,7 +58,7 @@ import numpy as np
 
 from . import exactmat
 from ._rat import rat
-from .numeric import CompiledPoly
+from .numeric import CompiledPoly, _float
 from .poly import MultiPoly, PolyMap, eval_symmetric
 
 
@@ -72,6 +80,12 @@ class GridTooLarge(ValueError):
     """A grid request of more than MAX_GRID_POINTS rows."""
 
 
+def _float_points(points) -> np.ndarray:
+    """Exact points as a float array; a coordinate past the double range
+    raises CoefficientTooLarge."""
+    return np.asarray([[_float(c, "a point coordinate") for c in p] for p in points], dtype=float)
+
+
 @dataclass(frozen=True)
 class BoxSpec:
     """Axis-aligned search box with the rule that produced it recorded."""
@@ -90,7 +104,7 @@ class BoxSpec:
 
     @classmethod
     def from_points(cls, points) -> "BoxSpec":
-        pts = np.asarray([[float(c) for c in p] for p in points], dtype=float)
+        pts = _float_points(points)
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
         center = (lo + hi) / 2
@@ -138,10 +152,11 @@ class BoxSpec:
 # The census recipe.  The float phase runs at most MAX_ITER Newton steps
 # per seed; an iterate with |grad| below COARSE_TOL becomes a polish
 # candidate.  Candidates closer than DEDUP_TOL collapse to one
-# representative, before and after the polish.  The exact polish takes at
-# most POLISH_ITER Newton steps and accepts a point once the exact |grad| is
-# below RESIDUAL_TOL.  certify matches a claimed point to a found one within
-# SPURIOUS_TOL.
+# representative, before and after the polish, and a representative whose
+# float Newton image lies within DEDUP_TOL of a polished point is not
+# polished again.  The exact polish takes at most POLISH_ITER Newton steps
+# and accepts a point once the exact |grad| is below RESIDUAL_TOL.  certify
+# matches a claimed point to a found one within SPURIOUS_TOL.
 MAX_ITER = 100
 COARSE_TOL = 1e-6
 DEDUP_TOL = 1e-8
@@ -158,21 +173,28 @@ class NewtonResult:
     singular: int
 
 
-def _dedup(points: np.ndarray, tol: float) -> List[np.ndarray]:
-    """Greedy first-come representatives: each point farther than tol from
-    every earlier representative becomes one.  The loop runs over
-    representatives; each drops every remaining point within tol of it."""
-    reps: List[np.ndarray] = []
+def _first_come(points: np.ndarray, tol: float) -> List[int]:
+    """Indices of the greedy first-come representatives: each point farther
+    than tol from every earlier representative becomes one.  The loop runs
+    over representatives; each drops every remaining point within tol of it."""
     rest = np.asarray(points)
+    index = np.arange(len(rest))
+    reps: List[int] = []
     while len(rest):
-        rep = rest[0]
-        reps.append(rep)
-        diff = rest - rep
+        reps.append(int(index[0]))
+        diff = rest - rest[0]
         # a (1, n) @ (n, 1) product per row is the dot product that
         # np.linalg.norm takes of one vector, so the distances match it
         sq = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-        rest = rest[np.sqrt(sq) > tol]
+        far = np.sqrt(sq) > tol
+        rest, index = rest[far], index[far]
     return reps
+
+
+def _dedup(points: np.ndarray, tol: float) -> List[np.ndarray]:
+    """The first-come representatives themselves, in order."""
+    points = np.asarray(points)
+    return [points[i] for i in _first_come(points, tol)]
 
 
 def field_jacobian(field: PolyMap) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
@@ -223,7 +245,7 @@ def newton_search(grad: PolyMap, box: BoxSpec, seeds_per_axis: int) -> NewtonRes
     """Newton iteration on grad = 0 from a uniform seed grid over box.
 
     Converged points are deduplicated at DEDUP_TOL and certified by the
-    exact-residual polish before being reported."""
+    exact-residual polish, one per critical point, before being reported."""
     if seeds_per_axis < 2:
         raise ValueError("seeds_per_axis must be >= 2")
     grad_hess = field_jacobian(grad)
@@ -234,6 +256,7 @@ def newton_search(grad: PolyMap, box: BoxSpec, seeds_per_axis: int) -> NewtonRes
     abandoned = 0
     singular = 0
     candidates: List[np.ndarray] = []
+    images: List[np.ndarray] = []
     for _ in range(MAX_ITER):
         if len(x) == 0:
             break
@@ -241,33 +264,36 @@ def newton_search(grad: PolyMap, box: BoxSpec, seeds_per_axis: int) -> NewtonRes
         finite = np.isfinite(g).all(axis=1) & np.isfinite(x).all(axis=1)
         inside = ((x >= guard_lo) & (x <= guard_hi)).all(axis=1)
         gn = np.linalg.norm(np.where(finite[:, None], g, np.inf), axis=1)
-        conv = finite & inside & (gn < COARSE_TOL)
-        if conv.any():
-            candidates.extend(x[conv])
-        lost = ~(finite & inside)
-        abandoned += int(lost.sum())
-        keep = ~(conv | lost)
-        x, g, jac = x[keep], g[keep], jac[keep]
-        if len(x) == 0:
-            break
+        live = finite & inside
+        abandoned += int((~live).sum())
+        x, g, jac = x[live], g[live], jac[live]
+        conv = gn[live] < COARSE_TOL
+        # one Newton step for every live row: the next iterate of a row still
+        # searching, the float image of a candidate; a row whose Jacobian is
+        # singular gets NaN
         dets = np.linalg.det(jac)
         good = np.isfinite(dets) & (np.abs(dets) > 1e-300)
-        singular += int((~good).sum())
-        x, g, jac = x[good], g[good], jac[good]
-        if len(x) == 0:
-            break
-        x = x - np.linalg.solve(jac, g[..., None])[..., 0]
+        x_next = np.full_like(x, np.nan)
+        x_next[good] = x[good] - np.linalg.solve(jac[good], g[good][..., None])[..., 0]
+        candidates.extend(x[conv])
+        images.extend(x_next[conv])
+        singular += int((~(good | conv)).sum())
+        x = x_next[good & ~conv]
     abandoned += len(x)  # hit the iteration cap without settling
 
-    points: List[np.ndarray] = []
-    if candidates:
-        for rep in _dedup(np.asarray(candidates), DEDUP_TOL):
-            polished = _polish_exact(grad, grad_hess, rep)
-            if polished is not None:
-                points.append(polished)
-        points = _dedup(np.asarray(points), DEDUP_TOL) if points else []
+    # Polish the representatives in order, skipping one whose image already
+    # lies within DEDUP_TOL of a polished point: its own polish would land
+    # there too, and the final dedup would drop it.  A NaN image is never
+    # within DEDUP_TOL, and a failed polish adds no point.
+    polished = np.empty((0, box.dim))
+    for i in _first_come(np.asarray(candidates), DEDUP_TOL):
+        if (np.linalg.norm(polished - images[i], axis=1) <= DEDUP_TOL).any():
+            continue
+        point = _polish_exact(grad, grad_hess, candidates[i])
+        if point is not None:
+            polished = np.vstack([polished, point])
     return NewtonResult(
-        points=points,
+        points=_dedup(polished, DEDUP_TOL),
         seeds_used=len(seeds),
         abandoned=abandoned,
         singular=singular,
@@ -396,7 +422,7 @@ def integrate_batch(
     lc = CompiledPoly(lyap) if lyap is not None else None
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     B, n = starts.shape
-    tg = np.asarray([[float(c) for c in t] for t in targets], dtype=float)
+    tg = _float_points(targets)
     lo, hi = box.guard()
     h_min = cfg.dt * MIN_STEP_RATIO
 
@@ -580,7 +606,8 @@ def certify(
     The gradient field -grad P and the Hessians are derived from P itself,
     and the report carries both so that a caller can compare them with
     stored claims.  Failures become report entries; only a seed grid over
-    MAX_GRID_POINTS raises (GridTooLarge)."""
+    MAX_GRID_POINTS (GridTooLarge) and a coefficient of P or a point
+    coordinate past the double range (numeric.CoefficientTooLarge) raise."""
     n = p.dim
     grad = PolyMap([-p.partial(i) for i in range(n)], n)
     seconds = p.hessian()
@@ -607,7 +634,7 @@ def certify(
         # roughly 2000 seeds total regardless of dimension
         seeds_per_axis = max(2, int(round(2000 ** (1.0 / box.dim))))
     search = newton_search(grad, box, seeds_per_axis)
-    ref = np.asarray([[float(c) for c in p] for p in points], dtype=float)
+    ref = _float_points(points)
     found = np.asarray(search.points, dtype=float).reshape(-1, box.dim)
     # near[i, j]: claimed point i lies within SPURIOUS_TOL of found point j
     near = np.linalg.norm(ref[:, None, :] - found[None, :, :], axis=2) <= SPURIOUS_TOL

@@ -169,19 +169,23 @@ class TestVerify:
 
 
 # x1 values near +-10^40 (integers): synthesize succeeds, but P has
-# coefficients past the largest double, about 2^1024
+# coefficients past the largest double, about 2^1024; the one point at
+# 10^400 has a coordinate past it too
 HUGE = 10 ** 40
 HUGE_SETS = {
     2: [[HUGE + 1, 0], [-HUGE + 7, 1], [0, 0]],
     3: [[HUGE + 1, 0, 0], [-HUGE + 7, 1, 0], [3 * HUGE, 0, 1], [0, 0, 0]],
+    "coordinate": [[10 ** 400, 0]],
 }
 
 
-@pytest.mark.parametrize("command, dim", [
+@pytest.mark.parametrize("command, case", [
     ("verify", 2), ("verify", 3), ("flow", 2), ("flow", 3), ("export-grid", 2),
+    ("verify", "coordinate"), ("flow", "coordinate"), ("export-grid", "coordinate"),
 ])
-def test_coefficient_past_double_range_unsupported(command, dim, tmp_path, capsys):
-    pts = write_pointset(tmp_path / "pts.json", dim, HUGE_SETS[dim])
+def test_coefficient_past_double_range_unsupported(command, case, tmp_path, capsys):
+    dim = len(HUGE_SETS[case][0])
+    pts = write_pointset(tmp_path / "pts.json", dim, HUGE_SETS[case])
     bundle = tmp_path / "bundle.json"
     assert cli.main(["synthesize", "-i", pts, "-o", str(bundle)]) == 0
     extra = {

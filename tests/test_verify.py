@@ -11,7 +11,7 @@ from morseforge._rat import rat
 from morseforge.coord_change import PointSet
 from morseforge.exactmat import leading_principal_minors
 from morseforge.morse_scalar import AlphaSpec, build_pair
-from morseforge.numeric import CompiledPoly
+from morseforge.numeric import CoefficientTooLarge, CompiledPoly
 from morseforge.poly import MultiPoly, PolyMap
 from morseforge.synth import build_saddle_field, synthesize
 from morseforge.verify import (
@@ -25,6 +25,7 @@ from morseforge.verify import (
     newton_search,
 )
 from oracles import eigen_signs, fd_gradient_check_batch, sample_box
+from test_acceptance import PLANE_INSTANCES
 
 
 def x(dim=1, i=0):
@@ -138,6 +139,108 @@ class TestDedup:
         got, want = verify._dedup(pts, tol), greedy_dedup(pts, tol)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+# axis-aligned sets in R^3 (distinct first coordinates)
+CENSUS_N3_SETS = [
+    [[0, 0, 0]],
+    [["-1/2", 0, 0], ["1/2", "1/4", 0], [1, 0, "1/2"]],
+    [[-1, "1/3", 0], [0, 0, "-1/4"]],
+]
+CENSUS_CASES = [(pts, 100) for pts in PLANE_INSTANCES] + [(pts, 13) for pts in CENSUS_N3_SETS]
+TWO_POINTS = [["-1/2", 0], ["1/2", "1/4"]]
+
+
+def census_input(pts):
+    res = synthesize(PointSet(len(pts[0]), pts))
+    grad = PolyMap([-res.p_poly.partial(i) for i in range(res.p_poly.dim)])
+    return grad, BoxSpec.from_points(res.input.points), res.input.points
+
+
+def polish_every_representative(grad, candidates):
+    """The census without the skip rule: polish every representative, then
+    dedup the polished points."""
+    grad_hess = field_jacobian(grad)
+    points = []
+    for rep in verify._dedup(candidates, verify.DEDUP_TOL):
+        polished = verify._polish_exact(grad, grad_hess, rep)
+        if polished is not None:
+            points.append(polished)
+    return verify._dedup(np.asarray(points), verify.DEDUP_TOL) if points else []
+
+
+def recording(monkeypatch, name, calls, result=None):
+    """Patch verify.<name> to record its arguments; result, when given, maps
+    the call number and the arguments to the return value."""
+    original = getattr(verify, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args) if result is None else result(len(calls), original, *args)
+
+    monkeypatch.setattr(verify, name, wrapper)
+
+
+class TestPolishSkip:
+    @pytest.mark.parametrize("pts, seeds", CENSUS_CASES)
+    def test_matches_polishing_every_representative(self, monkeypatch, pts, seeds):
+        grad, box, targets = census_input(pts)
+        first_come, polishes = [], []
+        recording(monkeypatch, "_first_come", first_come)
+        recording(monkeypatch, "_polish_exact", polishes)
+        got = newton_search(grad, box, seeds).points
+        monkeypatch.undo()
+        want = polish_every_representative(grad, first_come[0][0])
+        assert len(got) == len(want) == len(targets)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert len(polishes) < len(verify._dedup(first_come[0][0], verify.DEDUP_TOL))
+
+    def test_at_most_two_polishes_per_point(self, monkeypatch):
+        grad, box, _ = census_input(TWO_POINTS)
+        polishes = []
+        recording(monkeypatch, "_polish_exact", polishes)
+        found = newton_search(grad, box, 100).points
+        assert len(found) == 2
+        assert len(polishes) <= 2 * len(found)
+
+    def test_failed_polish_marks_nothing(self, monkeypatch):
+        grad, box, targets = census_input(TWO_POINTS)
+        polishes = []
+        recording(monkeypatch, "_polish_exact", polishes,
+                  lambda k, polish, *args: None if k == 1 else polish(*args))
+        found = newton_search(grad, box, 100).points
+        assert len(polishes) > 2
+        for t in targets:
+            assert min(np.linalg.norm(p - [float(c) for c in t]) for p in found) <= 1e-6
+
+    def test_candidate_without_image_is_never_skipped(self, monkeypatch):
+        # the float phase sees a zero Jacobian at every candidate, so no
+        # candidate gets an image, and every representative is polished
+        # (with the true Jacobian)
+        grad, box, _ = census_input(TWO_POINTS)
+        grad_hess = field_jacobian(grad)
+        first_come, polishes = [], []
+        recording(monkeypatch, "_first_come", first_come)
+        recording(monkeypatch, "_polish_exact", polishes,
+                  lambda k, polish, grad, _, x0: polish(grad, grad_hess, x0))
+
+        def singular_at_candidates(field):
+            evaluate = field_jacobian(field)
+
+            def singular(pts):
+                g, jac = evaluate(pts)
+                small = np.linalg.norm(g, axis=-1) < verify.COARSE_TOL
+                return g, np.where(small[..., None, None], 0.0, jac)
+
+            return singular
+
+        monkeypatch.setattr(verify, "field_jacobian", singular_at_candidates)
+        found = newton_search(grad, box, 100).points
+        reps = verify._dedup(first_come[0][0], verify.DEDUP_TOL)
+        assert len(polishes) == len(reps) > 2
+        assert all(np.array_equal(args[2], rep) for args, rep in zip(polishes, reps))
+        want = polish_every_representative(grad, first_come[0][0])
+        assert all(np.array_equal(a, b) for a, b in zip(found, want))
 
 
 def gradient_map(dim: int) -> PolyMap:
@@ -385,3 +488,9 @@ class TestCertify:
         pair = build_pair(AlphaSpec([0]))
         report = certify(points=[(rat(0), rat(0))], p=pair.f, seeds_per_axis=20)
         json.dumps(report.to_obj())
+
+    def test_coordinate_past_double_range_refused(self):
+        pair = build_pair(AlphaSpec([0]))
+        box = BoxSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+        with pytest.raises(CoefficientTooLarge):
+            certify(points=[(rat(10 ** 400), rat(0))], p=pair.f, box=box, seeds_per_axis=5)
