@@ -6,30 +6,24 @@ evaluate whole batches of points per call.  One class, CompiledPoly, takes a
 polynomial or a map and evaluates all of its components in one call; a
 point's values depend on that point alone, never on the batch around it.
 
-Plane polynomials share one zero-padded coefficient array and one polyval2d
-call.  This fork stays because Horner's rule is more accurate than a sum of
-expanded monomials: the finite-difference check of acceptance criterion 5
-has a worst relative error of 5.4e-6 through polyval2d, inside its bound of
-1e-5, and 3.3e-5 through the monomial sums.  Other dimensions build one
-power table per variable, x_v ** (0, 1, ..., d_v) up to that variable's
-largest exponent, so each distinct power is computed once; the monomial
-table over the union of all monomials multiplies one gathered row per
-variable, in variable order.  Every term of every polynomial is then one
-row of monomial values times its coefficient, and one np.add.reduceat call
-sums each polynomial's own rows, in its own term order, for every point on
-its own: no BLAS product, whose order could depend on a point's place in
-the batch, and no shared zero-padded coefficient matrix.
+Every dimension has one algorithm, sparse recursive Horner, which is more
+accurate than a sum of expanded monomials.  Stage s runs Horner in x_s over
+the values of stage s-1 (stage 0: the coefficients, a missing one an
+explicit zero) for every (polynomial, e_{s+1}, ..., e_{n-1}) exponent tail
+that occurs.  A chain starts as c_top + x * 0 and goes on as c + r * x, the
+operations of numpy's polyval, so plane values are bit for bit polyval2d's
+at finite points.  Points go through in blocks of BLOCK in every dimension.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .poly import MultiPoly, PolyMap
 
-# points per block outside the plane, which bounds the size of the monomial
-# and term tables
+# points per block, which bounds each stage's table of values
 BLOCK = 256
 
 
@@ -57,51 +51,56 @@ class CompiledPoly:
         # a zero polynomial becomes 0 * (the constant monomial), so that
         # every polynomial owns at least one term
         items = [p.sorted_terms() or [((0,) * self.dim, 0)] for p in flat]
-        self._c2d = None
-        if self.dim == 2:
-            degs = np.array([e for terms in items for e, _ in terms])
-            self._c2d = np.zeros((*(degs.max(axis=0) + 1), len(flat)))
-            for k, terms in enumerate(items):
-                for (ex, ey), coef in terms:
-                    self._c2d[ex, ey, k] = _float(coef)
-            return
-        # one row per distinct monomial, and one row per term of every
-        # polynomial, its terms in sorted order and its own rows contiguous
-        table: dict = {}
-        self._rows = np.array(
-            [table.setdefault(e, len(table)) for terms in items for e, _ in terms], dtype=np.intp
-        )
-        self._coefs = np.array([[_float(c)] for terms in items for _, c in terms])
-        self._starts = np.cumsum([0] + [len(terms) for terms in items[:-1]])
-        self._exps = np.array(list(table), dtype=np.int64)
-        self._powers = [np.arange(d + 1, dtype=np.int64)[:, None] for d in self._exps.max(axis=0)]
+        # one row per coefficient, and a last row of zero
+        self._coefs = np.array([[_float(c)] for terms in items for _, c in terms] + [[0.0]])
+        keys = [(k, *e) for k, terms in enumerate(items) for e, _ in terms]
+        # Stage s turns the rows of stage s-1, keyed (k, e_s, *tail), into
+        # one Horner chain in x_s per (k, *tail), sorted by falling top degree
+        # so that the chains alive at a degree come first.  A stage is the
+        # row of each alive chain's coefficient at each degree from the top
+        # (-1: a row of zero), and (a, offsets of its degrees in those rows)
+        # for each run of degrees with the same number a of chains alive.
+        # The last stage has one chain per polynomial.
+        self._stages = []
+        for _ in range(self.dim):
+            chains: dict = {}
+            for row, (k, e, *tail) in enumerate(keys):
+                chains.setdefault((k, *tail), {})[e] = row
+            keys = sorted(chains, key=lambda t: -max(chains[t]))
+            tops = [max(chains[t]) for t in keys]
+            rows, runs = [], []
+            for a, run in groupby(range(tops[0], -1, -1), key=lambda j: sum(d >= j for d in tops)):
+                start = len(rows)
+                rows += [chains[t].get(j, -1) for j in run for t in keys[:a]]
+                runs.append((a, range(start, len(rows), a)))
+            self._stages.append((np.array(rows, dtype=np.intp), runs))
+        self._order = np.argsort([k for k, in keys])
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=np.float64)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[-1]}, expected {self.dim}")
+        x = pts.reshape(-1, self.dim)
+        vals = np.empty((len(x), len(self._order)))
         with np.errstate(over="ignore", invalid="ignore"):
-            if self._c2d is not None:
-                vals = np.moveaxis(npp.polyval2d(pts[..., 0], pts[..., 1], self._c2d), 0, -1)
-            else:
-                x = pts.reshape(-1, self.dim)
-                vals = np.concatenate(
-                    [self._sums(x[i:i + BLOCK]) for i in range(0, max(len(x), 1), BLOCK)],
-                    axis=1,
-                ).T
+            for i in range(0, len(x), BLOCK):
+                vals[i:i + BLOCK] = self._horner(x[i:i + BLOCK].T).T
         return vals.reshape(pts.shape[:-1] + self.shape)
 
-    def _sums(self, x: np.ndarray) -> np.ndarray:
-        """The polynomials at the points x (N, dim), shape (K, N)."""
-        # monomials by points; the product runs over variables 0, 1, ...,
-        # dim-1 like np.prod(x ** exps, axis=-1), bit for bit
-        mono = None
-        for v, powers in enumerate(self._powers):
-            col = np.take(x[:, v] ** powers, self._exps[:, v], axis=0)
-            mono = col if mono is None else mono * col
-        # every term of every polynomial times its coefficient; each point
-        # then sums each polynomial's own term rows on its own (reduceat:
-        # the first plus numpy's pairwise sum of the rest)
-        terms = np.take(mono, self._rows, axis=0)
-        terms *= self._coefs
-        return np.add.reduceat(terms, self._starts, axis=0)
+    def _horner(self, x: np.ndarray) -> np.ndarray:
+        """The polynomials at the points x (dim, N), shape (K, N)."""
+        values = self._coefs
+        for xv, (rows, runs) in zip(x, self._stages):
+            coefs = values.take(rows, axis=0)
+            # a chain is zero until its top degree, where r * x + c_top is
+            # c_top + x * 0; the row past the chains stays zero
+            chains = runs[-1][0]
+            r = np.zeros((chains + 1, len(xv)))
+            xs = np.repeat(xv[None], chains, axis=0)  # equal shapes multiply fastest
+            for a, offsets in runs:
+                live, xa = r[:a], xs[:a]
+                for o in offsets:
+                    live *= xa
+                    live += coefs[o:o + a]
+            values = r
+        return values[self._order]

@@ -23,10 +23,11 @@ whose image lies within DEDUP_TOL of a point already polished: its polish
 would land there too and the final dedup of the polished points would drop
 it, so the census reports what polishing every representative would, at
 about one polish per point.  A failed polish marks nothing, and a candidate
-without an image is always polished.  Expanded polynomial evaluation in
-floats has a cancellation noise floor far above the residual target
-RESIDUAL_TOL, so the final residual is evaluated exactly (rational
-arithmetic at the float iterate) and only then compared against the target.
+without an image is always polished.  Float evaluation of the gradient,
+even by Horner's rule, has a cancellation noise floor near X far above the
+residual target RESIDUAL_TOL (1e-10 to 2e-9 on four-point sets), so the
+final residual is evaluated exactly (rational arithmetic at the float
+iterate) and only then compared against the target.
 The census only cross-checks the construction, so its tolerances, like the
 flow's, are module constants of one recipe; the caller chooses only the
 search box and the seed density.
@@ -263,7 +264,10 @@ def newton_search(grad: PolyMap, box: BoxSpec, seeds_per_axis: int) -> NewtonRes
         g, jac = grad_hess(x)
         finite = np.isfinite(g).all(axis=1) & np.isfinite(x).all(axis=1)
         inside = ((x >= guard_lo) & (x <= guard_hi)).all(axis=1)
-        gn = np.linalg.norm(np.where(finite[:, None], g, np.inf), axis=1)
+        # a finite gradient past about 1e154 squares to inf inside the norm,
+        # which only means "not converged"
+        with np.errstate(over="ignore"):
+            gn = np.linalg.norm(np.where(finite[:, None], g, np.inf), axis=1)
         live = finite & inside
         abandoned += int((~live).sum())
         x, g, jac = x[live], g[live], jac[live]

@@ -12,23 +12,38 @@ from morseforge.numeric import CompiledPoly
 from morseforge.poly import MultiPoly, PolyMap
 
 
+def horner(terms: dict, pts: np.ndarray) -> np.ndarray:
+    """sum(c * x ** e for e, c in terms) by Horner's rule in the last
+    variable, whose coefficients are the same sums over the other variables:
+    x_0 innermost.  Each chain starts at its own top degree as c + x * 0 and
+    goes on as c + r * x; a missing coefficient is zero."""
+    if not pts.shape[-1]:
+        return next(iter(terms.values()))
+    by_last: dict = {}
+    for e, c in terms.items():
+        by_last.setdefault(e[-1], {})[e[:-1]] = c
+    coef = {e: horner(sub, pts[..., :-1]) for e, sub in by_last.items()}
+    x = pts[..., -1]
+    top = max(coef)
+    r = coef[top] + x * 0
+    for e in range(top - 1, -1, -1):
+        r = coef.get(e, 0.0) + r * x
+    return r
+
+
 def reference(poly: MultiPoly, pts: np.ndarray) -> np.ndarray:
     """One polynomial evaluated on its own: its own polyval2d coefficient
-    matrix in the plane; elsewhere its own pts ** exps monomial product times
-    the coefficients, each row summed on its own in term order as
-    np.add.reduceat sums a segment: the first term plus numpy's pairwise sum
-    of the others."""
+    matrix in the plane; elsewhere its own sparse Horner scheme."""
     items = poly.sorted_terms()
     if not items:
         return np.zeros(pts.shape[:-1])
+    if poly.dim != 2:
+        return horner({e: float(c) for e, c in items}, pts)
     exps = np.array([e for e, _ in items], dtype=np.int64)
     coefs = np.array([float(c) for _, c in items])
-    if poly.dim == 2:
-        c = np.zeros((exps[:, 0].max() + 1, exps[:, 1].max() + 1))
-        c[exps[:, 0], exps[:, 1]] = coefs
-        return npp.polyval2d(pts[..., 0], pts[..., 1], c)
-    terms = np.prod(pts[..., None, :] ** exps, axis=-1) * coefs
-    return terms[..., 0] + terms[..., 1:].sum(axis=-1)
+    c = np.zeros((exps[:, 0].max() + 1, exps[:, 1].max() + 1))
+    c[exps[:, 0], exps[:, 1]] = coefs
+    return npp.polyval2d(pts[..., 0], pts[..., 1], c)
 
 
 def random_poly(rng: random.Random, dim: int, degree: int, terms: int) -> MultiPoly:
@@ -44,7 +59,7 @@ def random_poly(rng: random.Random, dim: int, degree: int, terms: int) -> MultiP
 def lopsided(dim: int) -> MultiPoly:
     """A polynomial whose variables have very different largest exponents
     (13 in the first, 2 in the second, 1 in the last, 0 in any other), so
-    the per-variable power tables have different lengths."""
+    its Horner chains in one variable have different lengths."""
     def unit(*pairs):
         exps = [0] * dim
         for i, e in pairs:
@@ -61,7 +76,8 @@ def lopsided(dim: int) -> MultiPoly:
 
 def long_poly(dim: int) -> MultiPoly:
     """At least 8200 terms, more than numpy's default buffer of 8192
-    elements, past which a reduction may be split into chunks."""
+    elements, so its Horner chains are long (degree 8199 at dim 1) or
+    many."""
     side = math.ceil(8200 ** (1 / dim))
     rng = random.Random(dim)
     return MultiPoly(dim, [(e, rand_rat(rng, 100)) for e in product(range(side), repeat=dim)])
@@ -83,7 +99,7 @@ def components(dim: int) -> list:
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-@pytest.mark.parametrize("batch", [(1,), (300,), (4, 25)])
+@pytest.mark.parametrize("batch", [(0,), (1,), (300,), (4, 25)])
 @pytest.mark.parametrize("shape", [(), (7,), (1,)])
 def test_merged_matches_per_polynomial(dim, batch, shape):
     polys = components(dim)

@@ -135,7 +135,6 @@ class TestEvaluation:
         with pytest.raises(DimensionMismatch):
             x().eval_rational([1, 2])
 
-    # dim 2 takes the dense polyval2d branch, dims 1 and 3 the sparse one
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
