@@ -37,16 +37,19 @@ The descent flows are stiff (Hessian eigenvalues from below 1 at a minimum to
 Rosenbrock pair of ode23s (Shampine & Reichelt, SIAM J. Sci. Comput. 1997),
 orders 2 and 3, batched over trajectories.  Each row keeps its own time and
 step; FlowConfig holds only the first step dt and the horizon t_max.  One
-attempt evaluates the field at the midpoint and the field with its full
-Jacobian at the proposal, and solves three systems against one
-W = I - h d J (one inverse, three products).  The evaluation at an accepted
-proposal starts the next step and classifies convergence (GRAD_TOL,
-POINT_TOL).  A proposal that fails the error test, leaves the guard box,
-goes non-finite, or increases the Lyapunov value beyond half of
-LYAP_STEP_TOL is rejected and the step shrunk.  A trajectory is classified
-diverged only when the step floor is reached with the proposal still outside
-the guard box or non-finite, and times out at t_max or after MAX_ATTEMPTS
-attempts, whichever comes first.
+attempt makes two evaluator calls, the field at the midpoint and one
+field_jacobian call at the proposal that returns the field, its full
+Jacobian and the Lyapunov value together, and solves three systems against
+one W = I - h d J (one inverse, three products).  The evaluation at an
+accepted proposal starts the next step and classifies convergence (GRAD_TOL,
+POINT_TOL; target distances only where |field| < GRAD_TOL).  The per-row
+state is compacted, and the rows that finished written back, only on a pass
+where some trajectory leaves.  A proposal that fails the error test, leaves
+the guard box, goes non-finite, or increases the Lyapunov value beyond half
+of LYAP_STEP_TOL is rejected and the step shrunk.  A trajectory is
+classified diverged only when the step floor is reached with the proposal
+still outside the guard box or non-finite, and times out at t_max or after
+MAX_ATTEMPTS attempts, whichever comes first.
 """
 
 from __future__ import annotations
@@ -198,20 +201,26 @@ def _dedup(points: np.ndarray, tol: float) -> List[np.ndarray]:
     return [points[i] for i in _first_come(points, tol)]
 
 
-def field_jacobian(field: PolyMap) -> Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]:
+def field_jacobian(field: PolyMap, lyap: Optional[MultiPoly] = None) -> Callable:
     """Compile a field and its Jacobian into one evaluator that maps points
-    (..., n) to the field (..., n) and the Jacobian (..., n, n).  Each
-    distinct polynomial among the components and the entries is compiled
-    once, so a gradient's equal mixed partials are evaluated once."""
+    (..., n) to the field (..., n) and the Jacobian (..., n, n); given lyap,
+    a scalar polynomial, it returns lyap's values (...) as a third output
+    from the same call.  Each distinct polynomial among the components, the
+    entries and lyap is compiled once, so a gradient's equal mixed partials
+    are evaluated once."""
     n = field.domain_dim
     entries = [*field.components, *(e for row in field.jacobian() for e in row)]
+    if lyap is not None:
+        entries.append(lyap)
     distinct: dict = {}
     where = np.array([distinct.setdefault(e, len(distinct)) for e in entries], dtype=np.intp)
     compiled = CompiledPoly(PolyMap(list(distinct), n))
 
-    def evaluate(pts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def evaluate(pts: np.ndarray) -> Tuple[np.ndarray, ...]:
         vals = np.take(compiled(pts), where, axis=-1)
-        return vals[..., :n], vals[..., n:].reshape(vals.shape[:-1] + (n, n))
+        f = vals[..., :n]
+        jac = vals[..., n:n + n * n].reshape(vals.shape[:-1] + (n, n))
+        return (f, jac) if lyap is None else (f, jac, vals[..., -1])
 
     return evaluate
 
@@ -369,6 +378,7 @@ class BatchFlowResult:
     status: np.ndarray  # STATUS_* per trajectory
     conv_idx: np.ndarray
     steps: np.ndarray  # accepted steps per trajectory
+    attempts: np.ndarray  # step attempts per trajectory, accepted or rejected
     final_grad_norm: np.ndarray
     max_step_increase: np.ndarray
     timeout_reason: np.ndarray  # "t_max" | "step_budget" when timed out, else None
@@ -396,6 +406,7 @@ class BatchFlowResult:
             out.append({
                 "start": list(self.starts[i]),
                 "steps": int(self.steps[i]),
+                "rejected_steps": int(self.attempts[i] - self.steps[i]),
                 "end": list(self.ends[i]),
                 "classified": names[st],
                 "converged_index": int(self.conv_idx[i]) if st == STATUS_CONVERGED else None,
@@ -418,118 +429,138 @@ def integrate_batch(
 
     targets are the points convergence is classified against; lyap, when
     given, is a scalar polynomial whose per-step increase is both guarded
-    against and recorded.  Every row keeps its own time and step size; each
-    pass over the loop makes one step attempt for every active row."""
+    against and recorded, evaluated in the field_jacobian call at each
+    proposal.  Every row keeps its own time and step size; each pass over
+    the loop makes one step attempt for every active row."""
     cfg = cfg or FlowConfig()
     fc = CompiledPoly(field)
-    fj = field_jacobian(field)
-    lc = CompiledPoly(lyap) if lyap is not None else None
+    fj = field_jacobian(field, lyap)
+    evaluate = fj if lyap is not None else lambda pts: (*fj(pts), None)
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     B, n = starts.shape
     tg = _float_points(targets)
     lo, hi = box.guard()
     h_min = cfg.dt * MIN_STEP_RATIO
+    eye = np.eye(n)
 
-    x = starts.copy()
-    status = np.full(B, STATUS_ACTIVE, dtype=np.int64)
-    conv_idx = np.full(B, -1, dtype=np.int64)
+    ends = starts.copy()
     steps = np.zeros(B, dtype=np.int64)
-    gnorm = np.full(B, np.nan)
+    attempts = np.zeros(B, dtype=np.int64)
     max_inc = np.zeros(B)
     reason = np.full(B, None, dtype=object)
 
-    def classify(idx, pts, g):
-        """Mark converged trajectories among idx, given the field g at pts;
-        returns the local mask of the others."""
-        gn = np.linalg.norm(g, axis=1)
-        gnorm[idx] = gn
-        if len(tg):
-            d = np.linalg.norm(pts[:, None, :] - tg[None, :, :], axis=2)
+    # the loop calls the ufuncs that np.linalg.norm, np.mean, np.clip and
+    # np.maximum.at would, with the same bits and without their per-call cost
+    def classify(pts, g):
+        """|g| per row, and the index of the target each row has converged
+        to (-1 for none): |g| < GRAD_TOL within POINT_TOL of it."""
+        gn = np.sqrt(np.add.reduce(g * g, axis=1))
+        near = np.full(len(gn), -1, dtype=np.int64)
+        small = gn < GRAD_TOL
+        if len(tg) and np.count_nonzero(small):
+            cand = np.flatnonzero(small)
+            diff = pts[cand, None, :] - tg
+            d = np.sqrt(np.add.reduce(diff * diff, axis=2))
             nearest = d.argmin(axis=1)
-            mind = d[np.arange(len(pts)), nearest]
-        else:
-            nearest = np.zeros(len(pts), dtype=np.int64)
-            mind = np.full(len(pts), np.inf)
-        conv = np.isfinite(gn) & (gn < GRAD_TOL) & (mind < POINT_TOL)
-        status[idx[conv]] = STATUS_CONVERGED
-        conv_idx[idx[conv]] = nearest[conv]
-        return ~conv
+            hit = d.min(axis=1) < POINT_TOL
+            near[cand[hit]] = nearest[hit]
+        return gn, near
 
-    # per active row: index, state, field and Jacobian there (the last
-    # proposal's evaluation, first same as last), lyap there, time, next
-    # step and attempts made
-    idx = np.arange(B)
-    xa = starts.copy()
-    f0, jac = fj(xa)
-    keep = classify(idx, xa, f0)  # seeds already at a target converge in 0 steps
-    idx, xa, f0, jac = idx[keep], xa[keep], f0[keep], jac[keep]
-    va = lc(xa) if lc is not None else None
-    t = np.zeros(len(idx))
-    h = np.full(len(idx), cfg.dt)
-    attempts = np.zeros(len(idx), dtype=np.int64)
-    eye = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # per active row: index, state, field, Jacobian and lyap there (the
+        # last accepted proposal's evaluation, first same as last), time,
+        # next step, steps and largest Lyapunov increase so far; the rows
+        # are compacted, and the finished ones written back, only on a pass
+        # where one leaves.  Every row still active has made one attempt
+        # per pass.
+        f0, jac, va = evaluate(starts)
+        # seeds already at a target converge in 0 steps
+        gnorm, conv_idx = classify(starts, f0)
+        keep = conv_idx < 0
+        status = np.where(keep, STATUS_ACTIVE, STATUS_CONVERGED)
+        idx, xa, f0, jac = np.flatnonzero(keep), starts[keep], f0[keep], jac[keep]
+        va = None if va is None else va[keep]
+        t = np.zeros(len(idx))
+        h = np.full(len(idx), cfg.dt)
+        taken = np.zeros(len(idx), dtype=np.int64)
+        inc_max = np.zeros(len(idx))
+        passes = 0
 
-    while len(idx):
-        last = h >= cfg.t_max - t
-        ht = np.where(last, cfg.t_max - t, h)
-        col = ht[:, None]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while len(idx):
+            passes += 1
+            rest = cfg.t_max - t
+            last = h >= rest
+            ht = np.where(last, rest, h)
+            col = ht[:, None]
             w_inv, singular = _inverse(eye - (_D * ht)[:, None, None] * jac)
             k1 = _solve(w_inv, f0)
             f1 = fc(xa + 0.5 * col * k1)
             k2 = _solve(w_inv, f1 - k1) + k1
             xn = xa + col * k2
-            f2, jn = fj(xn)
+            f2, jn, vn = evaluate(xn)
             k3 = _solve(w_inv, f2 - _E32 * (k2 - f1) - 2.0 * (k1 - f0))
             scale = ATOL + RTOL * np.maximum(np.abs(xa), np.abs(xn))
-            err = np.sqrt(np.mean((col / 6.0 * (k1 - 2.0 * k2 + k3) / scale) ** 2, axis=1))
+            q = (col / 6.0 * (k1 - 2.0 * k2 + k3) / scale) ** 2
+            err = np.sqrt(np.add.reduce(q, axis=1) / n)
             err = np.where(np.isfinite(err) & ~singular, err, np.inf)
-            hard_ok = np.isfinite(xn).all(axis=1) & ((xn >= lo) & (xn <= hi)).all(axis=1)
+            hard_ok = np.logical_and.reduce(np.isfinite(xn) & (xn >= lo) & (xn <= hi), axis=1)
             guard_ok = hard_ok
-            vn = inc = None
-            if lc is not None:
-                vn = lc(xn)
+            if va is not None:
                 inc = vn - va
-                guard_ok = hard_ok & ~(np.isfinite(inc) & (inc > 0.5 * LYAP_STEP_TOL))
-            fac = np.clip(0.9 * err ** (-1.0 / 3.0), MIN_FACTOR, MAX_FACTOR)
-        # at the step floor only guard/finiteness violations count as
-        # divergence; a failed error test or Lyapunov wiggle there is noise
-        floor = ht <= h_min
-        acc = hard_ok & ((guard_ok & (err <= 1.0)) | floor)
-        diverged = ~hard_ok & floor
-        attempts += 1
-        h = np.maximum(ht * np.where(guard_ok, fac, np.minimum(fac, 0.5)), h_min)
+                finite_inc = np.isfinite(inc)
+                guard_ok = hard_ok & ~(finite_inc & (inc > 0.5 * LYAP_STEP_TOL))
+            fac = np.minimum(np.maximum(0.9 * err ** (-1.0 / 3.0), MIN_FACTOR), MAX_FACTOR)
+            # at the step floor only guard/finiteness violations count as
+            # divergence; a failed error test or Lyapunov wiggle there is noise
+            floor = ht <= h_min
+            acc = hard_ok & ((guard_ok & (err <= 1.0)) | floor)
+            diverged = ~hard_ok & floor
+            h = np.maximum(ht * np.where(guard_ok, fac, np.minimum(fac, 0.5)), h_min)
 
-        xa[acc], f0[acc], jac[acc] = xn[acc], f2[acc], jn[acc]
-        t[acc] += ht[acc]
-        steps[idx[acc]] += 1
-        if lc is not None:
-            va[acc] = vn[acc]
-            ok = acc & np.isfinite(inc)
-            np.maximum.at(max_inc, idx[ok], inc[ok])
-        x[idx] = xa
-        status[idx[diverged]] = STATUS_DIVERGED
-        # FSAL: the field at an accepted proposal classifies it
-        sel = np.flatnonzero(acc)
-        done = diverged.copy()
-        done[sel] = ~classify(idx[sel], xa[sel], f0[sel])
-        out_of_time = acc & last & ~done
-        out_of_budget = (attempts >= MAX_ATTEMPTS) & ~done & ~out_of_time
-        status[idx[out_of_time | out_of_budget]] = STATUS_TIMEOUT
-        reason[idx[out_of_time]] = "t_max"
-        reason[idx[out_of_budget]] = "step_budget"
-        keep = ~(done | out_of_time | out_of_budget)
-        idx, xa, f0, jac, t, h, attempts = (
-            a[keep] for a in (idx, xa, f0, jac, t, h, attempts)
-        )
-        va = None if va is None else va[keep]
+            acc_col = acc[:, None]
+            np.copyto(xa, xn, where=acc_col)
+            np.copyto(f0, f2, where=acc_col)
+            np.copyto(jac, jn, where=acc_col[:, :, None])
+            np.add(t, ht, out=t, where=acc)
+            taken += acc
+            if va is not None:
+                np.copyto(va, vn, where=acc)
+                np.maximum(inc_max, inc, out=inc_max, where=acc & finite_inc)
+            # FSAL: the field at an accepted proposal classifies it; a row
+            # that was not accepted keeps its state, which did not converge
+            gn, near = classify(xa, f0)
+            conv = near >= 0
+            # a row leaves once it diverged or converged, after its step to
+            # t_max, and when the attempt budget is spent
+            leave = diverged | conv | (acc & last)
+            if passes >= MAX_ATTEMPTS:
+                leave[:] = True
+            elif not np.count_nonzero(leave):
+                continue
+            out_of_time = acc & last & ~conv
+            out_of_budget = leave & ~(diverged | conv | out_of_time)
+            timeout = out_of_time | out_of_budget
+            gone = idx[leave]
+            ends[gone], steps[gone], attempts[gone] = xa[leave], taken[leave], passes
+            gnorm[gone], max_inc[gone], conv_idx[gone] = gn[leave], inc_max[leave], near[leave]
+            status[idx[conv]] = STATUS_CONVERGED
+            status[idx[timeout]] = STATUS_TIMEOUT
+            status[idx[diverged]] = STATUS_DIVERGED
+            reason[idx[out_of_time]] = "t_max"
+            reason[idx[out_of_budget]] = "step_budget"
+            keep = ~leave
+            idx, xa, f0, jac, t, h, taken, inc_max = (
+                a[keep] for a in (idx, xa, f0, jac, t, h, taken, inc_max)
+            )
+            va = None if va is None else va[keep]
 
     return BatchFlowResult(
         starts=starts,
-        ends=x,
+        ends=ends,
         status=status,
         conv_idx=conv_idx,
         steps=steps,
+        attempts=attempts,
         final_grad_norm=gnorm,
         max_step_increase=max_inc,
         timeout_reason=reason,

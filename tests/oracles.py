@@ -2,18 +2,42 @@
 
 None of these is on a path a command runs: each recomputes a quantity by a
 route the package deliberately does not take (the pullback identity for
-Hessians, central differences for gradients, eigenvalues for definiteness).
+Hessians, central differences for gradients, eigenvalues for definiteness,
+the flow loop that compacts its rows on every pass).
 """
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from morseforge import verify
 from morseforge._rat import Rat, rat
 from morseforge.numeric import CompiledPoly
 from morseforge.poly import MultiPoly, PolyMap
 from morseforge.synth import SaddleField, SynthesisResult
-from morseforge.verify import BoxSpec
+from morseforge.verify import (
+    _D,
+    _E32,
+    ATOL,
+    GRAD_TOL,
+    LYAP_STEP_TOL,
+    MAX_FACTOR,
+    MIN_FACTOR,
+    MIN_STEP_RATIO,
+    POINT_TOL,
+    RTOL,
+    STATUS_ACTIVE,
+    STATUS_CONVERGED,
+    STATUS_DIVERGED,
+    STATUS_TIMEOUT,
+    BatchFlowResult,
+    BoxSpec,
+    FlowConfig,
+    _float_points,
+    _inverse,
+    _solve,
+    field_jacobian,
+)
 
 Matrix = List[List[Rat]]
 
@@ -101,3 +125,126 @@ def fd_gradient_check_batch(p: MultiPoly, pts: np.ndarray, h: float) -> np.ndarr
 def sample_box(box: BoxSpec, num: int, rng: np.random.Generator) -> np.ndarray:
     """num points drawn uniformly from box."""
     return rng.uniform(box.lower, box.upper, size=(num, box.dim))
+
+
+def reference_integrate_batch(
+    field,
+    starts: np.ndarray,
+    box: BoxSpec,
+    targets,
+    cfg: Optional[FlowConfig] = None,
+    lyap=None,
+) -> BatchFlowResult:
+    """verify.integrate_batch's ode23s loop written plainly: separate
+    field, field-and-Jacobian and lyap evaluators, every active array
+    compacted and every result scattered on each pass, np.linalg.norm,
+    np.mean, np.clip and np.maximum.at, and classification of the accepted
+    rows only.  verify.MAX_ATTEMPTS is read at call time, so a test may
+    patch it for both loops; attempts are not recorded (None)."""
+    cfg = cfg or FlowConfig()
+    fc = CompiledPoly(field)
+    fj = field_jacobian(field)
+    lc = CompiledPoly(lyap) if lyap is not None else None
+    starts = np.atleast_2d(np.asarray(starts, dtype=float))
+    B, n = starts.shape
+    tg = _float_points(targets)
+    lo, hi = box.guard()
+    h_min = cfg.dt * MIN_STEP_RATIO
+
+    x = starts.copy()
+    status = np.full(B, STATUS_ACTIVE, dtype=np.int64)
+    conv_idx = np.full(B, -1, dtype=np.int64)
+    steps = np.zeros(B, dtype=np.int64)
+    gnorm = np.full(B, np.nan)
+    max_inc = np.zeros(B)
+    reason = np.full(B, None, dtype=object)
+
+    def classify(idx, pts, g):
+        gn = np.linalg.norm(g, axis=1)
+        gnorm[idx] = gn
+        if len(tg):
+            d = np.linalg.norm(pts[:, None, :] - tg[None, :, :], axis=2)
+            nearest = d.argmin(axis=1)
+            mind = d[np.arange(len(pts)), nearest]
+        else:
+            nearest = np.zeros(len(pts), dtype=np.int64)
+            mind = np.full(len(pts), np.inf)
+        conv = np.isfinite(gn) & (gn < GRAD_TOL) & (mind < POINT_TOL)
+        status[idx[conv]] = STATUS_CONVERGED
+        conv_idx[idx[conv]] = nearest[conv]
+        return ~conv
+
+    idx = np.arange(B)
+    xa = starts.copy()
+    f0, jac = fj(xa)
+    keep = classify(idx, xa, f0)
+    idx, xa, f0, jac = idx[keep], xa[keep], f0[keep], jac[keep]
+    va = lc(xa) if lc is not None else None
+    t = np.zeros(len(idx))
+    h = np.full(len(idx), cfg.dt)
+    attempts = np.zeros(len(idx), dtype=np.int64)
+    eye = np.eye(n)
+
+    while len(idx):
+        last = h >= cfg.t_max - t
+        ht = np.where(last, cfg.t_max - t, h)
+        col = ht[:, None]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            w_inv, singular = _inverse(eye - (_D * ht)[:, None, None] * jac)
+            k1 = _solve(w_inv, f0)
+            f1 = fc(xa + 0.5 * col * k1)
+            k2 = _solve(w_inv, f1 - k1) + k1
+            xn = xa + col * k2
+            f2, jn = fj(xn)
+            k3 = _solve(w_inv, f2 - _E32 * (k2 - f1) - 2.0 * (k1 - f0))
+            scale = ATOL + RTOL * np.maximum(np.abs(xa), np.abs(xn))
+            err = np.sqrt(np.mean((col / 6.0 * (k1 - 2.0 * k2 + k3) / scale) ** 2, axis=1))
+            err = np.where(np.isfinite(err) & ~singular, err, np.inf)
+            hard_ok = np.isfinite(xn).all(axis=1) & ((xn >= lo) & (xn <= hi)).all(axis=1)
+            guard_ok = hard_ok
+            vn = inc = None
+            if lc is not None:
+                vn = lc(xn)
+                inc = vn - va
+                guard_ok = hard_ok & ~(np.isfinite(inc) & (inc > 0.5 * LYAP_STEP_TOL))
+            fac = np.clip(0.9 * err ** (-1.0 / 3.0), MIN_FACTOR, MAX_FACTOR)
+        floor = ht <= h_min
+        acc = hard_ok & ((guard_ok & (err <= 1.0)) | floor)
+        diverged = ~hard_ok & floor
+        attempts += 1
+        h = np.maximum(ht * np.where(guard_ok, fac, np.minimum(fac, 0.5)), h_min)
+
+        xa[acc], f0[acc], jac[acc] = xn[acc], f2[acc], jn[acc]
+        t[acc] += ht[acc]
+        steps[idx[acc]] += 1
+        if lc is not None:
+            va[acc] = vn[acc]
+            ok = acc & np.isfinite(inc)
+            np.maximum.at(max_inc, idx[ok], inc[ok])
+        x[idx] = xa
+        status[idx[diverged]] = STATUS_DIVERGED
+        sel = np.flatnonzero(acc)
+        done = diverged.copy()
+        done[sel] = ~classify(idx[sel], xa[sel], f0[sel])
+        out_of_time = acc & last & ~done
+        out_of_budget = (attempts >= verify.MAX_ATTEMPTS) & ~done & ~out_of_time
+        status[idx[out_of_time | out_of_budget]] = STATUS_TIMEOUT
+        reason[idx[out_of_time]] = "t_max"
+        reason[idx[out_of_budget]] = "step_budget"
+        keep = ~(done | out_of_time | out_of_budget)
+        idx, xa, f0, jac, t, h, attempts = (
+            a[keep] for a in (idx, xa, f0, jac, t, h, attempts)
+        )
+        va = None if va is None else va[keep]
+
+    return BatchFlowResult(
+        starts=starts,
+        ends=x,
+        status=status,
+        conv_idx=conv_idx,
+        steps=steps,
+        attempts=None,
+        final_grad_norm=gnorm,
+        max_step_increase=max_inc,
+        timeout_reason=reason,
+    )

@@ -25,7 +25,7 @@ from morseforge.verify import (
     integrate_batch,
     newton_search,
 )
-from oracles import eigen_signs, fd_gradient_check_batch, sample_box
+from oracles import eigen_signs, fd_gradient_check_batch, reference_integrate_batch, sample_box
 from test_acceptance import PLANE_INSTANCES
 
 
@@ -306,6 +306,18 @@ class TestFieldJacobian:
         assert np.array_equal(jac, want_jac)
         assert not np.array_equal(jac, np.swapaxes(jac, 1, 2))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("rows", [1, 300])
+    def test_lyap_from_the_same_call(self, dim, rows):
+        grad = gradient_map(dim)
+        lyap = grad.components[0] * grad.components[-1] + 1
+        pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(rows, dim))
+        g, jac, v = field_jacobian(grad, lyap)(pts)
+        want_g, want_jac = separately(grad, pts)
+        assert np.array_equal(g, want_g)
+        assert np.array_equal(jac, want_jac)
+        assert np.array_equal(v, CompiledPoly(lyap)(pts))
+
     def test_jacobian_of_a_map(self):
         x0, x1, x2 = (x(3, i) for i in range(3))
         f, jac = field_jacobian(PolyMap([x0 * x1 - x2 ** 2, x0 ** 3, x1 + 1]))(
@@ -413,6 +425,7 @@ class TestFlow:
                               FlowConfig(dt=0.15, t_max=10.0), lyap=p)
         assert (out.status == STATUS_CONVERGED).all()
         assert float(out.max_step_increase.max()) <= 1e-9
+        assert all(trace["rejected_steps"] > 0 for trace in out.traces())
 
     def test_timeout_reasons(self, monkeypatch):
         fld = PolyMap([-x(2, 0), -x(2, 1)])
@@ -426,7 +439,9 @@ class TestFlow:
         assert trace["classified"] == "max_time_reached"
         assert trace["timeout_reason"] == "step_budget"
         assert trace["steps"] <= 5
+        assert trace["steps"] + trace["rejected_steps"] == 5
         assert out.traces()[1]["timeout_reason"] is None
+        assert out.traces()[1]["steps"] == out.traces()[1]["rejected_steps"] == 0
 
     def test_singular_step_matrix_is_flagged(self):
         w = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]]])
@@ -452,20 +467,20 @@ class TestFlow:
         cfg = FlowConfig(dt=0.15, t_max=10.0)
         starts = np.array([[1.0, 0.0, 0.0], [1e-3, 0.0, 0.5], [-1.5, 0.0, -1.0], [0.5, 0.3, 0.2],
                            [-1.5, 1.0, 1.0], [0.0, 0.0, 0.0], [1 / 3, 1 / 7, -1 / 5]])[:, :dim]
-        proposals, lyap_evals = [], []
+        proposals, fused = [], []
 
         class CountingPoly(CompiledPoly):
             def __call__(self, pts):
-                if self.shape == ():  # the scalar Lyapunov function
-                    lyap_evals.append(len(pts))
-                elif self.shape == (dim,):  # the field alone: one midpoint per proposal
+                if self.shape == (dim,):  # the field alone: one midpoint per proposal
                     proposals.append(len(pts))
+                else:  # the field, its Jacobian and the Lyapunov function
+                    fused.append(len(pts))
                 return super().__call__(pts)
 
         monkeypatch.setattr(verify, "CompiledPoly", CountingPoly)
         batch = integrate_batch(fld, starts, box, target, cfg, lyap=p)
-        # one evaluation on the unconverged starts, then one per proposal
-        assert lyap_evals == [len(starts) - 1] + proposals
+        # one fused evaluation on all the starts, then one per proposal
+        assert fused == [len(starts)] + proposals
         assert sum(proposals) > batch.steps.sum()  # some proposal was rejected
         converged = batch.status == STATUS_CONVERGED
         assert converged.all()
@@ -476,6 +491,90 @@ class TestFlow:
             assert np.array_equal(one.ends[0], batch.ends[i])
             assert one.steps[0] == batch.steps[i]
             assert one.max_step_increase[0] == batch.max_step_increase[i]
+
+
+FLOW_SETS = {
+    "one": (2, [[0, 0]]),
+    "two": (2, [["-1/2", 0], ["1/2", "1/4"]]),
+    "three": (2, [[-1, 0], [0, "1/4"], [1, "-1/4"]]),
+    "n3": (3, [[0, 0, 0], ["1/2", "1/3", "-1/4"]]),
+}
+
+
+@pytest.fixture(scope="module")
+def flow_bundles():
+    return {tag: synthesize(PointSet(n, pts)) for tag, (n, pts) in FLOW_SETS.items()}
+
+
+def assert_same_flow(got, want):
+    """Every BatchFlowResult field but attempts, bit for bit."""
+    assert np.array_equal(got.starts, want.starts)
+    assert np.array_equal(got.ends, want.ends, equal_nan=True)
+    assert np.array_equal(got.status, want.status)
+    assert np.array_equal(got.conv_idx, want.conv_idx)
+    assert np.array_equal(got.steps, want.steps)
+    assert np.array_equal(got.final_grad_norm, want.final_grad_norm, equal_nan=True)
+    assert np.array_equal(got.max_step_increase, want.max_step_increase)
+    assert np.array_equal(got.timeout_reason, want.timeout_reason)
+    assert (got.attempts >= got.steps).all()
+
+
+class TestFlowMatchesReference:
+    """integrate_batch against the unfused loop that compacts on every pass."""
+
+    @staticmethod
+    def run_both(fld, starts, box, targets, cfg, lyap=None):
+        got = integrate_batch(fld, starts, box, targets, cfg, lyap=lyap)
+        want = reference_integrate_batch(fld, starts, box, targets, cfg, lyap=lyap)
+        assert_same_flow(got, want)
+        return got
+
+    @pytest.mark.parametrize("tag", list(FLOW_SETS))
+    @pytest.mark.parametrize("with_lyap", [False, True])
+    def test_bundles(self, flow_bundles, tag, with_lyap):
+        res = flow_bundles[tag]
+        box = BoxSpec.from_points(res.input.points)
+        # a grid over the box, one start at a target, one off the guard box
+        starts = np.vstack([box.grid(4), [[float(c) for c in res.input.points[0]]],
+                            [box.guard()[1] * 2]])
+        got = self.run_both(res.grad_field, starts, box, res.input.points,
+                            FlowConfig(dt=1e-2, t_max=50.0),
+                            lyap=res.p_poly if with_lyap else None)
+        assert got.status[-2] == STATUS_CONVERGED and got.steps[-2] == 0
+        assert got.status[-1] == verify.STATUS_DIVERGED
+
+    def test_non_symmetric_saddle_field(self):
+        # two minima off the first axis: the pullback through the coordinate
+        # change has a Jacobian that is not symmetric
+        pts = [[0, 0], [1, 1]]
+        sf = build_saddle_field(PointSet(2, pts))
+        jac = sf.pullback.jacobian()
+        assert jac[0][1] != jac[1][0]
+        box = BoxSpec.from_points(pts)
+        starts = np.vstack([sample_box(box, 30, np.random.default_rng(5)), [[0.5, 0.5]]])
+        got = self.run_both(sf.pullback, starts, box, pts, FlowConfig(dt=1e-2, t_max=20.0))
+        assert set(got.status.tolist()) >= {STATUS_CONVERGED, verify.STATUS_TIMEOUT}
+
+    @pytest.mark.parametrize("with_lyap", [False, True])
+    def test_rejected_first_steps(self, flow_bundles, with_lyap):
+        res = flow_bundles["two"]
+        box = BoxSpec.from_points(res.input.points)
+        got = self.run_both(res.grad_field, box.grid(5), box, res.input.points,
+                            FlowConfig(dt=0.3, t_max=50.0),
+                            lyap=res.p_poly if with_lyap else None)
+        assert (got.attempts > got.steps).all()
+
+    @pytest.mark.parametrize("tag", ["two", "n3"])
+    def test_attempt_budget(self, monkeypatch, flow_bundles, tag):
+        monkeypatch.setattr(verify, "MAX_ATTEMPTS", 7)
+        res = flow_bundles[tag]
+        box = BoxSpec.from_points(res.input.points)
+        got = self.run_both(res.grad_field, box.grid(3), box, res.input.points,
+                            FlowConfig(dt=1e-2, t_max=50.0), lyap=res.p_poly)
+        budget = got.timeout_reason == "step_budget"
+        assert budget.any()
+        assert (got.attempts[budget] == 7).all()
+        assert (got.attempts <= 7).all()
 
 
 class TestCertify:
