@@ -13,9 +13,11 @@ evaluated over a whole batch of points per call.
 Newton runs in two phases: a fast float phase over the whole seed grid, then
 an exact-arithmetic polish of one candidate per critical point.  Each float
 iteration makes one field_jacobian call that returns the gradient and the
-Hessian together, and one batched solve that gives both the next iterate of
-every row still searching and the float Newton image x - J^-1 g of every row
-accepted as a candidate (none where the Jacobian is singular).
+Hessian together, and one batched solve over every live row that gives both
+the next iterate of a row still searching and the float Newton image
+x - J^-1 g of a row accepted as a candidate.  A row whose step is not finite,
+NaN where LAPACK finds the Jacobian exactly singular, is counted singular
+and dropped, and a candidate's image is then NaN.
 Deduplication loops over representatives, not candidates: each new
 representative drops every remaining candidate within DEDUP_TOL in one
 row-wise distance.  The representatives are polished in order, except one
@@ -39,14 +41,16 @@ orders 2 and 3, batched over trajectories.  Each row keeps its own time and
 step; FlowConfig holds only the first step dt and the horizon t_max.  One
 attempt makes two evaluator calls, the field at the midpoint and one
 field_jacobian call at the proposal that returns the field, its full
-Jacobian and the Lyapunov value together, and solves three systems against
-one W = I - h d J (one inverse, three products).  The evaluation at an
-accepted proposal starts the next step and classifies convergence (GRAD_TOL,
-POINT_TOL; target distances only where |field| < GRAD_TOL).  The per-row
-state is compacted, and the rows that finished written back, only on a pass
-where some trajectory leaves.  A proposal that fails the error test, leaves
-the guard box, goes non-finite, or increases the Lyapunov value beyond half
-of LYAP_STEP_TOL is rejected and the step shrunk.  A trajectory is
+Jacobian and the Lyapunov value together (without a Lyapunov function, the
+zero polynomial's, so one loop serves both), and solves three systems
+against one W = I - h d J (one inverse, three products; NaN where W is
+exactly singular, which makes the proposal non-finite).  The evaluation at
+an accepted proposal starts the next step and classifies convergence
+(GRAD_TOL, POINT_TOL; target distances only where |field| < GRAD_TOL).  The
+per-row state is compacted, and the rows that finished written back, only on
+a pass where some trajectory leaves.  A proposal that fails the error test,
+leaves the guard box, goes non-finite, or increases the Lyapunov value beyond
+half of LYAP_STEP_TOL is rejected and the step shrunk.  A trajectory is
 classified diverged only when the step floor is reached with the proposal
 still outside the guard box or non-finite, and times out at t_max or after
 MAX_ATTEMPTS attempts, whichever comes first.
@@ -225,6 +229,21 @@ def field_jacobian(field: PolyMap, lyap: Optional[MultiPoly] = None) -> Callable
     return evaluate
 
 
+def _lapack(fn: Callable, a: np.ndarray, *rest) -> np.ndarray:
+    """fn, np.linalg.solve or np.linalg.inv, over a batch of matrices a.
+    Only when LAPACK raises are the rows with an exactly zero pivot found
+    (getrf's own test), rerun with the identity in their place and returned
+    as NaN, so a row's result depends on its own matrix alone."""
+    try:
+        return fn(a, *rest)
+    except np.linalg.LinAlgError:
+        with np.errstate(invalid="ignore"):  # slogdet warns at a NaN entry
+            bad = np.linalg.slogdet(a)[0] == 0
+        out = fn(np.where(bad[..., None, None], np.eye(a.shape[-1]), a), *rest)
+        out[bad] = np.nan
+        return out
+
+
 def _polish_exact(grad: PolyMap, grad_hess: Callable, x0: np.ndarray):
     """Newton refinement with the gradient evaluated exactly at the float
     iterate; accepts only if the exact residual norm reaches the target."""
@@ -240,11 +259,7 @@ def _polish_exact(grad: PolyMap, grad_hess: Callable, x0: np.ndarray):
             return x
         if attempt == POLISH_ITER:
             return None
-        jac = grad_hess(x[None, :])[1][0]
-        try:
-            step = np.linalg.solve(jac, g)
-        except np.linalg.LinAlgError:
-            return None
+        step = _lapack(np.linalg.solve, grad_hess(x[None, :])[1], g[None, :, None])[0, :, 0]
         if not np.isfinite(step).all():
             return None
         x = x - step
@@ -282,12 +297,11 @@ def newton_search(grad: PolyMap, box: BoxSpec, seeds_per_axis: int) -> NewtonRes
         x, g, jac = x[live], g[live], jac[live]
         conv = gn[live] < COARSE_TOL
         # one Newton step for every live row: the next iterate of a row still
-        # searching, the float image of a candidate; a row whose Jacobian is
-        # singular gets NaN
-        dets = np.linalg.det(jac)
-        good = np.isfinite(dets) & (np.abs(dets) > 1e-300)
-        x_next = np.full_like(x, np.nan)
-        x_next[good] = x[good] - np.linalg.solve(jac[good], g[good][..., None])[..., 0]
+        # searching, the float image of a candidate; a row whose step is not
+        # finite (NaN where LAPACK finds the Jacobian singular) is dropped
+        step = _lapack(np.linalg.solve, jac, g[..., None])[..., 0]
+        good = np.isfinite(step).all(axis=1)
+        x_next = x - step
         candidates.extend(x[conv])
         images.extend(x_next[conv])
         singular += int((~(good | conv)).sum())
@@ -347,21 +361,6 @@ class FlowConfig:
     def __post_init__(self):
         if not (self.dt > 0 and 0 < self.t_max < math.inf):
             raise ValueError("dt and t_max must be positive, t_max finite")
-
-
-def _inverse(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Inverses of a batch of matrices and a mask of the failed rows.  When
-    LAPACK meets an exactly singular matrix, every row whose determinant is
-    zero or not finite is flagged and inverted as the identity."""
-    bad = np.zeros(len(w), dtype=bool)
-    try:
-        return np.linalg.inv(w), bad
-    except np.linalg.LinAlgError:
-        det = np.linalg.det(w)
-        bad = ~(np.isfinite(det) & (det != 0))
-        w = w.copy()
-        w[bad] = np.eye(w.shape[-1])
-        return np.linalg.inv(w), bad
 
 
 def _solve(w_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -427,17 +426,18 @@ def integrate_batch(
 ) -> BatchFlowResult:
     """Integrate many trajectories of the polynomial field at once.
 
-    targets are the points convergence is classified against; lyap, when
-    given, is a scalar polynomial whose per-step increase is both guarded
-    against and recorded, evaluated in the field_jacobian call at each
-    proposal.  Every row keeps its own time and step size; each pass over
-    the loop makes one step attempt for every active row."""
+    targets are the points convergence is classified against; lyap is a
+    scalar polynomial whose per-step increase is both guarded against and
+    recorded, evaluated in the field_jacobian call at each proposal.
+    Without lyap the guard watches the zero polynomial, which never rises,
+    so max_step_increase stays 0.  Every row keeps its own time and step
+    size; each pass over the loop makes one step attempt for every active
+    row."""
     cfg = cfg or FlowConfig()
     fc = CompiledPoly(field)
-    fj = field_jacobian(field, lyap)
-    evaluate = fj if lyap is not None else lambda pts: (*fj(pts), None)
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     B, n = starts.shape
+    fj = field_jacobian(field, MultiPoly.zero(n) if lyap is None else lyap)
     tg = _float_points(targets)
     lo, hi = box.guard()
     h_min = cfg.dt * MIN_STEP_RATIO
@@ -473,13 +473,12 @@ def integrate_batch(
         # are compacted, and the finished ones written back, only on a pass
         # where one leaves.  Every row still active has made one attempt
         # per pass.
-        f0, jac, va = evaluate(starts)
+        f0, jac, va = fj(starts)
         # seeds already at a target converge in 0 steps
         gnorm, conv_idx = classify(starts, f0)
         keep = conv_idx < 0
         status = np.where(keep, STATUS_ACTIVE, STATUS_CONVERGED)
-        idx, xa, f0, jac = np.flatnonzero(keep), starts[keep], f0[keep], jac[keep]
-        va = None if va is None else va[keep]
+        idx, xa, f0, jac, va = np.flatnonzero(keep), starts[keep], f0[keep], jac[keep], va[keep]
         t = np.zeros(len(idx))
         h = np.full(len(idx), cfg.dt)
         taken = np.zeros(len(idx), dtype=np.int64)
@@ -492,23 +491,21 @@ def integrate_batch(
             last = h >= rest
             ht = np.where(last, rest, h)
             col = ht[:, None]
-            w_inv, singular = _inverse(eye - (_D * ht)[:, None, None] * jac)
+            w_inv = _lapack(np.linalg.inv, eye - (_D * ht)[:, None, None] * jac)
             k1 = _solve(w_inv, f0)
             f1 = fc(xa + 0.5 * col * k1)
             k2 = _solve(w_inv, f1 - k1) + k1
             xn = xa + col * k2
-            f2, jn, vn = evaluate(xn)
+            f2, jn, vn = fj(xn)
             k3 = _solve(w_inv, f2 - _E32 * (k2 - f1) - 2.0 * (k1 - f0))
             scale = ATOL + RTOL * np.maximum(np.abs(xa), np.abs(xn))
             q = (col / 6.0 * (k1 - 2.0 * k2 + k3) / scale) ** 2
             err = np.sqrt(np.add.reduce(q, axis=1) / n)
-            err = np.where(np.isfinite(err) & ~singular, err, np.inf)
+            err = np.where(np.isfinite(err), err, np.inf)
             hard_ok = np.logical_and.reduce(np.isfinite(xn) & (xn >= lo) & (xn <= hi), axis=1)
-            guard_ok = hard_ok
-            if va is not None:
-                inc = vn - va
-                finite_inc = np.isfinite(inc)
-                guard_ok = hard_ok & ~(finite_inc & (inc > 0.5 * LYAP_STEP_TOL))
+            inc = vn - va
+            finite_inc = np.isfinite(inc)
+            guard_ok = hard_ok & ~(finite_inc & (inc > 0.5 * LYAP_STEP_TOL))
             fac = np.minimum(np.maximum(0.9 * err ** (-1.0 / 3.0), MIN_FACTOR), MAX_FACTOR)
             # at the step floor only guard/finiteness violations count as
             # divergence; a failed error test or Lyapunov wiggle there is noise
@@ -522,10 +519,9 @@ def integrate_batch(
             np.copyto(f0, f2, where=acc_col)
             np.copyto(jac, jn, where=acc_col[:, :, None])
             np.add(t, ht, out=t, where=acc)
+            np.copyto(va, vn, where=acc)
             taken += acc
-            if va is not None:
-                np.copyto(va, vn, where=acc)
-                np.maximum(inc_max, inc, out=inc_max, where=acc & finite_inc)
+            np.maximum(inc_max, inc, out=inc_max, where=acc & finite_inc)
             # FSAL: the field at an accepted proposal classifies it; a row
             # that was not accepted keeps its state, which did not converge
             gn, near = classify(xa, f0)
@@ -549,10 +545,9 @@ def integrate_batch(
             reason[idx[out_of_time]] = "t_max"
             reason[idx[out_of_budget]] = "step_budget"
             keep = ~leave
-            idx, xa, f0, jac, t, h, taken, inc_max = (
-                a[keep] for a in (idx, xa, f0, jac, t, h, taken, inc_max)
+            idx, xa, f0, jac, va, t, h, taken, inc_max = (
+                a[keep] for a in (idx, xa, f0, jac, va, t, h, taken, inc_max)
             )
-            va = None if va is None else va[keep]
 
     return BatchFlowResult(
         starts=starts,

@@ -34,12 +34,26 @@ from morseforge.verify import (
     BoxSpec,
     FlowConfig,
     _float_points,
-    _inverse,
     _solve,
     field_jacobian,
 )
 
 Matrix = List[List[Rat]]
+
+
+def _inverse(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Inverses of a batch of matrices and a mask of the failed rows.  When
+    LAPACK meets an exactly singular matrix, every row whose determinant is
+    zero or not finite is flagged and inverted as the identity."""
+    bad = np.zeros(len(w), dtype=bool)
+    try:
+        return np.linalg.inv(w), bad
+    except np.linalg.LinAlgError:
+        det = np.linalg.det(w)
+        bad = ~(np.isfinite(det) & (det != 0))
+        w = w.copy()
+        w[bad] = np.eye(w.shape[-1])
+        return np.linalg.inv(w), bad
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -138,9 +152,11 @@ def reference_integrate_batch(
     """verify.integrate_batch's ode23s loop written plainly: separate
     field, field-and-Jacobian and lyap evaluators, every active array
     compacted and every result scattered on each pass, np.linalg.norm,
-    np.mean, np.clip and np.maximum.at, and classification of the accepted
-    rows only.  verify.MAX_ATTEMPTS is read at call time, so a test may
-    patch it for both loops; attempts are not recorded (None)."""
+    np.mean, np.clip and np.maximum.at, classification of the accepted rows
+    only, no Lyapunov guard without lyap, and a singular W flagged by
+    _inverse and replaced by the identity.  verify.MAX_ATTEMPTS is read at
+    call time, so a test may patch it for both loops; attempts are not
+    recorded (None)."""
     cfg = cfg or FlowConfig()
     fc = CompiledPoly(field)
     fj = field_jacobian(field)

@@ -130,11 +130,20 @@ class TestVerify:
 
 
     def test_report_has_recall_and_singular(self, two_point_bundle, tmp_path):
-        report = tmp_path / "report.json"
-        assert cli.main(["verify", "-i", str(two_point_bundle), "-o", str(report)]) == 0
-        search = json.loads(report.read_text())["spurious_search"]
-        assert search["newton_recall"] == 1.0
-        assert isinstance(search["singular"], int)
+        # the plane set [[0, 0]] at the default 45 seeds per axis pins the
+        # counts: 47 seeds meet an exactly singular Jacobian or a non-finite
+        # Newton step
+        one_point = tmp_path / "one.json"
+        pts = write_pointset(tmp_path / "one.points.json", 2, [["0", "0"]])
+        assert cli.main(["synthesize", "-i", pts, "-o", str(one_point)]) == 0
+        for bundle, counts in [(two_point_bundle, None), (one_point, (2025, 47, 1385))]:
+            report = tmp_path / "report.json"
+            assert cli.main(["verify", "-i", str(bundle), "-o", str(report)]) == 0
+            search = json.loads(report.read_text())["spurious_search"]
+            assert search["newton_recall"] == 1.0
+            assert isinstance(search["singular"], int)
+            if counts is not None:
+                assert (search["seeds_used"], search["singular"], search["abandoned"]) == counts
 
     def test_low_recall_is_reported_not_failed(self, two_point_bundle, tmp_path):
         report = tmp_path / "report.json"

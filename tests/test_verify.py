@@ -443,12 +443,28 @@ class TestFlow:
         assert out.traces()[1]["timeout_reason"] is None
         assert out.traces()[1]["steps"] == out.traces()[1]["rejected_steps"] == 0
 
-    def test_singular_step_matrix_is_flagged(self):
-        w = np.array([[[2.0, 0.0], [0.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]]])
-        inv, bad = verify._inverse(w)
-        assert bad.tolist() == [False, True]
-        assert np.array_equal(inv[0], np.diag([0.5, 0.25]))
-        assert np.array_equal(inv[1], np.eye(2))
+    @pytest.mark.parametrize("fn", [np.linalg.inv, np.linalg.solve])
+    def test_lapack_singular_rows_are_nan(self, fn):
+        # a regular row's result is the same bits in any batch; an exactly
+        # singular row comes back NaN, and a row with a NaN entry non-finite,
+        # without raising (LAPACK raises at the first NaN matrix, not at the
+        # second)
+        a = np.array([[0.3, 0.7], [1.1, -0.2]])
+        s = np.array([[1.0, 2.0], [0.5, 1.0]])
+        rhs = () if fn is np.linalg.inv else (np.array([[0.25], [-3.0]]),)
+
+        def run(*mats):
+            return verify._lapack(fn, np.stack(mats), *(np.stack([r] * len(mats)) for r in rhs))
+
+        alone = run(a)[0]
+        assert np.array_equal(alone, fn(a, *rhs))
+        for out, i, j in [(run(a, s), 0, 1), (run(s, a), 1, 0)]:
+            assert np.array_equal(out[i], alone)
+            assert np.isnan(out[j]).all()
+        for nan in ([[np.nan, 1.0], [1.0, 1.0]], [[1.0, np.nan], [1.0, 1.0]]):
+            out = run(np.array(nan), a)
+            assert not np.isfinite(out[0]).any()
+            assert np.array_equal(out[1], alone)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_batch_rows_match_single_runs(self, monkeypatch, dim):
