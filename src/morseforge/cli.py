@@ -107,9 +107,10 @@ def cmd_verify(args) -> int:
         if args.seeds_per_axis < 2:
             raise CommandError(EXIT_PARSE, "--seeds-per-axis must be >= 2")
 
-    # nothing from the bundle is trusted: certify recomputes the gradient
-    # and Hessians from the stored polynomial, and they are compared against
-    # the bundle's claims; every point must carry exactly one stored Hessian
+    # nothing from the bundle is trusted: certify derives -grad P (the field
+    # flow and export-grid integrate) and the Hessians from the stored
+    # polynomial; the stored field, Hessians and minors are claims compared
+    # against them, and every point must carry exactly one stored Hessian
     # and minors row
     report = verify.certify(
         points=bundle.pointset.points,
@@ -153,7 +154,8 @@ def cmd_flow(args) -> int:
         raise CommandError(EXIT_PARSE, "start point lies outside the 10x inflated box")
     cfg = _flow_config(args)
     trace = verify.integrate_batch(
-        bundle.grad_field, [start], box, bundle.pointset.points, cfg, lyap=bundle.p
+        synth.descent_field(bundle.p), [start], box, bundle.pointset.points, cfg,
+        lyap=bundle.p,
     ).traces()[0]
     _write_json(args.output, trace)
     return EXIT_OK if trace["classified"] == "converged_to" else EXIT_FAIL
@@ -176,7 +178,7 @@ def cmd_export_grid(args) -> int:
     nodes = box.grid(args.resolution)
     values = CompiledPoly(bundle.p)(nodes)
     res = verify.integrate_batch(
-        bundle.grad_field, nodes, box, bundle.pointset.points, cfg
+        synth.descent_field(bundle.p), nodes, box, bundle.pointset.points, cfg
     )
     labels = np.where(res.status == verify.STATUS_CONVERGED, res.conv_idx, -1)
     out = args.output or "grid.csv"

@@ -6,6 +6,10 @@ Morse polynomial back through the coordinate change:
 
     Q(x) = f(x1, x2) + 1/2 sum_{i>2} x_i^2,     P = Q o F.
 
+descent_field: the descent field -grad P, derived from P alone.  Every
+command that needs the field calls it; a bundle's stored grad_field is a
+claim that only verify compares with it.
+
 build_saddle_field: the companion vector field with stable equilibria at the
 axis images, saddles at interleaved midpoints, and nothing else.
 """
@@ -57,19 +61,23 @@ def build_q(axis_images, n: int) -> Tuple[MorsePair, MultiPoly]:
     return morse, q
 
 
+def descent_field(p: MultiPoly) -> PolyMap:
+    """The descent field -grad P: the one path from P to the field that
+    synthesize records, certify checks and the flows integrate."""
+    return PolyMap([-p.partial(i) for i in range(p.dim)], p.dim)
+
+
 def synthesize(xs: PointSet) -> SynthesisResult:
     change = build_coord_change(xs)
-    n = xs.dimension
-    morse, q = build_q(change.axis_images, n)
+    morse, q = build_q(change.axis_images, xs.dimension)
     p_poly = q.compose(change.forward)
-    grad_field = PolyMap([-p_poly.partial(i) for i in range(n)], n)
     return SynthesisResult(
         input=xs,
         change=change,
         morse=morse,
         q=q,
         p_poly=p_poly,
-        grad_field=grad_field,
+        grad_field=descent_field(p_poly),
         p_hessian=p_poly.hessian(),
     )
 

@@ -4,11 +4,13 @@ Everything here treats the synthesized objects as claims under test: a
 Newton search for critical points the construction says cannot exist,
 adaptive integration of the descent flow with convergence classification,
 and the certification report that rebuilds the gradient and Hessians from P
-alone.  Every float evaluation goes through numeric.CompiledPoly, whose value
-at a point does not depend on the batch it is evaluated in: a field, a
-Lyapunov function, or a field with its Jacobian (field_jacobian, the one
-evaluator that Newton, its polish and the flows share) is compiled once and
-evaluated over a whole batch of points per call.
+alone.  The descent field -grad P has one derivation, synth.descent_field,
+which certify and the flow commands share; no stored field is integrated
+or searched.  Every float evaluation goes through numeric.CompiledPoly,
+whose value at a point does not depend on the batch it is evaluated in: a
+field, a Lyapunov function, or a field with its Jacobian (field_jacobian,
+the one evaluator that Newton, its polish and the flows share) is compiled
+once and evaluated over a whole batch of points per call.
 
 Newton runs in two phases: a fast float phase over the whole seed grid, then
 an exact-arithmetic polish of one candidate per critical point.  Each float
@@ -68,6 +70,7 @@ from . import exactmat
 from ._rat import rat
 from .numeric import CompiledPoly, _float
 from .poly import MultiPoly, PolyMap, eval_symmetric
+from .synth import descent_field
 
 
 # --------------------------------------------------------------------- boxes
@@ -633,13 +636,13 @@ def certify(
     """Exact certification of P at the claimed critical points plus a
     numeric search for critical points of P anywhere else in the box.
 
-    The gradient field -grad P and the Hessians are derived from P itself,
-    and the report carries both so that a caller can compare them with
-    stored claims.  Failures become report entries; only a seed grid over
+    The descent field -grad P (synth.descent_field, the derivation every
+    command shares) and the Hessians are derived from P itself, and the
+    report carries both so that a caller can compare them with stored
+    claims.  Failures become report entries; only a seed grid over
     MAX_GRID_POINTS (GridTooLarge) and a coefficient of P or a point
     coordinate past the double range (numeric.CoefficientTooLarge) raise."""
-    n = p.dim
-    grad = PolyMap([-p.partial(i) for i in range(n)], n)
+    grad = descent_field(p)
     seconds = p.hessian()
     per = []
     for pt in points:

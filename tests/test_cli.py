@@ -5,7 +5,7 @@ import pytest
 
 from morseforge import cli, serialize
 from morseforge._rat import rat
-from morseforge.poly import MultiPoly
+from morseforge.poly import MultiPoly, PolyMap
 from morseforge.synth import synthesize
 
 
@@ -231,6 +231,13 @@ class TestFlow:
         assert obj["classified"] == "max_time_reached"
         assert obj["timeout_reason"] == "t_max"
 
+    def test_negative_start_with_equals_form(self, two_point_bundle, tmp_path):
+        # argparse reads "--start -0.6,0.9" as an option; the = form passes it
+        code = cli.main(["flow", "-i", str(two_point_bundle),
+                         "-o", str(tmp_path / "trace.json"), "--start=-0.6,0.9"])
+        assert code != 2
+        assert json.loads((tmp_path / "trace.json").read_text())["start"] == [-0.6, 0.9]
+
     def test_far_start_rejected(self, two_point_bundle):
         code = cli.main(["flow", "-i", str(two_point_bundle),
                          "--start", "1000,1000"])
@@ -395,16 +402,21 @@ def test_fractional_exponent_rejected(command, extra, two_point_bundle, tmp_path
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tamper", ["pointset", "p"])
+@pytest.mark.parametrize("tamper", ["pointset", "p", "grad_field", "forward"])
 @pytest.mark.parametrize("command", ["verify", "flow", "export-grid"])
 def test_dimension_disagreement_rejected(command, tamper, two_point_bundle, tmp_path):
-    # the point set, or P, moved to 3 variables; everything else stays in 2
+    # the point set, P, or a stored map moved to 3 variables; everything
+    # else stays in 2
     obj = json.loads(two_point_bundle.read_text())
     if tamper == "pointset":
         points = [p + ["0"] for p in obj["pointset"]["points"]]
         obj["pointset"] = {"dimension": 3, "points": points}
-    else:
+    elif tamper == "p":
         obj["p"] = MultiPoly.from_obj(obj["p"]).embed(3, (0, 1)).to_obj()
+    else:
+        owner = obj if tamper == "grad_field" else obj["coord_change"]
+        m = PolyMap.from_obj(owner[tamper])
+        owner[tamper] = PolyMap([c.embed(3, (0, 1)) for c in m.components], 3).to_obj()
     extra = {
         "verify": [],
         "flow": ["--start", "0,0,0" if tamper == "pointset" else "0.4,0.2"],
@@ -415,6 +427,30 @@ def test_dimension_disagreement_rejected(command, tamper, two_point_bundle, tmp_
     out = tmp_path / "out"
     assert cli.main([command, "-i", str(src), "-o", str(out), *extra]) == 2
     assert not out.exists()
+
+
+def test_negated_stored_field_is_only_a_claim(two_point_bundle, tmp_path):
+    # flow and export-grid integrate -grad P derived from p, so an ascent
+    # field stored in the bundle changes neither output; only verify, which
+    # compares the stored field with the derived one, fails the bundle
+    obj = json.loads(two_point_bundle.read_text())
+    ascent = PolyMap.from_obj(obj["grad_field"])
+    obj["grad_field"] = PolyMap([-c for c in ascent.components], 2).to_obj()
+    negated = tmp_path / "negated.json"
+    negated.write_text(json.dumps(obj))
+    for command, extra in BUNDLE_COMMANDS[1:]:
+        outputs = []
+        for bundle in (two_point_bundle, negated):
+            out = tmp_path / f"{command}.{bundle.stem}.out"
+            assert cli.main([command, "-i", str(bundle), "-o", str(out), *extra]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+    report = tmp_path / "report.json"
+    assert cli.main(["verify", "-i", str(negated), "-o", str(report),
+                     "--seeds-per-axis", "30"]) == 1
+    obj = json.loads(report.read_text())
+    assert obj["grad_field_consistent"] is False
+    assert obj["overall_pass"] is False
 
 
 class TestSeedPlumbing:

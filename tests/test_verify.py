@@ -14,7 +14,7 @@ from morseforge.exactmat import leading_principal_minors
 from morseforge.morse_scalar import AlphaSpec, build_pair
 from morseforge.numeric import CoefficientTooLarge, CompiledPoly
 from morseforge.poly import MultiPoly, PolyMap
-from morseforge.synth import build_saddle_field, synthesize
+from morseforge.synth import build_saddle_field, descent_field, synthesize
 from morseforge.verify import (
     STATUS_CONVERGED,
     BoxSpec,
@@ -165,8 +165,7 @@ TWO_POINTS = [["-1/2", 0], ["1/2", "1/4"]]
 
 def census_input(pts):
     res = synthesize(PointSet(len(pts[0]), pts))
-    grad = PolyMap([-res.p_poly.partial(i) for i in range(res.p_poly.dim)])
-    return grad, BoxSpec.from_points(res.input.points), res.input.points
+    return descent_field(res.p_poly), BoxSpec.from_points(res.input.points), res.input.points
 
 
 def polish_every_representative(grad, candidates):
@@ -263,8 +262,7 @@ def gradient_map(dim: int) -> PolyMap:
         for _ in range(rng.randint(0, 8)):
             exps[rng.randrange(dim)] += 1
         terms.append((tuple(exps), rat(rng.randint(-99, 99), rng.randint(1, 99))))
-    p = MultiPoly(dim, terms)
-    return PolyMap([-p.partial(i) for i in range(dim)], dim)
+    return descent_field(MultiPoly(dim, terms))
 
 
 def saddle_map(dim: int) -> PolyMap:
@@ -419,7 +417,7 @@ class TestFlow:
         # P = x^2 + 10 y^2; a fixed step there overshoots and hovers in a
         # sub-tolerance Lyapunov wiggle until t_max
         p = x(2, 0) ** 2 + 10 * x(2, 1) ** 2
-        fld = PolyMap([-p.partial(0), -p.partial(1)])
+        fld = descent_field(p)
         box = BoxSpec(lower=(-2.0, -2.0), upper=(2.0, 2.0))
         out = integrate_batch(fld, [[0.5, 0.3], [-1.5, 1.0]], box, [(0.0, 0.0)],
                               FlowConfig(dt=0.15, t_max=10.0), lyap=p)
@@ -477,7 +475,7 @@ class TestFlow:
         centre = (rat("1/3"), rat("1/7"), rat("-1/5"))[:dim]
         weights = (1, 10, 3)
         p = 10 ** 5 * sum(weights[i] * (x(dim, i) - c) ** 2 for i, c in enumerate(centre))
-        fld = PolyMap([-p.partial(i) for i in range(dim)])
+        fld = descent_field(p)
         box = BoxSpec(lower=(-2.0,) * dim, upper=(2.0,) * dim)
         target = [tuple(float(c) for c in centre)]
         cfg = FlowConfig(dt=0.15, t_max=10.0)
