@@ -2,6 +2,9 @@
 
 Exit codes are a stable contract: 0 pass, 1 verification/convergence
 failure, 2 parse error, 3 hypothesis violation, 4 unsupported operation.
+
+synthesize and saddle-field are exact and never load numpy; verify, flow
+and export-grid import the float layers (verify, numeric) when they run.
 """
 
 from __future__ import annotations
@@ -13,11 +16,9 @@ import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
-from . import serialize, synth, verify
+from . import serialize, synth
+from ._rat import CoefficientTooLarge, GridTooLarge
 from .coord_change import PointSet, PointSetError
-from .numeric import CoefficientTooLarge, CompiledPoly
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -71,6 +72,8 @@ def _read_bundle(path: str) -> serialize.ParsedBundle:
 
 
 def _parse_box(flags: Optional[List[str]], dim: int) -> Optional[verify.BoxSpec]:
+    from . import verify
+
     if not flags:
         return None
     if len(flags) != dim:
@@ -87,6 +90,8 @@ def _parse_box(flags: Optional[List[str]], dim: int) -> Optional[verify.BoxSpec]
 
 
 def _flow_config(args) -> verify.FlowConfig:
+    from . import verify
+
     try:
         return verify.FlowConfig(dt=args.dt, t_max=args.t_max)
     except ValueError as exc:
@@ -100,6 +105,8 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     bundle = _read_bundle(args.input)
     n = bundle.pointset.dimension
     box = _parse_box(args.box, n)
@@ -140,6 +147,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    from . import verify
+
     bundle = _read_bundle(args.input)
     try:
         start = [float(v) for v in args.start.split(",")]
@@ -168,6 +177,11 @@ def cmd_saddle_field(args) -> int:
 
 
 def cmd_export_grid(args) -> int:
+    import numpy as np
+
+    from . import verify
+    from .numeric import CompiledPoly
+
     bundle = _read_bundle(args.input)
     if bundle.pointset.dimension != 2:
         raise CommandError(EXIT_UNSUPPORTED, "export-grid supports n = 2 only")
@@ -242,7 +256,7 @@ def main(argv=None) -> int:
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (verify.GridTooLarge, CoefficientTooLarge) as exc:
+    except (GridTooLarge, CoefficientTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
 

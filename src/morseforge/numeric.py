@@ -21,15 +21,11 @@ from itertools import groupby
 
 import numpy as np
 
+from ._rat import CoefficientTooLarge
 from .poly import MultiPoly, PolyMap
 
 # points per block, which bounds each stage's table of values
 BLOCK = 256
-
-
-class CoefficientTooLarge(ValueError):
-    """A coefficient or a point coordinate whose magnitude does not fit in a
-    double."""
 
 
 def _float(value, what: str = "a polynomial coefficient") -> float:

@@ -31,7 +31,10 @@ without an image is always polished.  Float evaluation of the gradient,
 even by Horner's rule, has a cancellation noise floor near X far above the
 residual target RESIDUAL_TOL (1e-10 to 2e-9 on four-point sets), so the
 final residual is evaluated exactly (rational arithmetic at the float
-iterate) and only then compared against the target.
+iterate) and only then compared against the target.  The report counts
+both limits: blind, the claimed points where the float |grad| is at or
+above COARSE_TOL, so that no seed can be accepted there, and
+polish_failed, the representatives whose exact polish failed.
 The census only cross-checks the construction, so its tolerances, like the
 flow's, are module constants of one recipe; the caller chooses only the
 search box and the seed density.
@@ -67,7 +70,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import exactmat
-from ._rat import rat
+from ._rat import GridTooLarge, rat
 from .numeric import CompiledPoly, _float
 from .poly import MultiPoly, PolyMap, eval_symmetric
 from .synth import descent_field
@@ -85,10 +88,6 @@ BOX_MARGIN = 1.0
 # BoxSpec.guard: Newton iterates and flow states outside the box scaled
 # about its centre by GUARD_FACTOR are lost
 GUARD_FACTOR = 10.0
-
-
-class GridTooLarge(ValueError):
-    """A grid request of more than MAX_GRID_POINTS rows."""
 
 
 def _float_points(points) -> np.ndarray:
@@ -182,6 +181,8 @@ class NewtonResult:
     seeds_used: int
     abandoned: int
     singular: int
+    blind: int  # claimed points the float phase cannot accept
+    polish_failed: int  # representatives whose exact polish failed
 
 
 def _first_come(points: np.ndarray, tol: float) -> List[int]:
@@ -269,16 +270,24 @@ def _polish_exact(grad: PolyMap, grad_hess: Callable, x0: np.ndarray):
     return None
 
 
-def newton_search(grad: PolyMap, box: BoxSpec, seeds_per_axis: int) -> NewtonResult:
+def newton_search(
+    grad: PolyMap, box: BoxSpec, seeds_per_axis: int, claimed=()
+) -> NewtonResult:
     """Newton iteration on grad = 0 from a uniform seed grid over box.
 
     Converged points are deduplicated at DEDUP_TOL and certified by the
-    exact-residual polish, one per critical point, before being reported."""
+    exact-residual polish, one per critical point, before being reported.
+    blind counts the claimed float points where the search's own evaluator
+    gives |grad| >= COARSE_TOL or a value that is not finite: the float
+    phase cannot accept a seed there, however close it comes."""
     if seeds_per_axis < 2:
         raise ValueError("seeds_per_axis must be >= 2")
     grad_hess = field_jacobian(grad)
     seeds = box.grid(seeds_per_axis)
     guard_lo, guard_hi = box.guard()
+    at_claimed = grad_hess(np.asarray(claimed, dtype=float).reshape(-1, box.dim))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        blind = int(np.count_nonzero(~(np.linalg.norm(at_claimed, axis=1) < COARSE_TOL)))
 
     x = seeds.copy()
     abandoned = 0
@@ -316,17 +325,22 @@ def newton_search(grad: PolyMap, box: BoxSpec, seeds_per_axis: int) -> NewtonRes
     # there too, and the final dedup would drop it.  A NaN image is never
     # within DEDUP_TOL, and a failed polish adds no point.
     polished = np.empty((0, box.dim))
+    polish_failed = 0
     for i in _first_come(np.asarray(candidates), DEDUP_TOL):
         if (np.linalg.norm(polished - images[i], axis=1) <= DEDUP_TOL).any():
             continue
         point = _polish_exact(grad, grad_hess, candidates[i])
-        if point is not None:
+        if point is None:
+            polish_failed += 1
+        else:
             polished = np.vstack([polished, point])
     return NewtonResult(
         points=_dedup(polished, DEDUP_TOL),
         seeds_used=len(seeds),
         abandoned=abandoned,
         singular=singular,
+        blind=blind,
+        polish_failed=polish_failed,
     )
 
 
@@ -596,6 +610,8 @@ class SpuriousSearch:
     all_within_tol: bool
     abandoned: int = 0
     singular: int = 0
+    blind: int = 0  # claimed points where the census's |grad| is >= COARSE_TOL
+    polish_failed: int = 0  # representatives whose exact polish failed
     newton_recall: float = 0.0  # share of claimed points within SPURIOUS_TOL of a found one
 
     def to_obj(self) -> dict:
@@ -606,6 +622,8 @@ class SpuriousSearch:
             "tol": SPURIOUS_TOL,
             "abandoned": self.abandoned,
             "singular": self.singular,
+            "blind": self.blind,
+            "polish_failed": self.polish_failed,
             "newton_recall": self.newton_recall,
         }
 
@@ -666,8 +684,8 @@ def certify(
     if seeds_per_axis is None:
         # roughly 2000 seeds total regardless of dimension
         seeds_per_axis = max(2, int(round(2000 ** (1.0 / box.dim))))
-    search = newton_search(grad, box, seeds_per_axis)
     ref = _float_points(points)
+    search = newton_search(grad, box, seeds_per_axis, claimed=ref)
     found = np.asarray(search.points, dtype=float).reshape(-1, box.dim)
     # near[i, j]: claimed point i lies within SPURIOUS_TOL of found point j
     near = np.linalg.norm(ref[:, None, :] - found[None, :, :], axis=2) <= SPURIOUS_TOL
@@ -678,6 +696,8 @@ def certify(
         all_within_tol=all_within,
         abandoned=search.abandoned,
         singular=search.singular,
+        blind=search.blind,
+        polish_failed=search.polish_failed,
         newton_recall=float(near.any(axis=1).mean()),
     )
     return CertReport(

@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import morseforge
 from morseforge import cli, serialize
 from morseforge._rat import rat
 from morseforge.poly import MultiPoly, PolyMap
@@ -20,6 +25,35 @@ def two_point_bundle(tmp_path):
     bundle = tmp_path / "bundle.json"
     assert cli.main(["synthesize", "-i", pts, "-o", str(bundle)]) == 0
     return bundle
+
+
+# runs in a fresh interpreter: argv[1] is a point set, argv[2] an output
+# directory; prints what the exact commands left loaded and the lazy names
+COLD_PATH = """
+import json, sys
+import morseforge, morseforge.cli
+for cmd in ("synthesize", "saddle-field"):
+    out = sys.argv[2] + "/" + cmd + ".json"
+    assert morseforge.cli.main([cmd, "-i", sys.argv[1], "-o", out]) == 0
+loaded = sorted({"numpy", "morseforge.numeric", "morseforge.verify"} & set(sys.modules))
+listed = sorted(set(morseforge._VERIFY_NAMES) & set(dir(morseforge)))
+resolved = [getattr(morseforge, name) is getattr(sys.modules["morseforge.verify"], name)
+            for name in morseforge._VERIFY_NAMES]
+print(json.dumps({"loaded": loaded, "listed": listed, "resolved": resolved}))
+"""
+
+
+def test_exact_commands_leave_numpy_unloaded(tmp_path):
+    pts = write_pointset(tmp_path / "pts.json", 2, [["-1/2", "0"], ["1/2", "1/4"]])
+    src = str(Path(morseforge.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", COLD_PATH, pts, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(run.stdout)
+    assert seen["loaded"] == []
+    assert seen["listed"] == sorted(morseforge._VERIFY_NAMES)
+    assert seen["resolved"] == [True] * len(morseforge._VERIFY_NAMES)
+    assert (tmp_path / "synthesize.json").exists() and (tmp_path / "saddle-field.json").exists()
 
 
 class TestSynthesize:

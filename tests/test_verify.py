@@ -619,3 +619,39 @@ class TestCertify:
         box = BoxSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0))
         with pytest.raises(CoefficientTooLarge):
             certify(points=[(rat(10 ** 400), rat(0))], p=pair.f, box=box, seeds_per_axis=5)
+
+
+def fresh_set(seed: int, n: int, k: int) -> PointSet:
+    """k distinct integer points with coordinates in [-9, 9], drawn with
+    random.Random(seed)."""
+    rng = random.Random(seed)
+    pts = set()
+    while len(pts) < k:
+        pts.add(tuple(rng.randint(-9, 9) for _ in range(n)))
+    return PointSet(n, sorted(pts))
+
+
+class TestCensusCounts:
+    def test_blind_points_set_recall(self):
+        # the float |grad P| at these four minima is 10 to 428, so the
+        # census cannot accept any of them
+        res = synthesize(fresh_set(1, 2, 4))
+        assert len(res.p_poly.terms) == 60
+        search = certify(res.input.points, res.p_poly).spurious
+        assert search.blind == 4
+        assert search.newton_recall == 0.0
+        assert search.to_obj()["blind"] == 4
+
+    def test_failed_polishes_counted(self):
+        # float candidates 6-38 units from X whose exact |grad P| is large
+        res = synthesize(fresh_set(2, 3, 6))
+        assert len(res.p_poly.terms) == 97
+        search = certify(res.input.points, res.p_poly).spurious
+        assert search.polish_failed > 0
+        assert search.to_obj()["polish_failed"] == search.polish_failed
+
+    def test_acceptance_plane_sets_report_none(self):
+        for pts in PLANE_INSTANCES:
+            res = synthesize(PointSet(2, pts))
+            search = certify(res.input.points, res.p_poly).spurious
+            assert (search.blind, search.polish_failed, search.newton_recall) == (0, 0, 1.0)
