@@ -2,7 +2,8 @@
 
 Given k distinct points in R^n (n >= 2), produce F = Pi o T where T is a
 unimodular linear map whose first row p separates the points, and Pi is a
-triangular shear z_j -> z_j - p_j(z_1) built from Lagrange interpolants.
+triangular shear z_j -> z_j - p_j(z_1) whose interpolants p_j come from
+Newton divided differences, O(k^2) rational operations each.
 F maps every input point to (z_1, 0, ..., 0) exactly and has the polynomial
 inverse T^{-1} o Pi^{-1} (shear with "+ p_j(z_1)").
 
@@ -155,7 +156,7 @@ def linear_inverse(p: Sequence, n: int) -> List[List[Rat]]:
 
 def build_interpolants(z_points: Sequence[Sequence]) -> List[MultiPoly]:
     """For j = 2..n, the unique degree <= k-1 polynomial through the nodes
-    (z_1^(i), z_j^(i)), classical Lagrange basis in exact arithmetic."""
+    (z_1^(i), z_j^(i)), in exact arithmetic by Newton divided differences."""
     zps = [tuple(rat(c) for c in z) for z in z_points]
     n = len(zps[0])
     nodes = [z[0] for z in zps]
@@ -164,23 +165,29 @@ def build_interpolants(z_points: Sequence[Sequence]) -> List[MultiPoly]:
             "duplicate first coordinates after the linear change; "
             "the chosen direction failed to separate the points"
         )
-    x = MultiPoly.variable(1, 0)
-    basis = []
-    for i, ni in enumerate(nodes):
-        num = MultiPoly.constant(1, 1)
-        den = rat(1)
-        for m, nm in enumerate(nodes):
-            if m != i:
-                num = num * (x - MultiPoly.constant(1, nm))
-                den = den * (ni - nm)
-        basis.append(num * (rat(1) / den))
-    out = []
-    for j in range(1, n):
-        pj = MultiPoly.zero(1)
-        for i, z in enumerate(zps):
-            pj = pj + basis[i] * z[j]
-        out.append(pj)
-    return out
+    return [_newton_interpolant(nodes, [z[j] for z in zps]) for j in range(1, n)]
+
+
+def _newton_interpolant(nodes: Sequence[Rat], values: Sequence[Rat]) -> MultiPoly:
+    """The interpolant through (nodes[i], values[i]) in O(k^2) rational
+    operations: the divided differences c_i = [t_0, ..., t_i], then the
+    nested form c_0 + (x - t_0)(c_1 + (x - t_1)(c_2 + ...)) expanded into
+    monomial coefficients from the inside out."""
+    k = len(nodes)
+    c = list(values)
+    for level in range(1, k):
+        for i in range(k - 1, level - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (nodes[i] - nodes[i - level])
+    coeffs = [c[-1]]  # low degree first
+    for i in range(k - 2, -1, -1):
+        t = nodes[i]
+        # coeffs * (x - t) + c_i
+        coeffs = (
+            [c[i] - t * coeffs[0]]
+            + [coeffs[m - 1] - t * coeffs[m] for m in range(1, len(coeffs))]
+            + [coeffs[-1]]
+        )
+    return MultiPoly._raw(1, {(e,): v for e, v in enumerate(coeffs) if v})
 
 
 def _linear_map(rows: List[List[Rat]]) -> PolyMap:

@@ -6,8 +6,10 @@ bivariate polynomial
     f(x, y) = (a(x) - b(x)^2 y)^2 - int a(x) b(x) dx,    b = a - a'
 
 whose critical points are exactly the pairs (root of a, 0), each a strict
-local minimum.  The anti-derivative constant is fixed to 0 so the output is
-canonical; the constant does not move the critical set.
+local minimum.  f is quadratic in y, so it is assembled from univariate
+products as a^2 - int a b at y^0, -2 a b^2 at y^1 and b^4 at y^2; nothing
+is squared in two variables.  The anti-derivative constant is fixed to 0 so
+the output is canonical; the constant does not move the critical set.
 """
 
 from __future__ import annotations
@@ -118,11 +120,19 @@ def build_f(alpha: MultiPoly) -> MorsePair:
     if not has_simple_zeroes(alpha):
         raise ValueError("alpha has a repeated root; all zeroes must be simple")
     beta = alpha - alpha.partial(0)
-    a2 = alpha.embed(2, (0,))
-    b2 = beta.embed(2, (0,))
-    y = MultiPoly.variable(2, 1)
-    f = (a2 - b2 * b2 * y) ** 2 - (alpha * beta).antiderivative(0).embed(2, (0,))
+    ab = alpha * beta
+    b2 = beta * beta
+    f = _in_y([alpha * alpha - ab.antiderivative(0), ab * beta * -2, b2 * b2])
     return MorsePair(alpha=alpha, beta=beta, f=f)
+
+
+def _in_y(blocks: Sequence[MultiPoly]) -> MultiPoly:
+    """The plane polynomial sum_j blocks[j](x) y^j of univariate blocks."""
+    terms = {}
+    for j, block in enumerate(blocks):
+        for (e,), c in block.terms.items():
+            terms[(e, j)] = c
+    return MultiPoly._raw(2, terms)
 
 
 def build_pair(spec: AlphaSpec) -> MorsePair:

@@ -13,7 +13,9 @@ images are computed once.
 The hot loops (product, composition, partial derivative, evaluation) are
 fraction-free: they work on integer numerators over one common denominator
 and build each result coefficient as a Fraction once, so a result term costs
-one gcd instead of one or two per multiply-add.
+one gcd instead of one or two per multiply-add.  Exact point Hessians
+(hessian_at) come from a cached integer second-partial form built in one
+pass over the terms; no symbolic second partial is formed for them.
 
 All values are immutable after construction and every operation is a pure
 function, so instances are safe to share between threads.
@@ -51,10 +53,11 @@ class MultiPoly:
     """Exact sparse multivariate polynomial.
 
     terms maps exponent tuples to nonzero reduced Fractions and must not be
-    mutated after construction: the integer form that the arithmetic uses is
-    computed from it once and cached."""
+    mutated after construction: the integer form that the arithmetic uses,
+    and the second-partial form that hessian_at uses, are computed from it
+    once and cached."""
 
-    __slots__ = ("dim", "terms", "_ints")
+    __slots__ = ("dim", "terms", "_ints", "_seconds")
 
     def __init__(self, dim: int, terms=None):
         if dim < 1:
@@ -80,6 +83,7 @@ class MultiPoly:
                     del clean[exps]
         self.terms = clean
         self._ints = None
+        self._seconds = None
 
     @classmethod
     def _raw(cls, dim: int, terms: Dict[Exponent, Rat]) -> "MultiPoly":
@@ -88,6 +92,7 @@ class MultiPoly:
         p.dim = dim
         p.terms = terms
         p._ints = None
+        p._seconds = None
         return p
 
     def _integer_form(self) -> Tuple[int, Dict[Exponent, int]]:
@@ -305,18 +310,8 @@ class MultiPoly:
         With the point written as a/q over one common denominator and D the
         largest total degree, L q^D times the value is the integer sum of
         N_t a^t q^(D - |t|), which is formed first and reduced once."""
-        if len(xs) != self.dim:
-            raise DimensionMismatch(f"point has length {len(xs)}, expected {self.dim}")
-        vals = [rat(x) for x in xs]
-        q = lcm(*[v.denominator for v in vals])
+        q, pows = self._scaled_powers(xs)
         den, nums = self._integer_form()
-        pows = []
-        for v, high in zip(vals, [max(col) for col in zip(*nums)]):
-            a = v.numerator * (q // v.denominator)
-            table = [1]
-            for _ in range(high):
-                table.append(table[-1] * a)
-            pows.append(table)
         # by_degree[s]: the sum over terms of total degree s
         by_degree: Dict[int, int] = {}
         for exps, n in nums.items():
@@ -330,6 +325,78 @@ class MultiPoly:
         for s in range(top + 1):
             total = total * q + by_degree.get(s, 0)
         return Fraction(total, den * q**top)
+
+    def hessian_at(self, xs: Sequence) -> List[List[Rat]]:
+        """Exact matrix of second partials at a rational point.
+
+        The second-partial form lists, once per polynomial, every term of
+        every entry on or above the diagonal; with the point written as a/q
+        and D the largest degree among those terms, each term adds
+        N a^t q^(D - |t|) to its entry of L q^D H, and each entry is reduced
+        once.  No MultiPoly is built, and no factor is divided out, so a zero
+        coordinate needs no special case."""
+        q, pows = self._scaled_powers(xs)
+        den = self._integer_form()[0]
+        top, seconds = self._second_form()
+        scale = [q ** (top - s) for s in range(top + 1)]
+        n = self.dim
+        acc = [[0] * n for _ in range(n)]
+        for i, j, s, c, support in seconds:
+            c *= scale[s]
+            for v, e in support:
+                c *= pows[v][e]
+            acc[i][j] += c
+        den *= q**top
+        out: List[List[Rat]] = [[rat(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                out[i][j] = out[j][i] = Fraction(acc[i][j], den)
+        return out
+
+    def _second_form(self):
+        """(D, [(i, j, s, N, ((v, e), ...))]): for each term N x^t / L of
+        the second partial d^2/dx_i dx_j, j >= i, its total degree s and
+        its nonzero exponents, with D the largest s; computed in one pass
+        over the integer form on first use and cached like it."""
+        form = self._seconds
+        if form is None:
+            seconds = []
+            for exps, c in self._integer_form()[1].items():
+                s = sum(exps) - 2
+                if s < 0:
+                    continue
+                for i, e in enumerate(exps):
+                    if not e:
+                        continue
+                    for j in range(i, self.dim):
+                        f = exps[j] - (j == i)
+                        if f <= 0:
+                            continue
+                        t = list(exps)
+                        t[i] -= 1
+                        t[j] -= 1
+                        support = tuple((v, g) for v, g in enumerate(t) if g)
+                        seconds.append((i, j, s, c * e * f, support))
+            top = max([s for _, _, s, _, _ in seconds], default=0)
+            form = self._seconds = (top, seconds)
+        return form
+
+    def _scaled_powers(self, xs: Sequence) -> Tuple[int, List[List[int]]]:
+        """The point's common denominator q and, per variable, the powers
+        a^0 .. a^h of its numerator a over q, h the variable's top
+        exponent."""
+        if len(xs) != self.dim:
+            raise DimensionMismatch(f"point has length {len(xs)}, expected {self.dim}")
+        vals = [rat(x) for x in xs]
+        q = lcm(*[v.denominator for v in vals])
+        pows = []
+        for v, high in zip(vals, [max(col) for col in zip(*self.terms)]):
+            a = v.numerator * (q // v.denominator)
+            table = [1]
+            for _ in range(high):
+                table.append(table[-1] * a)
+            pows.append(table)
+        return q, pows
 
     # ------------------------------------------------------------- canonical form
 
@@ -379,18 +446,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly(dim={self.dim}, {self})"
-
-
-def eval_symmetric(rows: Sequence[Sequence[MultiPoly]], point: Sequence) -> List[List[Rat]]:
-    """Exact values at a rational point of a symmetric polynomial matrix such
-    as MultiPoly.hessian(); each entry on or above the diagonal is evaluated
-    once and mirrored below it."""
-    n = len(rows)
-    vals: List[List[Rat]] = [[rat(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            vals[i][j] = vals[j][i] = rows[i][j].eval_rational(point)
-    return vals
 
 
 def _fractions(nums: Dict[Exponent, int], den: int) -> Dict[Exponent, Rat]:

@@ -6,6 +6,9 @@ Morse polynomial back through the coordinate change:
 
     Q(x) = f(x1, x2) + 1/2 sum_{i>2} x_i^2,     P = Q o F.
 
+hessian_at: the exact Hessian of P at a point, from P's own terms
+(MultiPoly.hessian_at); synthesize builds no symbolic Hessian.
+
 descent_field: the descent field -grad P, derived from P alone.  Every
 command that needs the field calls it; a bundle's stored grad_field is a
 claim that only verify compares with it.
@@ -22,7 +25,7 @@ from typing import List, Tuple
 from ._rat import Rat, rat
 from .coord_change import CoordChange, PointSet, build_coord_change
 from .morse_scalar import AlphaSpec, MorsePair, build_alpha, build_pair
-from .poly import MultiPoly, PolyMap, eval_symmetric
+from .poly import MultiPoly, PolyMap
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,6 @@ class SynthesisResult:
     q: MultiPoly
     p_poly: MultiPoly
     grad_field: PolyMap
-    p_hessian: List[List[MultiPoly]]
 
     @property
     def dimension(self) -> int:
@@ -78,16 +80,16 @@ def synthesize(xs: PointSet) -> SynthesisResult:
         q=q,
         p_poly=p_poly,
         grad_field=descent_field(p_poly),
-        p_hessian=p_poly.hessian(),
     )
 
 
 def hessian_at(result: SynthesisResult, x) -> List[List[Rat]]:
-    """Exact Hessian of P at a rational point via symbolic second partials.
+    """Exact Hessian of P at a rational point, from P's own terms
+    (MultiPoly.hessian_at); no symbolic second partial is formed.
 
     The pullback identity J^T H_Q J is deliberately not used here; it serves
     as an independent oracle in the tests."""
-    return eval_symmetric(result.p_hessian, tuple(rat(c) for c in x))
+    return result.p_poly.hessian_at(x)
 
 
 @dataclass(frozen=True)

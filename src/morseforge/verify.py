@@ -34,7 +34,10 @@ final residual is evaluated exactly (rational arithmetic at the float
 iterate) and only then compared against the target.  The report counts
 both limits: blind, the claimed points where the float |grad| is at or
 above COARSE_TOL, so that no seed can be accepted there, and
-polish_failed, the representatives whose exact polish failed.
+polish_failed, the representatives whose exact polish failed.  It also
+gives coverage, the share of seeds neither abandoned nor singular, and
+degraded, set when the recall is below 1 or a point is blind; neither
+enters overall_pass.
 The census only cross-checks the construction, so its tolerances, like the
 flow's, are module constants of one recipe; the caller chooses only the
 search box and the seed density.
@@ -72,7 +75,7 @@ import numpy as np
 from . import exactmat
 from ._rat import GridTooLarge, rat
 from .numeric import CompiledPoly, _float
-from .poly import MultiPoly, PolyMap, eval_symmetric
+from .poly import MultiPoly, PolyMap
 from .synth import descent_field
 
 
@@ -614,6 +617,17 @@ class SpuriousSearch:
     polish_failed: int = 0  # representatives whose exact polish failed
     newton_recall: float = 0.0  # share of claimed points within SPURIOUS_TOL of a found one
 
+    @property
+    def coverage(self) -> float:
+        """Share of seeds that the float phase neither abandoned nor dropped
+        as singular."""
+        return (self.seeds_used - self.abandoned - self.singular) / self.seeds_used
+
+    @property
+    def degraded(self) -> bool:
+        """The census missed a claimed point or could not accept one."""
+        return self.newton_recall < 1 or self.blind > 0
+
     def to_obj(self) -> dict:
         return {
             "seeds_used": self.seeds_used,
@@ -625,6 +639,8 @@ class SpuriousSearch:
             "blind": self.blind,
             "polish_failed": self.polish_failed,
             "newton_recall": self.newton_recall,
+            "coverage": self.coverage,
+            "degraded": self.degraded,
         }
 
 
@@ -661,13 +677,12 @@ def certify(
     MAX_GRID_POINTS (GridTooLarge) and a coefficient of P or a point
     coordinate past the double range (numeric.CoefficientTooLarge) raise."""
     grad = descent_field(p)
-    seconds = p.hessian()
     per = []
     for pt in points:
         pt = tuple(rat(c) for c in pt)
         residues = grad.eval_rational(pt)
         zero = all(r == 0 for r in residues)
-        hessian = eval_symmetric(seconds, pt)
+        hessian = p.hessian_at(pt)
         minors = exactmat.leading_principal_minors(hessian)
         per.append(
             PointCert(

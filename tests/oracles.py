@@ -3,10 +3,12 @@
 None of these is on a path a command runs: each recomputes a quantity by a
 route the package deliberately does not take (the pullback identity for
 Hessians, central differences for gradients, eigenvalues for definiteness,
-the flow loop that compacts its rows on every pass).
+the flow loop that compacts its rows on every pass, the Lagrange basis for
+the shear interpolants, f as the square of a plane polynomial, and point
+Hessians from symbolic second partials).
 """
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -80,6 +82,52 @@ def poly_det(m: List[List[MultiPoly]]) -> MultiPoly:
         minor = poly_det([row[:j] + row[j + 1:] for row in m[1:]])
         total = total + entry * minor if j % 2 == 0 else total - entry * minor
     return total
+
+
+def eval_symmetric(rows: Sequence[Sequence[MultiPoly]], point: Sequence) -> Matrix:
+    """Exact values at a rational point of a symmetric polynomial matrix such
+    as MultiPoly.hessian(); each entry on or above the diagonal is evaluated
+    once and mirrored below it."""
+    n = len(rows)
+    vals: Matrix = [[rat(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            vals[i][j] = vals[j][i] = rows[i][j].eval_rational(point)
+    return vals
+
+
+def lagrange_interpolants(z_points: Sequence[Sequence]) -> List[MultiPoly]:
+    """For j = 2..n, the polynomial through the nodes (z_1^(i), z_j^(i)) as
+    a sum of values times classical Lagrange basis polynomials."""
+    zps = [tuple(rat(c) for c in z) for z in z_points]
+    nodes = [z[0] for z in zps]
+    x = MultiPoly.variable(1, 0)
+    basis = []
+    for i, ni in enumerate(nodes):
+        num = MultiPoly.constant(1, 1)
+        den = rat(1)
+        for m, nm in enumerate(nodes):
+            if m != i:
+                num = num * (x - MultiPoly.constant(1, nm))
+                den = den * (ni - nm)
+        basis.append(num * (rat(1) / den))
+    out = []
+    for j in range(1, len(zps[0])):
+        pj = MultiPoly.zero(1)
+        for i, z in enumerate(zps):
+            pj = pj + basis[i] * z[j]
+        out.append(pj)
+    return out
+
+
+def squared_plane_f(alpha: MultiPoly) -> MultiPoly:
+    """f = (alpha - beta^2 y)^2 - int alpha beta, beta = alpha - alpha', by
+    squaring the two-variable polynomial alpha - beta^2 y."""
+    beta = alpha - alpha.partial(0)
+    a2 = alpha.embed(2, (0,))
+    b2 = beta.embed(2, (0,))
+    y = MultiPoly.variable(2, 1)
+    return (a2 - b2 * b2 * y) ** 2 - (alpha * beta).antiderivative(0).embed(2, (0,))
 
 
 def transported_hessian(result: SynthesisResult, x) -> Matrix:

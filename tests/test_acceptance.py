@@ -15,7 +15,7 @@ from morseforge._rat import rat
 from morseforge.coord_change import PointSet, build_coord_change
 from morseforge.exactmat import det, leading_principal_minors
 from morseforge.morse_scalar import AlphaSpec, build_pair
-from morseforge.poly import PolyMap, eval_symmetric
+from morseforge.poly import PolyMap
 from morseforge.synth import build_saddle_field, hessian_at, synthesize
 from morseforge.verify import (
     BoxSpec,
@@ -23,7 +23,7 @@ from morseforge.verify import (
     integrate_batch,
     newton_search,
 )
-from oracles import eigen_signs, fd_gradient_check_batch, sample_box
+from oracles import eigen_signs, eval_symmetric, fd_gradient_check_batch, sample_box
 
 # ten plane instances, one to four minima each, exercising both the trivial
 # coordinate change and the sheared one (repeated first coordinates)

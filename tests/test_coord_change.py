@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rationals
 from morseforge._rat import rat
 from morseforge.coord_change import (
     PointSet,
@@ -16,7 +17,7 @@ from morseforge.coord_change import (
 )
 from morseforge.exactmat import det
 from morseforge.poly import MultiPoly
-from oracles import mat_mul, poly_det
+from oracles import lagrange_interpolants, mat_mul, poly_det
 
 
 @st.composite
@@ -189,6 +190,22 @@ class TestInterpolants:
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(ValueError):
             build_interpolants([[0, 1], [0, 2]])
+
+    @given(st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_lagrange_basis(self, k, columns, data):
+        nodes = data.draw(st.lists(rationals(height=12), min_size=k, max_size=k, unique=True))
+        zps = [[t] + data.draw(st.lists(rationals(height=12), min_size=columns, max_size=columns))
+               for t in nodes]
+        assert build_interpolants(zps) == lagrange_interpolants(zps)
+
+    def test_non_integer_nodes_and_constant_column(self):
+        zps = [[rat(-5, 2), rat(1, 3), 4], [rat(-1, 3), rat(1, 3), 0], [rat(7, 4), rat(1, 3), -1],
+               [rat(4), rat(1, 3), rat(2, 9)]]
+        constant, cubic = build_interpolants(zps)
+        assert constant == MultiPoly.constant(1, rat(1, 3))
+        assert cubic.total_degree() == 3
+        assert [constant, cubic] == lagrange_interpolants(zps)
 
     def test_passes_through_nodes(self):
         zps = [[rat(-1), rat(2), rat(5)], [rat(0), rat(0), rat(1)], [rat(3), rat(-1), rat(0)]]

@@ -12,8 +12,9 @@ from morseforge.morse_scalar import (
     gcd_degree,
     has_simple_zeroes,
 )
-from morseforge.poly import MultiPoly, eval_symmetric
+from morseforge.poly import MultiPoly
 from morseforge.verify import certify
+from oracles import eval_symmetric, squared_plane_f
 
 
 def xvar():
@@ -91,6 +92,14 @@ class TestConstruction:
         expected = (x - (x - one) ** 2 * y) ** 2 \
             - x ** 3 * rat(1, 3) + x ** 2 * rat(1, 2)
         assert pair.f == expected
+
+    @given(alpha_specs(max_roots=8), st.integers(min_value=-9, max_value=9).filter(bool),
+           st.integers(min_value=1, max_value=9))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_squared_plane_polynomial(self, spec, num, den):
+        # any nonzero multiple of a product of distinct linear factors
+        alpha = build_alpha(spec) * rat(num, den)
+        assert build_f(alpha).f == squared_plane_f(alpha)
 
     def test_beta_is_alpha_minus_derivative(self):
         pair = build_pair(AlphaSpec([0, "1/3", 2]))

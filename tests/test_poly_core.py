@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import polys, rationals
 from morseforge._rat import rat
 from morseforge.numeric import CompiledPoly
-from morseforge.poly import DimensionMismatch, MultiPoly, PolyMap, eval_symmetric
+from morseforge.poly import DimensionMismatch, MultiPoly, PolyMap
+from oracles import eval_symmetric
 
 
 def x(dim=1, i=0):
@@ -91,6 +92,26 @@ class TestCalculus:
     def test_eval_symmetric_matches_every_entry(self, p, pt):
         h = p.hessian()
         assert eval_symmetric(h, pt) == [[e.eval_rational(pt) for e in row] for row in h]
+
+    @given(st.integers(min_value=1, max_value=5).flatmap(lambda n: st.tuples(
+        polys(dim=n, max_terms=8, max_exp=7),
+        st.lists(st.one_of(st.just(rat(0)), rationals()), min_size=n, max_size=n))))
+    @settings(max_examples=150, deadline=None)
+    def test_hessian_at_matches_symbolic_second_partials(self, case):
+        p, pt = case
+        h = p.hessian_at(pt)
+        assert h == eval_symmetric(p.hessian(), pt)
+        assert all(isinstance(v, Fraction) for row in h for v in row)
+
+    def test_hessian_at_zero_coordinates_and_low_degree(self):
+        # x0^3 x1 + x0 x2 - 5 x1 + 7: every entry with a zero factor left
+        p = x(3, 0) ** 3 * x(3, 1) + x(3, 0) * x(3, 2) - 5 * x(3, 1) + 7
+        assert p.hessian_at([0, 0, 0]) == [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
+        assert p.hessian_at(["1/2", 2, 0]) == [[6, rat(3, 4), 1], [rat(3, 4), 0, 0], [1, 0, 0]]
+        assert MultiPoly.constant(2, 3).hessian_at([1, 1]) == [[0, 0], [0, 0]]
+        assert MultiPoly.zero(1).hessian_at([rat(1, 3)]) == [[0]]
+        with pytest.raises(DimensionMismatch):
+            p.hessian_at([1, 2])
 
 
 class TestCompose:

@@ -631,6 +631,10 @@ def fresh_set(seed: int, n: int, k: int) -> PointSet:
     return PointSet(n, sorted(pts))
 
 
+# an axis-aligned n = 3, k = 4 set whose census finds three of the minima
+N3_K4_MISSED = [["-2", "0", "-2/3"], ["-1/2", "2/3", "-2/3"], ["0", "1", "2/3"], ["1/2", "1", "1/2"]]
+
+
 class TestCensusCounts:
     def test_blind_points_set_recall(self):
         # the float |grad P| at these four minima is 10 to 428, so the
@@ -649,6 +653,25 @@ class TestCensusCounts:
         search = certify(res.input.points, res.p_poly).spurious
         assert search.polish_failed > 0
         assert search.to_obj()["polish_failed"] == search.polish_failed
+
+    def test_missed_minimum_is_degraded(self):
+        # no blind point and no failed polish, yet one minimum is never
+        # reached: only coverage and degraded show the loss
+        res = synthesize(PointSet(3, N3_K4_MISSED))
+        search = certify(res.input.points, res.p_poly).spurious
+        assert (search.blind, search.polish_failed, search.newton_recall) == (0, 0, 0.75)
+        obj = search.to_obj()
+        assert obj["degraded"] is True
+        lost = (search.abandoned + search.singular) / search.seeds_used
+        assert obj["coverage"] == pytest.approx(1 - lost, abs=1e-12)
+        assert obj["coverage"] < 0.05
+
+    def test_acceptance_plane_sets_not_degraded(self):
+        for pts in PLANE_INSTANCES:
+            res = synthesize(PointSet(2, pts))
+            obj = certify(res.input.points, res.p_poly).spurious.to_obj()
+            assert obj["degraded"] is False
+            assert 0 < obj["coverage"] <= 1
 
     def test_acceptance_plane_sets_report_none(self):
         for pts in PLANE_INSTANCES:
