@@ -30,12 +30,12 @@ AXIS_N2_K8 = [["-2", "1"], ["-3/2", "0"], ["-1", "-1/2"], ["-1/3", "2"],
      "1aea16db874ab059391ae80de9cb5fff97b371cb5ec78575503106031a9c644f"),
     ("synthesize", AXIS_N3_K3,
      "f429e4ef5cdcdc3f6247299948a2e5b9ea4a043857c144c73c9472e7cf86233e"),
+    ("saddle-field", TWO_POINT,
+     "ce6be08d919ca612f1d2d45c6171daeeae76d801256b4695eea584a38c899e89"),
     ("synthesize", SHEARED_N3_K4,
      "2c2d6adf21dfa4e2d1a63f11e9e57fef993f2868220d45e6ee0287e40441f5cd"),
     ("synthesize", AXIS_N2_K8,
      "e5346ce96537d11af03a9882a37525ab3c0a73f70daba5ba3bb5676db01549e4"),
-    ("saddle-field", TWO_POINT,
-     "ce6be08d919ca612f1d2d45c6171daeeae76d801256b4695eea584a38c899e89"),
     ("saddle-field", SHEARED_N3_K4,
      "cab851b7ec5705eea2db40560cbadf02eb25595af14d6beebb3ed12436f695f9"),
     ("saddle-field", AXIS_N2_K8,

@@ -104,7 +104,8 @@ class TestCalculus:
         assert all(isinstance(v, Fraction) for row in h for v in row)
 
     def test_hessian_at_zero_coordinates_and_low_degree(self):
-        # x0^3 x1 + x0 x2 - 5 x1 + 7: every entry with a zero factor left
+        # at the origin only x0 x2 leaves a second partial; at x2 = 0 its
+        # entry (0, 2) is still 1
         p = x(3, 0) ** 3 * x(3, 1) + x(3, 0) * x(3, 2) - 5 * x(3, 1) + 7
         assert p.hessian_at([0, 0, 0]) == [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
         assert p.hessian_at(["1/2", 2, 0]) == [[6, rat(3, 4), 1], [rat(3, 4), 0, 0], [1, 0, 0]]

@@ -666,15 +666,10 @@ class TestCensusCounts:
         assert obj["coverage"] == pytest.approx(1 - lost, abs=1e-12)
         assert obj["coverage"] < 0.05
 
-    def test_acceptance_plane_sets_not_degraded(self):
-        for pts in PLANE_INSTANCES:
-            res = synthesize(PointSet(2, pts))
-            obj = certify(res.input.points, res.p_poly).spurious.to_obj()
-            assert obj["degraded"] is False
-            assert 0 < obj["coverage"] <= 1
-
     def test_acceptance_plane_sets_report_none(self):
         for pts in PLANE_INSTANCES:
             res = synthesize(PointSet(2, pts))
             search = certify(res.input.points, res.p_poly).spurious
             assert (search.blind, search.polish_failed, search.newton_recall) == (0, 0, 1.0)
+            assert search.to_obj()["degraded"] is False
+            assert 0 < search.to_obj()["coverage"] <= 1
