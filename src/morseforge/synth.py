@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ._rat import Rat, rat
-from .coord_change import CoordChange, PointSet, build_coord_change
+from .coord_change import CoordChange, PointSet, build_coord_change, linear_inverse
 from .morse_scalar import AlphaSpec, MorsePair, build_alpha, build_pair
 from .poly import MultiPoly, PolyMap
 
@@ -123,22 +123,15 @@ def build_saddle_field(xs: PointSet) -> SaddleField:
         comps.append(-MultiPoly.variable(n, j))
     fld = PolyMap(comps, n)
 
-    # conjugate back: h(x) = J_{F^-1}(F(x)) . g(F(x)), polynomial since both
-    # F and its inverse are
-    jac_inv = change.inverse.jacobian()
+    # conjugate back: h(x) = J_{F^-1}(F(x)) g(F(x)); J_{F^-1} = T^-1 (I + E),
+    # E zero but for p_j'(z_1) in rows j > 1 of its first column
+    fwd = change.forward.components
     cache: dict = {}
-    jac_inv_at_f = [
-        [entry.compose(change.forward.components, cache) for entry in row]
-        for row in jac_inv
-    ]
-    g_at_f = [c.compose(change.forward.components, cache) for c in fld.components]
-    pull_comps = []
-    for i in range(n):
-        acc = MultiPoly.zero(n)
-        for j in range(n):
-            acc = acc + jac_inv_at_f[i][j] * g_at_f[j]
-        pull_comps.append(acc)
-    pullback = PolyMap(pull_comps, n)
+    g_at_f = [c.compose(fwd, cache) for c in fld.components]
+    u = [g_at_f[0]] + [g + pj.partial(0).embed(n, (0,)).compose(fwd, cache) * g_at_f[0]
+                       for g, pj in zip(g_at_f[1:], change.interpolants)]
+    pullback = PolyMap([sum((uk * c for uk, c in zip(u, row) if c), MultiPoly.zero(n))
+                        for row in linear_inverse(change.direction, n)], n)
 
     return SaddleField(
         gamma=gamma,

@@ -17,27 +17,33 @@ an exact-arithmetic polish of one candidate per critical point.  Each float
 iteration makes one field_jacobian call that returns the gradient and the
 Hessian together, and one batched solve over every live row that gives both
 the next iterate of a row still searching and the float Newton image
-x - J^-1 g of a row accepted as a candidate.  A row whose step is not finite,
-NaN where LAPACK finds the Jacobian exactly singular, is counted singular
-and dropped, and a candidate's image is then NaN.
-Deduplication loops over representatives, not candidates: each new
-representative drops every remaining candidate within DEDUP_TOL in one
-row-wise distance.  The representatives are polished in order, except one
-whose image lies within DEDUP_TOL of a point already polished: its polish
-would land there too and the final dedup of the polished points would drop
-it, so the census reports what polishing every representative would, at
-about one polish per point.  A failed polish marks nothing, and a candidate
-without an image is always polished.  Float evaluation of the gradient,
-even by Horner's rule, has a cancellation noise floor near X far above the
-residual target RESIDUAL_TOL (1e-10 to 2e-9 on four-point sets), so the
-final residual is evaluated exactly (rational arithmetic at the float
-iterate) and only then compared against the target.  The report counts
-both limits: blind, the claimed points where the float |grad| is at or
-above COARSE_TOL, so that no seed can be accepted there, and
-polish_failed, the representatives whose exact polish failed.  It also
-gives coverage, the share of seeds neither abandoned nor singular, and
-degraded, set when the recall is below 1 or a point is blind; neither
-enters overall_pass.
+x - J^-1 g of a row accepted as a candidate.  A row is live while its
+gradient is finite and it lies in the guard box, which holds no NaN or
+infinite coordinate; the mask is built one column at a time, |grad| is taken
+on the live rows alone with the ufuncs of np.linalg.norm, the rows are
+compacted only when some leave, and candidates are kept only on an iteration
+that finds some.  A row whose step is not finite, NaN where LAPACK finds the
+Jacobian exactly singular, is counted singular and dropped, and a
+candidate's image is then NaN.
+Deduplication loops over representatives, not candidates: with the
+candidates sorted on their first coordinate, each new representative drops
+every candidate within DEDUP_TOL of it among those within 2 DEDUP_TOL on
+that coordinate, in one row-wise distance.  The representatives are
+polished in order, except one whose image lies within DEDUP_TOL of a point
+already polished: its polish would land there too and the final dedup of
+the polished points would drop it, so the census reports what polishing
+every representative would, at about one polish per point.  A failed polish
+marks nothing, and a candidate without an image is always polished.  Float
+evaluation of the gradient, even by Horner's rule, has a cancellation noise
+floor near X far above the residual target RESIDUAL_TOL (1e-10 to 2e-9 on
+four-point sets), so the final residual is evaluated exactly (rational
+arithmetic at the float iterate) and only then compared against the target.
+The report counts both limits: blind, the claimed points where the float
+|grad| is at or above COARSE_TOL, so that no seed can be accepted there, and
+polish_failed, the representatives whose exact polish failed.  It also gives
+coverage, the share of seeds neither abandoned nor singular, and degraded,
+set when the recall is below 1 or a point is blind; neither enters
+overall_pass.
 The census only cross-checks the construction, so its tolerances, like the
 flow's, are module constants of one recipe; the caller chooses only the
 search box and the seed density.
@@ -50,9 +56,9 @@ step; FlowConfig holds only the first step dt and the horizon t_max.  One
 attempt makes two evaluator calls, the field at the midpoint and one
 field_jacobian call at the proposal that returns the field, its full
 Jacobian and the Lyapunov value together (without a Lyapunov function, the
-zero polynomial's, so one loop serves both), and solves three systems
-against one W = I - h d J (one inverse, three products; NaN where W is
-exactly singular, which makes the proposal non-finite).  The evaluation at
+same loop evaluates and guards nothing beyond the field), and solves three
+systems against one W = I - h d J (one inverse, three products; NaN where W
+is exactly singular, which makes the proposal non-finite).  The evaluation at
 an accepted proposal starts the next step and classifies convergence
 (GRAD_TOL, POINT_TOL; target distances only where |field| < GRAD_TOL).  The
 per-row state is compacted, and the rows that finished written back, only on
@@ -189,20 +195,40 @@ class NewtonResult:
 
 
 def _first_come(points: np.ndarray, tol: float) -> List[int]:
-    """Indices of the greedy first-come representatives: each point farther
-    than tol from every earlier representative becomes one.  The loop runs
-    over representatives; each drops every remaining point within tol of it."""
-    rest = np.asarray(points)
-    index = np.arange(len(rest))
+    """Indices of the greedy first-come representatives of finite points:
+    each point farther than tol from every earlier representative becomes
+    one, and drops every later point within tol of it.
+
+    A point within tol of a representative differs from it by at most tol
+    in the first coordinate, so the points are sorted on that coordinate
+    and each representative measures only the points within 2 tol of it
+    there; the factor 2 covers the rounding of the window's bounds."""
+    points = np.asarray(points)
+    if not len(points):
+        return []
+    # the array methods, not their np.* wrappers: the fixed cost matters on
+    # the few polished points of the final dedup
+    order = points[:, 0].argsort(kind="stable")
+    pts = points.take(order, axis=0)
+    first = pts[:, 0]
+    lo = first.searchsorted(first - 2 * tol, "left").tolist()
+    hi = first.searchsorted(first + 2 * tol, "right").tolist()
+    alive = np.ones(len(pts), dtype=bool)
     reps: List[int] = []
-    while len(rest):
-        reps.append(int(index[0]))
-        diff = rest - rest[0]
-        # a (1, n) @ (n, 1) product per row is the dot product that
-        # np.linalg.norm takes of one vector, so the distances match it
-        sq = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
-        far = np.sqrt(sq) > tol
-        rest, index = rest[far], index[far]
+    # point i sits at position p of the sorted order
+    for i, p in enumerate(order.argsort().tolist()):
+        if not alive[p]:
+            continue
+        reps.append(i)
+        a, b = lo[p], hi[p]
+        if b - a > 1:
+            diff = pts[a:b] - pts[p]
+            # a (1, n) @ (n, 1) product per row is the dot product that
+            # np.linalg.norm takes of one vector, so the distances match it;
+            # an earlier point in the window is this representative or was
+            # dropped already, so it may be dropped again
+            sq = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+            alive[a:b] &= np.sqrt(sq) > tol
     return reps
 
 
@@ -292,44 +318,59 @@ def newton_search(
     with np.errstate(over="ignore", invalid="ignore"):
         blind = int(np.count_nonzero(~(np.linalg.norm(at_claimed, axis=1) < COARSE_TOL)))
 
-    x = seeds.copy()
+    x = seeds
     abandoned = 0
     singular = 0
     candidates: List[np.ndarray] = []
     images: List[np.ndarray] = []
+    bounds = list(zip(guard_lo.tolist(), guard_hi.tolist()))
     for _ in range(MAX_ITER):
         if len(x) == 0:
             break
         g, jac = grad_hess(x)
-        finite = np.isfinite(g).all(axis=1) & np.isfinite(x).all(axis=1)
-        inside = ((x >= guard_lo) & (x <= guard_hi)).all(axis=1)
-        # a finite gradient past about 1e154 squares to inf inside the norm,
-        # which only means "not converged"
+        # a row stays live while its gradient is finite and it lies in the
+        # guard box, which holds no NaN or infinite coordinate
+        live = np.isfinite(g[:, 0])
+        for j in range(1, box.dim):
+            live &= np.isfinite(g[:, j])
+        for j, (lo, hi) in enumerate(bounds):
+            live &= x[:, j] >= lo
+            live &= x[:, j] <= hi
+        rows = live.nonzero()[0]
+        if len(rows) < len(x):
+            abandoned += len(x) - len(rows)
+            x, g, jac = x.take(rows, axis=0), g.take(rows, axis=0), jac.take(rows, axis=0)
+        # the ufuncs of np.linalg.norm; a finite gradient past about 1e154
+        # squares to inf, which only means "not converged"
         with np.errstate(over="ignore"):
-            gn = np.linalg.norm(np.where(finite[:, None], g, np.inf), axis=1)
-        live = finite & inside
-        abandoned += int((~live).sum())
-        x, g, jac = x[live], g[live], jac[live]
-        conv = gn[live] < COARSE_TOL
+            conv = np.sqrt(np.add.reduce(g * g, axis=1)) < COARSE_TOL
         # one Newton step for every live row: the next iterate of a row still
         # searching, the float image of a candidate; a row whose step is not
         # finite (NaN where LAPACK finds the Jacobian singular) is dropped
         step = _lapack(np.linalg.solve, jac, g[..., None])[..., 0]
-        good = np.isfinite(step).all(axis=1)
         x_next = x - step
-        candidates.extend(x[conv])
-        images.extend(x_next[conv])
-        singular += int((~(good | conv)).sum())
-        x = x_next[good & ~conv]
+        keep = np.isfinite(step[:, 0])
+        for j in range(1, box.dim):
+            keep &= np.isfinite(step[:, j])
+        found = int(np.count_nonzero(conv))
+        if found:
+            candidates.append(x[conv])
+            images.append(x_next[conv])
+            keep &= ~conv
+        kept = int(np.count_nonzero(keep))
+        singular += len(x) - found - kept
+        x = x_next if kept == len(x) else x_next[keep]
     abandoned += len(x)  # hit the iteration cap without settling
 
     # Polish the representatives in order, skipping one whose image already
     # lies within DEDUP_TOL of a polished point: its own polish would land
     # there too, and the final dedup would drop it.  A NaN image is never
     # within DEDUP_TOL, and a failed polish adds no point.
+    candidates = np.concatenate(candidates or [np.empty((0, box.dim))])
+    images = np.concatenate(images or [np.empty((0, box.dim))])
     polished = np.empty((0, box.dim))
     polish_failed = 0
-    for i in _first_come(np.asarray(candidates), DEDUP_TOL):
+    for i in _first_come(candidates, DEDUP_TOL):
         if (np.linalg.norm(polished - images[i], axis=1) <= DEDUP_TOL).any():
             continue
         point = _polish_exact(grad, grad_hess, candidates[i])
@@ -449,15 +490,15 @@ def integrate_batch(
     targets are the points convergence is classified against; lyap is a
     scalar polynomial whose per-step increase is both guarded against and
     recorded, evaluated in the field_jacobian call at each proposal.
-    Without lyap the guard watches the zero polynomial, which never rises,
-    so max_step_increase stays 0.  Every row keeps its own time and step
-    size; each pass over the loop makes one step attempt for every active
-    row."""
+    Without lyap nothing is guarded, evaluated or recorded for it, and
+    max_step_increase stays 0.  Every row keeps its own time and step size;
+    each pass over the loop makes one step attempt for every active row."""
     cfg = cfg or FlowConfig()
     fc = CompiledPoly(field)
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     B, n = starts.shape
-    fj = field_jacobian(field, MultiPoly.zero(n) if lyap is None else lyap)
+    guarded = lyap is not None
+    fj = field_jacobian(field, lyap)
     tg = _float_points(targets)
     lo, hi = box.guard()
     h_min = cfg.dt * MIN_STEP_RATIO
@@ -489,20 +530,21 @@ def integrate_batch(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # per active row: index, state, field, Jacobian and lyap there (the
         # last accepted proposal's evaluation, first same as last), time,
-        # next step, steps and largest Lyapunov increase so far; the rows
-        # are compacted, and the finished ones written back, only on a pass
-        # where one leaves.  Every row still active has made one attempt
-        # per pass.
-        f0, jac, va = fj(starts)
+        # next step, steps and largest Lyapunov increase so far (the lyap
+        # arrays only with lyap); the rows are compacted, and the finished
+        # ones written back, only on a pass where one leaves.  Every row
+        # still active has made one attempt per pass.
+        f0, jac, *va = fj(starts)
         # seeds already at a target converge in 0 steps
         gnorm, conv_idx = classify(starts, f0)
         keep = conv_idx < 0
         status = np.where(keep, STATUS_ACTIVE, STATUS_CONVERGED)
-        idx, xa, f0, jac, va = np.flatnonzero(keep), starts[keep], f0[keep], jac[keep], va[keep]
+        idx, xa, f0, jac = np.flatnonzero(keep), starts[keep], f0[keep], jac[keep]
         t = np.zeros(len(idx))
         h = np.full(len(idx), cfg.dt)
         taken = np.zeros(len(idx), dtype=np.int64)
-        inc_max = np.zeros(len(idx))
+        if guarded:
+            va, inc_max = va[0][keep], np.zeros(len(idx))
         passes = 0
 
         while len(idx):
@@ -516,16 +558,18 @@ def integrate_batch(
             f1 = fc(xa + 0.5 * col * k1)
             k2 = _solve(w_inv, f1 - k1) + k1
             xn = xa + col * k2
-            f2, jn, vn = fj(xn)
+            f2, jn, *vn = fj(xn)
             k3 = _solve(w_inv, f2 - _E32 * (k2 - f1) - 2.0 * (k1 - f0))
             scale = ATOL + RTOL * np.maximum(np.abs(xa), np.abs(xn))
             q = (col / 6.0 * (k1 - 2.0 * k2 + k3) / scale) ** 2
             err = np.sqrt(np.add.reduce(q, axis=1) / n)
             err = np.where(np.isfinite(err), err, np.inf)
             hard_ok = np.logical_and.reduce(np.isfinite(xn) & (xn >= lo) & (xn <= hi), axis=1)
-            inc = vn - va
-            finite_inc = np.isfinite(inc)
-            guard_ok = hard_ok & ~(finite_inc & (inc > 0.5 * LYAP_STEP_TOL))
+            guard_ok = hard_ok
+            if guarded:
+                inc = vn[0] - va
+                finite_inc = np.isfinite(inc)
+                guard_ok = hard_ok & ~(finite_inc & (inc > 0.5 * LYAP_STEP_TOL))
             fac = np.minimum(np.maximum(0.9 * err ** (-1.0 / 3.0), MIN_FACTOR), MAX_FACTOR)
             # at the step floor only guard/finiteness violations count as
             # divergence; a failed error test or Lyapunov wiggle there is noise
@@ -539,9 +583,10 @@ def integrate_batch(
             np.copyto(f0, f2, where=acc_col)
             np.copyto(jac, jn, where=acc_col[:, :, None])
             np.add(t, ht, out=t, where=acc)
-            np.copyto(va, vn, where=acc)
             taken += acc
-            np.maximum(inc_max, inc, out=inc_max, where=acc & finite_inc)
+            if guarded:
+                np.copyto(va, vn[0], where=acc)
+                np.maximum(inc_max, inc, out=inc_max, where=acc & finite_inc)
             # FSAL: the field at an accepted proposal classifies it; a row
             # that was not accepted keeps its state, which did not converge
             gn, near = classify(xa, f0)
@@ -558,16 +603,17 @@ def integrate_batch(
             timeout = out_of_time | out_of_budget
             gone = idx[leave]
             ends[gone], steps[gone], attempts[gone] = xa[leave], taken[leave], passes
-            gnorm[gone], max_inc[gone], conv_idx[gone] = gn[leave], inc_max[leave], near[leave]
+            gnorm[gone], conv_idx[gone] = gn[leave], near[leave]
             status[idx[conv]] = STATUS_CONVERGED
             status[idx[timeout]] = STATUS_TIMEOUT
             status[idx[diverged]] = STATUS_DIVERGED
             reason[idx[out_of_time]] = "t_max"
             reason[idx[out_of_budget]] = "step_budget"
             keep = ~leave
-            idx, xa, f0, jac, va, t, h, taken, inc_max = (
-                a[keep] for a in (idx, xa, f0, jac, va, t, h, taken, inc_max)
-            )
+            idx, xa, f0, jac, t, h, taken = (a[keep] for a in (idx, xa, f0, jac, t, h, taken))
+            if guarded:
+                max_inc[gone] = inc_max[leave]
+                va, inc_max = va[keep], inc_max[keep]
 
     return BatchFlowResult(
         starts=starts,

@@ -3,9 +3,11 @@
 None of these is on a path a command runs: each recomputes a quantity by a
 route the package deliberately does not take (the pullback identity for
 Hessians, central differences for gradients, eigenvalues for definiteness,
-the flow loop that compacts its rows on every pass, the Lagrange basis for
-the shear interpolants, f as the square of a plane polynomial, and point
-Hessians from symbolic second partials).
+the flow loop that compacts its rows on every pass, the Newton census that
+masks and compacts every row on every iteration and deduplicates against
+all remaining candidates, the Lagrange basis for the shear interpolants, f
+as the square of a plane polynomial, and point Hessians from symbolic second
+partials).
 """
 
 from typing import List, Optional, Sequence, Tuple
@@ -21,6 +23,8 @@ from morseforge.verify import (
     _D,
     _E32,
     ATOL,
+    COARSE_TOL,
+    DEDUP_TOL,
     GRAD_TOL,
     LYAP_STEP_TOL,
     MAX_FACTOR,
@@ -35,7 +39,10 @@ from morseforge.verify import (
     BatchFlowResult,
     BoxSpec,
     FlowConfig,
+    NewtonResult,
     _float_points,
+    _lapack,
+    _polish_exact,
     _solve,
     field_jacobian,
 )
@@ -311,4 +318,82 @@ def reference_integrate_batch(
         final_grad_norm=gnorm,
         max_step_increase=max_inc,
         timeout_reason=reason,
+    )
+
+
+def reference_first_come(points, tol: float) -> List[int]:
+    """verify._first_come as first written: each new representative measures
+    its distance to every remaining point and drops those within tol."""
+    rest = np.asarray(points)
+    index = np.arange(len(rest))
+    reps: List[int] = []
+    while len(rest):
+        reps.append(int(index[0]))
+        diff = rest - rest[0]
+        sq = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+        far = np.sqrt(sq) > tol
+        rest, index = rest[far], index[far]
+    return reps
+
+
+def reference_newton_search(
+    grad: PolyMap, box: BoxSpec, seeds_per_axis: int, claimed=()
+) -> NewtonResult:
+    """verify.newton_search written plainly: every iteration tests the
+    gradient and the iterate for finiteness and the iterate against the
+    guard box over whole rows, takes np.linalg.norm of every row, compacts
+    every array and extends the candidate lists row by row; deduplication
+    is reference_first_come.  verify.MAX_ITER is read at call time."""
+    if seeds_per_axis < 2:
+        raise ValueError("seeds_per_axis must be >= 2")
+    grad_hess = field_jacobian(grad)
+    seeds = box.grid(seeds_per_axis)
+    guard_lo, guard_hi = box.guard()
+    at_claimed = grad_hess(np.asarray(claimed, dtype=float).reshape(-1, box.dim))[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        blind = int(np.count_nonzero(~(np.linalg.norm(at_claimed, axis=1) < COARSE_TOL)))
+
+    x = seeds.copy()
+    abandoned = 0
+    singular = 0
+    candidates: List[np.ndarray] = []
+    images: List[np.ndarray] = []
+    for _ in range(verify.MAX_ITER):
+        if len(x) == 0:
+            break
+        g, jac = grad_hess(x)
+        finite = np.isfinite(g).all(axis=1) & np.isfinite(x).all(axis=1)
+        inside = ((x >= guard_lo) & (x <= guard_hi)).all(axis=1)
+        with np.errstate(over="ignore"):
+            gn = np.linalg.norm(np.where(finite[:, None], g, np.inf), axis=1)
+        live = finite & inside
+        abandoned += int((~live).sum())
+        x, g, jac = x[live], g[live], jac[live]
+        conv = gn[live] < COARSE_TOL
+        step = _lapack(np.linalg.solve, jac, g[..., None])[..., 0]
+        good = np.isfinite(step).all(axis=1)
+        x_next = x - step
+        candidates.extend(x[conv])
+        images.extend(x_next[conv])
+        singular += int((~(good | conv)).sum())
+        x = x_next[good & ~conv]
+    abandoned += len(x)
+
+    polished = np.empty((0, box.dim))
+    polish_failed = 0
+    for i in reference_first_come(np.asarray(candidates), DEDUP_TOL):
+        if (np.linalg.norm(polished - images[i], axis=1) <= DEDUP_TOL).any():
+            continue
+        point = _polish_exact(grad, grad_hess, candidates[i])
+        if point is None:
+            polish_failed += 1
+        else:
+            polished = np.vstack([polished, point])
+    return NewtonResult(
+        points=[polished[i] for i in reference_first_come(polished, DEDUP_TOL)],
+        seeds_used=len(seeds),
+        abandoned=abandoned,
+        singular=singular,
+        blind=blind,
+        polish_failed=polish_failed,
     )

@@ -25,7 +25,14 @@ from morseforge.verify import (
     integrate_batch,
     newton_search,
 )
-from oracles import eigen_signs, fd_gradient_check_batch, reference_integrate_batch, sample_box
+from oracles import (
+    eigen_signs,
+    fd_gradient_check_batch,
+    reference_first_come,
+    reference_integrate_batch,
+    reference_newton_search,
+    sample_box,
+)
 from test_acceptance import PLANE_INSTANCES
 
 
@@ -151,6 +158,7 @@ class TestDedup:
         got, want = verify._dedup(pts, tol), greedy_dedup(pts, tol)
         assert len(got) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert verify._first_come(pts, tol) == reference_first_come(pts, tol)
 
 
 # axis-aligned sets in R^3 (distinct first coordinates)
@@ -252,6 +260,80 @@ class TestPolishSkip:
         assert all(np.array_equal(args[2], rep) for args, rep in zip(polishes, reps))
         want = polish_every_representative(grad, first_come[0][0])
         assert all(np.array_equal(a, b) for a, b in zip(found, want))
+
+
+# the four axis-aligned n=3 sets of the benchmark's verify workload
+BENCH_N3_SETS = [
+    [["1/4", "-2/3", "1/2"]],
+    [["1/3", "1", "0"], ["1", "-2/3", "1"]],
+    [["-2/3", "0", "0"], ["0", "1/2", "1/3"], ["1", "-2", "-1/2"]],
+    [["-2", "0", "-2/3"], ["-1/2", "2/3", "-2/3"], ["0", "1", "2/3"], ["1/2", "1", "1/2"]],
+]
+
+
+def assert_same_census(got, want):
+    """Equal NewtonResults: the points bit for bit, the counts exactly."""
+    assert len(got.points) == len(want.points)
+    for a, b in zip(got.points, want.points):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    counts = ("seeds_used", "abandoned", "singular", "blind", "polish_failed")
+    assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
+    assert all(type(getattr(got, c)) is int for c in counts)
+
+
+def census_both(points, seeds=None):
+    """newton_search and the reference census on P's descent field with
+    certify's box and claimed points, and by default its seed density."""
+    res = synthesize(PointSet(len(points[0]), points))
+    grad = descent_field(res.p_poly)
+    box = BoxSpec.from_points(res.input.points)
+    seeds = seeds or max(2, int(round(2000 ** (1.0 / box.dim))))
+    claimed = verify._float_points(res.input.points)
+    got = newton_search(grad, box, seeds, claimed=claimed)
+    assert_same_census(got, reference_newton_search(grad, box, seeds, claimed=claimed))
+    return got
+
+
+small_rational = st.builds(
+    lambda p, q: f"{p}/{q}", st.integers(-2, 2), st.integers(1, 4)
+)
+
+
+class TestNewtonMatchesReference:
+    """newton_search against the census that masks, measures and compacts
+    every row on every iteration and deduplicates against every remaining
+    candidate."""
+
+    @pytest.mark.parametrize("pts", PLANE_INSTANCES + BENCH_N3_SETS)
+    def test_fixed_sets(self, pts):
+        got = census_both(pts)
+        assert len(got.points) >= 1
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.lists(st.tuples(small_rational, small_rational), min_size=1, max_size=3,
+                    unique_by=lambda p: tuple(rat(c) for c in p)))
+    def test_drawn_plane_sets(self, pts):
+        census_both([list(p) for p in pts], seeds=20)
+
+    def test_overflowing_gradient(self):
+        # the first component overflows to inf past |x1| ~ 2.6 and to
+        # inf - inf = NaN where both cubic terms do, the second to inf past
+        # |x1| ~ 2.4; the Jacobian is singular at (0, +-1)
+        x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        grad = PolyMap([x1 + (x1 ** 3 - x1 * x2 ** 2) * 10 ** 307,
+                        x2 ** 3 - x2 * 3 + x1 ** 6 * 10 ** 306])
+        box = BoxSpec((-4.0, -4.0), (4.0, 4.0))
+        g = field_jacobian(grad)(box.grid(17))[0]
+        assert np.isinf(g[:, 0]).any() and np.isnan(g[:, 0]).any()
+        assert (np.isfinite(g[:, 0]) & np.isinf(g[:, 1])).any()
+        claimed = [[0.0, 0.0], [1.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = newton_search(grad, box, 17, claimed=claimed)
+            want = reference_newton_search(grad, box, 17, claimed=claimed)
+        assert_same_census(got, want)
+        assert got.abandoned > 0 and got.singular > 0
+        assert got.blind == 1
 
 
 def gradient_map(dim: int) -> PolyMap:
