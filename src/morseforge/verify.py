@@ -225,8 +225,8 @@ def _first_come(points: np.ndarray, tol: float) -> List[int]:
             diff = pts[a:b] - pts[p]
             # a (1, n) @ (n, 1) product per row is the dot product that
             # np.linalg.norm takes of one vector, so the distances match it;
-            # an earlier point in the window is this representative or was
-            # dropped already, so it may be dropped again
+            # every earlier point in the window is a representative or
+            # dropped already, so masking it again changes nothing
             sq = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
             alive[a:b] &= np.sqrt(sq) > tol
     return reps

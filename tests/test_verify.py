@@ -294,9 +294,7 @@ def census_both(points, seeds=None):
     return got
 
 
-small_rational = st.builds(
-    lambda p, q: f"{p}/{q}", st.integers(-2, 2), st.integers(1, 4)
-)
+small_rational = st.builds(lambda p, q: f"{p}/{q}", st.integers(-2, 2), st.integers(1, 4))
 
 
 class TestNewtonMatchesReference:
@@ -714,7 +712,7 @@ def fresh_set(seed: int, n: int, k: int) -> PointSet:
 
 
 # an axis-aligned n = 3, k = 4 set whose census finds three of the minima
-N3_K4_MISSED = [["-2", "0", "-2/3"], ["-1/2", "2/3", "-2/3"], ["0", "1", "2/3"], ["1/2", "1", "1/2"]]
+N3_K4_MISSED = BENCH_N3_SETS[3]
 
 
 class TestCensusCounts:
