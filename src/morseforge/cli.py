@@ -5,6 +5,10 @@ failure, 2 parse error, 3 hypothesis violation, 4 unsupported operation.
 
 synthesize and saddle-field are exact and never load numpy; verify, flow
 and export-grid import the float layers (verify, numeric) when they run.
+
+The parser is built once per process, by the first main call, and every
+later call reuses it; --seed's default is still read from MORSEFORGE_SEED
+at each call, so main(argv) may be called repeatedly in one process.
 """
 
 from __future__ import annotations
@@ -204,55 +208,69 @@ def cmd_export_grid(args) -> int:
     return EXIT_OK
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  Its --seed default is MORSEFORGE_SEED as it is
+    at each parse, not as it was when the parser was built; argparse converts
+    a string default with type, so a malformed value exits 2 like a
+    malformed --seed."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.set_defaults(seed=os.environ.get("MORSEFORGE_SEED", "0"))
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="morseforge",
         description="Synthesize and verify polynomials with prescribed minima.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def common(sp, output_required=False):
         sp.add_argument("-i", "--input", required=True)
         sp.add_argument("-o", "--output", required=output_required)
-        # argparse converts a string default with type, so a malformed
-        # MORSEFORGE_SEED exits 2 like a malformed --seed
-        sp.add_argument("--seed", type=int, default=os.environ.get("MORSEFORGE_SEED", "0"))
+        sp.add_argument("--seed", type=int)
 
     sp = sub.add_parser("synthesize", help="point set file -> audit bundle")
     common(sp)
-    sp.set_defaults(func=cmd_synthesize)
 
     sp = sub.add_parser("verify", help="recheck every claim in a bundle")
     common(sp)
     sp.add_argument("--box", action="append", metavar="LO,HI",
                     help="search box override, one flag per axis")
     sp.add_argument("--seeds-per-axis", type=int, default=None)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("flow", help="integrate the descent flow from a point")
     common(sp)
     sp.add_argument("--start", required=True, metavar="X,Y,...")
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--t-max", type=float, default=200.0)
-    sp.set_defaults(func=cmd_flow)
 
     sp = sub.add_parser("saddle-field", help="point set -> saddle-augmented field")
     common(sp)
-    sp.set_defaults(func=cmd_saddle_field)
 
     sp = sub.add_parser("export-grid", help="CSV raster of P and basin labels (n=2)")
     common(sp)
     sp.add_argument("--resolution", type=int, required=True)
     sp.add_argument("--dt", type=float, default=1e-2)
     sp.add_argument("--t-max", type=float, default=200.0)
-    sp.set_defaults(func=cmd_export_grid)
     return p
 
 
+# the parser of this process, built by the first main call
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up at each call, so a wrapper set over a cmd_* function (a
+    # profiler's hook) is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

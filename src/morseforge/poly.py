@@ -425,7 +425,7 @@ class MultiPoly:
     def from_obj(cls, obj: dict) -> "MultiPoly":
         dim = json_int(obj["dimension"])
         terms = [
-            (tuple(json_int(x) for x in t["exponents"]), rat(int(t["num"]), int(t["den"])))
+            (tuple(json_int(x) for x in t["exponents"]), Fraction(int(t["num"]), int(t["den"])))
             for t in obj["terms"]
         ]
         return cls(dim, terms)

@@ -288,8 +288,10 @@ def _polish_exact(grad: PolyMap, grad_hess: Callable, x0: np.ndarray):
         )
         if not np.isfinite(g).all():
             return None
-        if np.linalg.norm(g) < RESIDUAL_TOL:
-            return x
+        # a finite g past about 1e154 overflows the norm to inf: not converged
+        with np.errstate(over="ignore"):
+            if np.linalg.norm(g) < RESIDUAL_TOL:
+                return x
         if attempt == POLISH_ITER:
             return None
         step = _lapack(np.linalg.solve, grad_hess(x[None, :])[1], g[None, :, None])[0, :, 0]

@@ -179,6 +179,18 @@ class TestVerify:
             if counts is not None:
                 assert (search["seeds_used"], search["singular"], search["abandoned"]) == counts
 
+    def test_overflowing_polish_residual_is_not_converged(self, two_point_bundle,
+                                                         tmp_path, capsys):
+        # over this box the exact gradient at some float candidates passes
+        # 1e154, whose norm overflows; those polishes fail quietly
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        assert cli.main(["verify", "-i", str(two_point_bundle), "-o", str(report),
+                         "--box=-1e20,1e20", "--box=-1e20,1e20"]) == 0
+        assert capsys.readouterr().err == ""
+        search = json.loads(report.read_text())["spurious_search"]
+        assert (search["newton_recall"], search["polish_failed"]) == (0.0, 15)
+
     def test_low_recall_is_reported_not_failed(self, two_point_bundle, tmp_path):
         report = tmp_path / "report.json"
         code = cli.main(["verify", "-i", str(two_point_bundle), "-o", str(report),
@@ -466,41 +478,89 @@ def test_dimension_disagreement_rejected(command, tamper, two_point_bundle, tmp_
 def test_negated_stored_field_is_only_a_claim(two_point_bundle, tmp_path):
     # flow and export-grid integrate -grad P derived from p, so an ascent
     # field stored in the bundle changes neither output; only verify, which
-    # compares the stored field with the derived one, fails the bundle
+    # compares the stored field with the derived one, fails the bundle.
+    # Every command runs twice on its input in this one process, through the
+    # one parser that main reuses, and repeats its exit code and bytes
+    def run_twice(command, src, extra):
+        runs = []
+        for _ in range(2):
+            out = tmp_path / f"{command}.{src.stem}.out"
+            out.unlink(missing_ok=True)
+            code = cli.main([command, "-i", str(src), "-o", str(out), *extra])
+            runs.append((code, out.read_bytes()))
+        assert runs[0] == runs[1]
+        return runs[0]
+
+    pts = tmp_path / "pts.json"
+    assert run_twice("synthesize", pts, []) == (0, two_point_bundle.read_bytes())
+    assert run_twice("saddle-field", pts, [])[0] == 0
     obj = json.loads(two_point_bundle.read_text())
     ascent = PolyMap.from_obj(obj["grad_field"])
     obj["grad_field"] = PolyMap([-c for c in ascent.components], 2).to_obj()
     negated = tmp_path / "negated.json"
     negated.write_text(json.dumps(obj))
     for command, extra in BUNDLE_COMMANDS[1:]:
-        outputs = []
-        for bundle in (two_point_bundle, negated):
-            out = tmp_path / f"{command}.{bundle.stem}.out"
-            assert cli.main([command, "-i", str(bundle), "-o", str(out), *extra]) == 0
-            outputs.append(out.read_bytes())
+        outputs = [run_twice(command, bundle, extra) for bundle in (two_point_bundle, negated)]
         assert outputs[0] == outputs[1]
-    report = tmp_path / "report.json"
-    assert cli.main(["verify", "-i", str(negated), "-o", str(report),
-                     "--seeds-per-axis", "30"]) == 1
-    obj = json.loads(report.read_text())
+        assert outputs[0][0] == 0
+    code, report = run_twice("verify", negated, ["--seeds-per-axis", "30"])
+    assert code == 1
+    obj = json.loads(report)
     assert obj["grad_field_consistent"] is False
     assert obj["overall_pass"] is False
 
 
 class TestSeedPlumbing:
-    def test_env_seed_lands_in_report(self, two_point_bundle, tmp_path, monkeypatch):
-        monkeypatch.setenv("MORSEFORGE_SEED", "42")
-        report = tmp_path / "report.json"
-        code = cli.main(["verify", "-i", str(two_point_bundle),
-                         "-o", str(report), "--seeds-per-axis", "30"])
-        assert code == 0
-        assert json.loads(report.read_text())["seed"] == 42
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        builds = []
 
-    def test_malformed_env_seed_rejected(self, two_point_bundle, tmp_path, monkeypatch):
+        def counted():
+            builds.append(1)
+            return build_parser()
+
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counted)
+        pts = write_pointset(tmp_path / "pts.json", 2, [["-1", "0"], ["1", "0"]])
+        for command in ("synthesize", "saddle-field", "synthesize"):
+            assert cli.main([command, "-i", pts, "-o", str(tmp_path / "out.json")]) == 0
+        assert len(builds) == 1
+
+    def test_env_seed_lands_in_report(self, two_point_bundle, tmp_path, monkeypatch):
+        # the default is read at each call, not when the parser was built
+        report = tmp_path / "report.json"
+        for env, seed in (("42", 42), ("7", 7), (None, 0)):
+            if env is None:
+                monkeypatch.delenv("MORSEFORGE_SEED")
+            else:
+                monkeypatch.setenv("MORSEFORGE_SEED", env)
+            code = cli.main(["verify", "-i", str(two_point_bundle),
+                             "-o", str(report), "--seeds-per-axis", "30"])
+            assert code == 0
+            assert json.loads(report.read_text())["seed"] == seed
+
+    def test_malformed_env_seed_rejected(self, two_point_bundle, tmp_path, monkeypatch,
+                                         capsys):
         monkeypatch.setenv("MORSEFORGE_SEED", "abc")
         report = tmp_path / "report.json"
+        argv = ["verify", "-i", str(two_point_bundle), "-o", str(report),
+                "--seeds-per-axis", "30"]
         with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "-i", str(two_point_bundle),
-                      "-o", str(report), "--seeds-per-axis", "30"])
+            cli.main(argv)
         assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "morseforge verify: error: argument --seed: invalid int value: 'abc'"
         assert not report.exists()
+        monkeypatch.setenv("MORSEFORGE_SEED", "5")
+        assert cli.main(argv) == 0
+        assert json.loads(report.read_text())["seed"] == 5
+
+    def test_box_override_not_carried_over(self, two_point_bundle, tmp_path):
+        report = tmp_path / "report.json"
+        boxes = []
+        for flags in ([], ["--box=-1,1", "--box=-2,2"], []):
+            assert cli.main(["verify", "-i", str(two_point_bundle), "-o", str(report),
+                             "--seeds-per-axis", "30", *flags]) == 0
+            boxes.append(json.loads(report.read_text())["box"])
+        assert boxes[1] == {"lower": [-1, -2], "upper": [1, 2], "derivation": "cli override"}
+        assert boxes[2] == boxes[0] != boxes[1]

@@ -183,6 +183,23 @@ class TestCanonicalForm:
         text = json.dumps(p.to_obj())
         assert MultiPoly.from_obj(json.loads(text)) == p
 
+    @given(st.lists(st.tuples(st.one_of(st.just(0), st.integers(-10 ** 30, 10 ** 30)),
+                              st.integers(1, 10 ** 30), st.booleans(),
+                              st.integers(1, 10 ** 6)), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_stored_pair_reads_as_num_over_den(self, pairs):
+        # a stored (num, den) need not be reduced, and den may be negative;
+        # it reads as Fraction(num) / Fraction(den)
+        terms, expected = [], {}
+        for i, (num, den, negate, factor) in enumerate(pairs):
+            num, den = num * factor, (-den if negate else den) * factor
+            terms.append({"exponents": [i], "num": str(num), "den": str(den)})
+            if num:
+                expected[(i,)] = Fraction(num) / Fraction(den)
+        read = MultiPoly.from_obj({"dimension": 1, "terms": terms}).terms
+        assert [(e, c.numerator, c.denominator) for e, c in read.items()] == \
+            [(e, c.numerator, c.denominator) for e, c in expected.items()]
+
     def test_terms_serialized_in_graded_lex_order(self):
         p = x(2, 1) ** 2 + x(2, 0) + 5
         exps = [tuple(t["exponents"]) for t in p.to_obj()["terms"]]
