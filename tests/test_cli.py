@@ -184,7 +184,6 @@ class TestVerify:
         # over this box the exact gradient at some float candidates passes
         # 1e154, whose norm overflows; those polishes fail quietly
         report = tmp_path / "report.json"
-        capsys.readouterr()
         assert cli.main(["verify", "-i", str(two_point_bundle), "-o", str(report),
                          "--box=-1e20,1e20", "--box=-1e20,1e20"]) == 0
         assert capsys.readouterr().err == ""
@@ -512,13 +511,12 @@ def test_negated_stored_field_is_only_a_claim(two_point_bundle, tmp_path):
 
 class TestSeedPlumbing:
     def test_parser_built_once(self, tmp_path, monkeypatch):
-        builds = []
+        build_parser, builds = cli.build_parser, []
 
         def counted():
             builds.append(1)
             return build_parser()
 
-        build_parser = cli.build_parser
         monkeypatch.setattr(cli, "_parser", None)
         monkeypatch.setattr(cli, "build_parser", counted)
         pts = write_pointset(tmp_path / "pts.json", 2, [["-1", "0"], ["1", "0"]])
