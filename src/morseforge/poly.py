@@ -74,7 +74,8 @@ class MultiPoly:
                     )
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                c = rat(coeff)
+                # a Fraction is immutable and already reduced: kept as it is
+                c = coeff if type(coeff) is Fraction else rat(coeff)
                 if exps in clean:
                     c = clean[exps] + c
                 if c:

@@ -17,12 +17,14 @@ an exact-arithmetic polish of one candidate per critical point.  Each float
 iteration makes one field_jacobian call that returns the gradient and the
 Hessian together, and one batched solve over every live row that gives both
 the next iterate of a row still searching and the float Newton image
-x - J^-1 g of a row accepted as a candidate.  A row is live while its
-gradient is finite and it lies in the guard box, which holds no NaN or
-infinite coordinate; the mask is built one column at a time, |grad| is taken
-on the live rows alone with the ufuncs of np.linalg.norm, the rows are
-compacted only when some leave, and candidates are kept only on an iteration
-that finds some.  A row whose step is not finite, NaN where LAPACK finds the
+x - J^-1 g of a row accepted as a candidate.  A row is live while it lies
+in the guard box, which holds no NaN or infinite coordinate, and its
+gradient is finite.  The box is tested before the evaluation, so a row that
+has left it is never evaluated, and the finiteness of the gradient after;
+each mask is built one column at a time, the rows are compacted only when
+some leave, |grad| is taken on the live rows alone with the ufuncs of
+np.linalg.norm, and candidates are kept only on an iteration that finds
+some.  A row whose step is not finite, NaN where LAPACK finds the
 Jacobian exactly singular, is counted singular and dropped, and a
 candidate's image is then NaN.
 Deduplication loops over representatives, not candidates: with the
@@ -60,9 +62,11 @@ same loop evaluates and guards nothing beyond the field), and solves three
 systems against one W = I - h d J (one inverse, three products; NaN where W
 is exactly singular, which makes the proposal non-finite).  The evaluation at
 an accepted proposal starts the next step and classifies convergence
-(GRAD_TOL, POINT_TOL; target distances only where |field| < GRAD_TOL).  The
-per-row state is compacted, and the rows that finished written back, only on
-a pass where some trajectory leaves.  A proposal that fails the error test,
+(GRAD_TOL, POINT_TOL; target distances only where |field| < GRAD_TOL).  On
+a pass that accepts every row the proposal becomes the state as it is;
+otherwise the accepted rows are copied in.  The per-row state is compacted,
+and the rows that finished written back, only on a pass where some
+trajectory leaves.  A proposal that fails the error test,
 leaves the guard box, goes non-finite, or increases the Lyapunov value beyond
 half of LYAP_STEP_TOL is rejected and the step shrunk.  A trajectory is
 classified diverged only when the step floor is reached with the proposal
@@ -242,19 +246,17 @@ def field_jacobian(field: PolyMap, lyap: Optional[MultiPoly] = None) -> Callable
     """Compile a field and its Jacobian into one evaluator that maps points
     (..., n) to the field (..., n) and the Jacobian (..., n, n); given lyap,
     a scalar polynomial, it returns lyap's values (...) as a third output
-    from the same call.  Each distinct polynomial among the components, the
-    entries and lyap is compiled once, so a gradient's equal mixed partials
-    are evaluated once."""
+    from the same call.  The components, the entries and lyap form one
+    CompiledPoly, which compiles each distinct polynomial among them once,
+    so a gradient's equal mixed partials are evaluated once."""
     n = field.domain_dim
     entries = [*field.components, *(e for row in field.jacobian() for e in row)]
     if lyap is not None:
         entries.append(lyap)
-    distinct: dict = {}
-    where = np.array([distinct.setdefault(e, len(distinct)) for e in entries], dtype=np.intp)
-    compiled = CompiledPoly(PolyMap(list(distinct), n))
+    compiled = CompiledPoly(PolyMap(entries, n))
 
     def evaluate(pts: np.ndarray) -> Tuple[np.ndarray, ...]:
-        vals = np.take(compiled(pts), where, axis=-1)
+        vals = compiled(pts)
         f = vals[..., :n]
         jac = vals[..., n:n + n * n].reshape(vals.shape[:-1] + (n, n))
         return (f, jac) if lyap is None else (f, jac, vals[..., -1])
@@ -329,16 +331,22 @@ def newton_search(
     for _ in range(MAX_ITER):
         if len(x) == 0:
             break
-        g, jac = grad_hess(x)
-        # a row stays live while its gradient is finite and it lies in the
-        # guard box, which holds no NaN or infinite coordinate
-        live = np.isfinite(g[:, 0])
-        for j in range(1, box.dim):
-            live &= np.isfinite(g[:, j])
+        # a row stays live while it lies in the guard box, which holds no NaN
+        # or infinite coordinate, and its gradient is finite; the box is
+        # tested first, so that a row outside it is never evaluated
+        inside = np.ones(len(x), dtype=bool)
         for j, (lo, hi) in enumerate(bounds):
-            live &= x[:, j] >= lo
-            live &= x[:, j] <= hi
-        rows = live.nonzero()[0]
+            inside &= x[:, j] >= lo
+            inside &= x[:, j] <= hi
+        rows = inside.nonzero()[0]
+        if len(rows) < len(x):
+            abandoned += len(x) - len(rows)
+            x = x.take(rows, axis=0)
+        g, jac = grad_hess(x)
+        finite = np.isfinite(g[:, 0])
+        for j in range(1, box.dim):
+            finite &= np.isfinite(g[:, j])
+        rows = finite.nonzero()[0]
         if len(rows) < len(x):
             abandoned += len(x) - len(rows)
             x, g, jac = x.take(rows, axis=0), g.take(rows, axis=0), jac.take(rows, axis=0)
@@ -502,7 +510,11 @@ def integrate_batch(
     guarded = lyap is not None
     fj = field_jacobian(field, lyap)
     tg = _float_points(targets)
+    # the guard box clipped to the finite doubles, so that a NaN or infinite
+    # coordinate never lies in it
     lo, hi = box.guard()
+    big = np.finfo(float).max
+    bounds = list(zip(np.maximum(lo, -big).tolist(), np.minimum(hi, big).tolist()))
     h_min = cfg.dt * MIN_STEP_RATIO
     eye = np.eye(n)
 
@@ -513,7 +525,9 @@ def integrate_batch(
     reason = np.full(B, None, dtype=object)
 
     # the loop calls the ufuncs that np.linalg.norm, np.mean, np.clip and
-    # np.maximum.at would, with the same bits and without their per-call cost
+    # np.maximum.at would, with the same bits and without their per-call
+    # cost, and repeats a per-row factor to the shape it multiplies, since
+    # numpy dispatches equal shapes fastest
     def classify(pts, g):
         """|g| per row, and the index of the target each row has converged
         to (-1 for none): |g| < GRAD_TOL within POINT_TOL of it."""
@@ -553,9 +567,9 @@ def integrate_batch(
             passes += 1
             rest = cfg.t_max - t
             last = h >= rest
-            ht = np.where(last, rest, h)
-            col = ht[:, None]
-            w_inv = _lapack(np.linalg.inv, eye - (_D * ht)[:, None, None] * jac)
+            ht = np.minimum(h, rest)
+            col = ht.repeat(n).reshape(-1, n)
+            w_inv = _lapack(np.linalg.inv, eye - (_D * ht).repeat(n * n).reshape(-1, n, n) * jac)
             k1 = _solve(w_inv, f0)
             f1 = fc(xa + 0.5 * col * k1)
             k2 = _solve(w_inv, f1 - k1) + k1
@@ -565,14 +579,19 @@ def integrate_batch(
             scale = ATOL + RTOL * np.maximum(np.abs(xa), np.abs(xn))
             q = (col / 6.0 * (k1 - 2.0 * k2 + k3) / scale) ** 2
             err = np.sqrt(np.add.reduce(q, axis=1) / n)
-            err = np.where(np.isfinite(err), err, np.inf)
-            hard_ok = np.logical_and.reduce(np.isfinite(xn) & (xn >= lo) & (xn <= hi), axis=1)
+            # the proposal is finite and inside the guard box
+            hard_ok = np.ones(len(xn), dtype=bool)
+            for j, (lo, hi) in enumerate(bounds):
+                hard_ok &= xn[:, j] >= lo
+                hard_ok &= xn[:, j] <= hi
             guard_ok = hard_ok
             if guarded:
                 inc = vn[0] - va
                 finite_inc = np.isfinite(inc)
                 guard_ok = hard_ok & ~(finite_inc & (inc > 0.5 * LYAP_STEP_TOL))
-            fac = np.minimum(np.maximum(0.9 * err ** (-1.0 / 3.0), MIN_FACTOR), MAX_FACTOR)
+            # a NaN err fails the error test and, through fmax, takes
+            # MIN_FACTOR, as an infinite one does
+            fac = np.minimum(np.fmax(0.9 * err ** (-1.0 / 3.0), MIN_FACTOR), MAX_FACTOR)
             # at the step floor only guard/finiteness violations count as
             # divergence; a failed error test or Lyapunov wiggle there is noise
             floor = ht <= h_min
@@ -580,14 +599,21 @@ def integrate_batch(
             diverged = ~hard_ok & floor
             h = np.maximum(ht * np.where(guard_ok, fac, np.minimum(fac, 0.5)), h_min)
 
-            acc_col = acc[:, None]
-            np.copyto(xa, xn, where=acc_col)
-            np.copyto(f0, f2, where=acc_col)
-            np.copyto(jac, jn, where=acc_col[:, :, None])
+            # on a pass where every row is accepted the proposal is the state
+            if np.count_nonzero(acc) == len(acc):
+                xa, f0, jac = xn, f2, jn
+                if guarded:
+                    va = vn[0]
+            else:
+                acc_col = acc[:, None]
+                np.copyto(xa, xn, where=acc_col)
+                np.copyto(f0, f2, where=acc_col)
+                np.copyto(jac, jn, where=acc_col[:, :, None])
+                if guarded:
+                    np.copyto(va, vn[0], where=acc)
             np.add(t, ht, out=t, where=acc)
             taken += acc
             if guarded:
-                np.copyto(va, vn[0], where=acc)
                 np.maximum(inc_max, inc, out=inc_max, where=acc & finite_inc)
             # FSAL: the field at an accepted proposal classifies it; a row
             # that was not accepted keeps its state, which did not converge

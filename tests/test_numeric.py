@@ -136,3 +136,39 @@ def test_lopsided_alone_matches(dim):
     poly = lopsided(dim)
     pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(300, dim))
     assert np.array_equal(CompiledPoly(poly)(pts), reference(poly, pts))
+
+
+def repeated(dim: int) -> list:
+    """Components with repeats: the same object twice, an equal copy of it,
+    and two distinct zero polynomials."""
+    polys = components(dim)
+    copy = MultiPoly(dim, dict(polys[4].terms))
+    return [polys[4], polys[0], polys[4], MultiPoly.zero(dim), copy, polys[6],
+            MultiPoly.zero(dim), polys[0]]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [(0,), (1,), (300,), (4, 25)])
+def test_repeated_components_match(dim, batch):
+    polys = repeated(dim)
+    compiled = CompiledPoly(PolyMap(polys, dim))
+    pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=batch + (dim,))
+    out = compiled(pts)
+    assert out.shape == batch + (len(polys),)
+    expected = np.stack([reference(p, pts) for p in polys], axis=-1)
+    assert np.array_equal(out, expected)
+
+
+def test_each_distinct_polynomial_compiled_once(monkeypatch):
+    calls = []
+    sorted_terms = MultiPoly.sorted_terms
+
+    def counted(self):
+        calls.append(self)
+        return sorted_terms(self)
+
+    monkeypatch.setattr(MultiPoly, "sorted_terms", counted)
+    polys = repeated(3)
+    CompiledPoly(PolyMap(polys, 3))
+    # polys[4] and its copy, polys[0] twice, and the two zeros are one each
+    assert calls == [polys[0], polys[1], polys[3], polys[5]]

@@ -168,6 +168,10 @@ class TestEvaluation:
         assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
+class _SubFraction(Fraction):
+    """A Fraction subclass, which MultiPoly stores as a plain Fraction."""
+
+
 class TestCanonicalForm:
     def test_zero_coefficients_purged(self):
         p = MultiPoly(1, [((1,), 1), ((1,), -1)])
@@ -199,6 +203,37 @@ class TestCanonicalForm:
         read = MultiPoly.from_obj({"dimension": 1, "terms": terms}).terms
         assert [(e, c.numerator, c.denominator) for e, c in read.items()] == \
             [(e, c.numerator, c.denominator) for e, c in expected.items()]
+
+    @given(st.lists(st.tuples(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.one_of(
+            st.integers(-10 ** 30, 10 ** 30),
+            rationals().map(str),
+            st.decimals(-10 ** 6, 10 ** 6, places=4).map(str),
+            st.floats(allow_nan=False, allow_infinity=False),
+            rationals(),
+            rationals().map(_SubFraction),
+        ),
+    ), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_coefficients_coerce_as_rat(self, items):
+        # every coefficient reads as rat(coeff), duplicates summed and zero
+        # sums dropped, and is stored as a plain Fraction
+        expected: dict = {}
+        for e, c in items:
+            expected[e] = expected.get(e, 0) + rat(c)
+        terms = MultiPoly(2, items).terms
+        assert terms == {e: c for e, c in expected.items() if c}
+        assert all(type(c) is Fraction for c in terms.values())
+
+    def test_fraction_coefficient_kept(self):
+        f = Fraction(3, 7)
+        assert MultiPoly(1, [((2,), f)]).terms[(2,)] is f
+
+    @pytest.mark.parametrize("bad", ["1/x", "", "1/0", "nan", "inf"])
+    def test_malformed_coefficient_raises(self, bad):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            MultiPoly(1, [((0,), bad)])
 
     def test_terms_serialized_in_graded_lex_order(self):
         p = x(2, 1) ** 2 + x(2, 0) + 5

@@ -24,3 +24,25 @@ def test_separatrix_demo_counts_off_line_timeouts(capsys):
     out = capsys.readouterr().out
     assert ("0/3 starts converged; 1 (the separatrix itself) timed out; "
             "2 off the separatrix timed out.") in out
+
+
+def test_bench_pairs_summary():
+    pairs = load_script("bench_pairs")
+    metrics = pairs.METRICS
+    parent = [dict.fromkeys(metrics, v) for v in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    change = [dict.fromkeys(metrics, v) for v in (0.9, 2.5, 2.0, 4.0, 4.0)]
+    summary = pairs.summarize(parent, change)
+    assert set(summary) == set(metrics)
+    wall = summary["wall_s"]
+    assert wall["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0,
+                              "runs": [1.0, 2.0, 3.0, 4.0, 5.0]}
+    assert wall["change"] == {"median": 2.5, "q1": 2.0, "q3": 4.0,
+                              "runs": [0.9, 2.5, 2.0, 4.0, 4.0]}
+    # the tie at 4.0 counts for neither side
+    assert wall["change_lower_in"] == "3/5"
+    assert wall["change_higher_in"] == "1/5"
+    assert wall["median_diff"] == -0.5
+    assert wall["median_rel_change"] == 2.5 / 3.0 - 1.0
+    assert wall["parent_iqr"] == 2.0
+    assert pairs.parse_seeds("31-40") == list(range(31, 41))
+    assert pairs.parse_seeds("7") == [7]

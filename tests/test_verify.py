@@ -334,6 +334,31 @@ class TestNewtonMatchesReference:
         assert got.blind == 1
 
 
+def test_census_evaluates_no_row_outside_the_guard_box(monkeypatch):
+    # the box is tested before the evaluation: a row that has left the guard
+    # box is abandoned without reaching the evaluator
+    def checked(field, lyap=None):
+        evaluate = field_jacobian(field, lyap)
+
+        def call(pts):
+            rows = np.asarray(pts).reshape(-1, field.domain_dim)
+            assert ((rows >= lo) & (rows <= hi)).all()
+            return evaluate(pts)
+
+        return call
+
+    monkeypatch.setattr(verify, "field_jacobian", checked)
+    abandoned = 0
+    for pts in PLANE_INSTANCES + BENCH_N3_SETS:
+        res = synthesize(PointSet(len(pts[0]), pts))
+        box = BoxSpec.from_points(res.input.points)
+        lo, hi = box.guard()
+        seeds = max(2, int(round(2000 ** (1.0 / box.dim))))
+        claimed = verify._float_points(res.input.points)
+        abandoned += newton_search(descent_field(res.p_poly), box, seeds, claimed).abandoned
+    assert abandoned > 0
+
+
 def gradient_map(dim: int) -> PolyMap:
     rng = random.Random(dim)
     terms = []
