@@ -169,6 +169,18 @@ class BoxSpec:
         }
 
 
+def _inside(x: np.ndarray, bounds) -> np.ndarray:
+    """The rows of x (N, n) within bounds, one (lower, upper) pair per
+    column.  The mask is built one column at a time, which on tens of rows
+    or more costs less than comparing the whole array with broadcast
+    corners."""
+    mask = np.ones(len(x), dtype=bool)
+    for j, (lo, hi) in enumerate(bounds):
+        mask &= x[:, j] >= lo
+        mask &= x[:, j] <= hi
+    return mask
+
+
 # ----------------------------------------------------------- Newton search
 
 
@@ -334,11 +346,7 @@ def newton_search(
         # a row stays live while it lies in the guard box, which holds no NaN
         # or infinite coordinate, and its gradient is finite; the box is
         # tested first, so that a row outside it is never evaluated
-        inside = np.ones(len(x), dtype=bool)
-        for j, (lo, hi) in enumerate(bounds):
-            inside &= x[:, j] >= lo
-            inside &= x[:, j] <= hi
-        rows = inside.nonzero()[0]
+        rows = _inside(x, bounds).nonzero()[0]
         if len(rows) < len(x):
             abandoned += len(x) - len(rows)
             x = x.take(rows, axis=0)
@@ -579,11 +587,7 @@ def integrate_batch(
             scale = ATOL + RTOL * np.maximum(np.abs(xa), np.abs(xn))
             q = (col / 6.0 * (k1 - 2.0 * k2 + k3) / scale) ** 2
             err = np.sqrt(np.add.reduce(q, axis=1) / n)
-            # the proposal is finite and inside the guard box
-            hard_ok = np.ones(len(xn), dtype=bool)
-            for j, (lo, hi) in enumerate(bounds):
-                hard_ok &= xn[:, j] >= lo
-                hard_ok &= xn[:, j] <= hi
+            hard_ok = _inside(xn, bounds)  # finite and inside the guard box
             guard_ok = hard_ok
             if guarded:
                 inc = vn[0] - va
