@@ -18,8 +18,8 @@ iteration makes one field_jacobian call that returns the gradient and the
 Hessian together, and one batched solve over every live row that gives both
 the next iterate of a row still searching and the float Newton image
 x - J^-1 g of a row accepted as a candidate.  A row is live while it lies
-in the guard box, which holds no NaN or infinite coordinate, and its
-gradient is finite.  The box is tested before the evaluation, so a row that
+in the guard box, clipped to the finite doubles so that it holds no NaN or
+infinite coordinate, and its gradient is finite.  The box is tested before the evaluation, so a row that
 has left it is never evaluated, and the finiteness of the gradient after;
 each mask is built one column at a time, the rows are compacted only when
 some leave, |grad| is taken on the live rows alone with the ufuncs of
@@ -167,6 +167,15 @@ class BoxSpec:
             "upper": list(self.upper),
             "derivation": self.derivation,
         }
+
+
+def _guard_bounds(box: BoxSpec) -> List[Tuple[float, float]]:
+    """One (lower, upper) pair per column: the guard box clipped to the
+    finite doubles.  The guard of a box near the largest double overflows
+    to infinity; clipped, it holds no NaN or infinite coordinate."""
+    big = np.finfo(float).max
+    lo, hi = box.guard()
+    return list(zip(np.maximum(lo, -big).tolist(), np.minimum(hi, big).tolist()))
 
 
 def _inside(x: np.ndarray, bounds) -> np.ndarray:
@@ -329,7 +338,6 @@ def newton_search(
         raise ValueError("seeds_per_axis must be >= 2")
     grad_hess = field_jacobian(grad)
     seeds = box.grid(seeds_per_axis)
-    guard_lo, guard_hi = box.guard()
     at_claimed = grad_hess(np.asarray(claimed, dtype=float).reshape(-1, box.dim))[0]
     with np.errstate(over="ignore", invalid="ignore"):
         blind = int(np.count_nonzero(~(np.linalg.norm(at_claimed, axis=1) < COARSE_TOL)))
@@ -339,13 +347,13 @@ def newton_search(
     singular = 0
     candidates: List[np.ndarray] = []
     images: List[np.ndarray] = []
-    bounds = list(zip(guard_lo.tolist(), guard_hi.tolist()))
+    bounds = _guard_bounds(box)
     for _ in range(MAX_ITER):
         if len(x) == 0:
             break
-        # a row stays live while it lies in the guard box, which holds no NaN
-        # or infinite coordinate, and its gradient is finite; the box is
-        # tested first, so that a row outside it is never evaluated
+        # a row stays live while it lies in the guard box and its gradient
+        # is finite; the box is tested first, so that a row outside it is
+        # never evaluated
         rows = _inside(x, bounds).nonzero()[0]
         if len(rows) < len(x):
             abandoned += len(x) - len(rows)
@@ -518,11 +526,7 @@ def integrate_batch(
     guarded = lyap is not None
     fj = field_jacobian(field, lyap)
     tg = _float_points(targets)
-    # the guard box clipped to the finite doubles, so that a NaN or infinite
-    # coordinate never lies in it
-    lo, hi = box.guard()
-    big = np.finfo(float).max
-    bounds = list(zip(np.maximum(lo, -big).tolist(), np.minimum(hi, big).tolist()))
+    bounds = _guard_bounds(box)
     h_min = cfg.dt * MIN_STEP_RATIO
     eye = np.eye(n)
 
@@ -603,18 +607,12 @@ def integrate_batch(
             diverged = ~hard_ok & floor
             h = np.maximum(ht * np.where(guard_ok, fac, np.minimum(fac, 0.5)), h_min)
 
-            # on a pass where every row is accepted the proposal is the state
-            if np.count_nonzero(acc) == len(acc):
-                xa, f0, jac = xn, f2, jn
-                if guarded:
-                    va = vn[0]
-            else:
-                acc_col = acc[:, None]
-                np.copyto(xa, xn, where=acc_col)
-                np.copyto(f0, f2, where=acc_col)
-                np.copyto(jac, jn, where=acc_col[:, :, None])
-                if guarded:
-                    np.copyto(va, vn[0], where=acc)
+            acc_col = acc[:, None]
+            np.copyto(xa, xn, where=acc_col)
+            np.copyto(f0, f2, where=acc_col)
+            np.copyto(jac, jn, where=acc_col[:, :, None])
+            if guarded:
+                np.copyto(va, vn[0], where=acc)
             np.add(t, ht, out=t, where=acc)
             taken += acc
             if guarded:

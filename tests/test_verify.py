@@ -359,6 +359,23 @@ def test_census_evaluates_no_row_outside_the_guard_box(monkeypatch):
     assert abandoned > 0
 
 
+def test_guard_bounds_stay_finite_when_the_guard_overflows():
+    # the guard of a box near the largest double overflows to infinity; the
+    # bounds the census and the flow test against are clipped, so a NaN or
+    # infinite coordinate is never inside
+    big = np.finfo(float).max
+    box = BoxSpec((-big / 2, 0.0), (big / 2, 1.0))
+    with np.errstate(over="ignore"):
+        lo, hi = box.guard()
+        bounds = verify._guard_bounds(box)
+    assert np.isinf(lo[0]) and np.isinf(hi[0])
+    assert all(math.isfinite(v) for pair in bounds for v in pair)
+    assert bounds[1] == (lo[1], hi[1])
+    rows = np.array([[big, 0.5], [-big, 0.5], [np.inf, 0.5], [-np.inf, 0.5],
+                     [np.nan, 0.5], [0.0, np.nan], [0.0, hi[1] * 2]])
+    assert verify._inside(rows, bounds).tolist() == [True, True] + [False] * 5
+
+
 def gradient_map(dim: int) -> PolyMap:
     rng = random.Random(dim)
     terms = []
