@@ -11,7 +11,10 @@ first on odd ones, so that a drift in the machine's speed does not favour
 one side.  The JSON it writes gives, for every end-to-end metric and for the
 unscaled fresh-interpreter import time (perfbench's ``details.setup.import_s``,
 which the scaled ``setup_s`` is derived from), each side's median, quartiles
-and individual runs, and in how many pairs the change read lower.
+and individual runs, in how many pairs the change read lower, and
+``claim_met``: whether the change read lower in at least nine tenths of the
+pairs (ties count for neither side) and its median lies below the parent's
+by more than the parent's quartile spread.
 """
 
 import argparse
@@ -69,20 +72,26 @@ def spread(runs: list) -> dict:
 def summarize(parent: list, change: list) -> dict:
     """Per metric, each side's spread over the paired runs (lists of dicts,
     one per seed, in the same order) and how often the change was lower or
-    higher than the parent in its pair; ties count for neither."""
+    higher than the parent in its pair; ties count for neither.  A gain is
+    claimed (claim_met) when the change is lower in at least 9/10 of the
+    pairs and its median is lower by more than the parent's quartile
+    spread."""
     out = {}
     for name in METRICS:
         p = [r[name] for r in parent]
         c = [r[name] for r in change]
         ps, cs = spread(p), spread(c)
+        lower = sum(b < a for a, b in zip(p, c))
+        diff, iqr = cs["median"] - ps["median"], ps["q3"] - ps["q1"]
         out[name] = {
             "parent": ps,
             "change": cs,
-            "change_lower_in": f"{sum(b < a for a, b in zip(p, c))}/{len(p)}",
+            "change_lower_in": f"{lower}/{len(p)}",
             "change_higher_in": f"{sum(b > a for a, b in zip(p, c))}/{len(p)}",
-            "median_diff": cs["median"] - ps["median"],
+            "median_diff": diff,
             "median_rel_change": cs["median"] / ps["median"] - 1.0,
-            "parent_iqr": ps["q3"] - ps["q1"],
+            "parent_iqr": iqr,
+            "claim_met": 10 * lower >= 9 * len(p) and -diff > iqr,
         }
     return out
 

@@ -16,11 +16,18 @@ at finite points.  Points go through in blocks of BLOCK in every dimension.
 
 Each distinct polynomial of a map is compiled and evaluated once, and equal
 components read its one row of values.  Stage 0's coefficient table is
-gathered at compile time and repeated to the block's width on each call, so
-that every Horner step, like every later stage, multiplies and adds arrays
-of equal shapes, the cheapest numpy dispatch (a broadcast add costs about
-twice as much on a small block).  The repeated table holds (stage-0
-rows x BLOCK) doubles: 440 KB for the census field of a four-point set in R^3.
+gathered at compile time and repeated once per call, to the width of the
+call's blocks, and every full block reuses it; a trailing partial block
+gets its own table at its own width.  So every Horner step, like every
+later stage, multiplies and adds contiguous arrays of equal shapes, the
+cheapest numpy dispatch (a broadcast add costs about twice as much on a
+small block).  The repeated table holds (stage-0 rows x min(N, BLOCK))
+doubles: 440 KB for the census field of a four-point set in R^3 (215 rows).
+At most one table is alive at a time, and each stage's arrays are released
+before the next stage's are made, so that holding the table through a
+call's later stages leaves its peak memory where a table per block had it
+(to within two array headers, by tracemalloc, on the census fields of the
+perfbench verify sets and the tests' 8200-term polynomials).
 """
 
 from __future__ import annotations
@@ -92,31 +99,43 @@ class CompiledPoly:
             raise ValueError(f"points have dim {pts.shape[-1]}, expected {self.dim}")
         x = pts.reshape(-1, self.dim)
         vals = np.empty((len(x), len(self._order)))
+        table = None
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(0, len(x), BLOCK):
-                vals[i:i + BLOCK] = self._horner(x[i:i + BLOCK].T).T
+                block = x[i:i + BLOCK]
+                # stage 0's table, repeated once to the width of the first
+                # block and reused by every block of that width; a trailing
+                # partial block gets its own, made after the full one is
+                # released, so that one table at most is alive
+                if table is None or table.shape[1] != len(block):
+                    table = None
+                    table = self._table.repeat(len(block), axis=1)
+                vals[i:i + BLOCK] = self._horner(block.T, table).T
         return vals.reshape(pts.shape[:-1] + self.shape)
 
-    def _horner(self, x: np.ndarray) -> np.ndarray:
-        """The polynomials at the points x (dim, N), shape (K, N)."""
+    def _horner(self, x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+        """The polynomials at the points x (dim, N), shape (K, N), given
+        stage 0's table repeated to width N."""
         values = None
         for xv, (rows, runs) in zip(x, self._stages):
-            # stage 0 takes its table repeated to the block's width, so that
-            # every Horner add below has equal shapes, which numpy dispatches
-            # fastest; a later stage gathers the values of the one before
-            if values is None:
-                coefs = self._table.repeat(len(xv), axis=1)
-            else:
+            # stage 0 reads the repeated table, so that every Horner add
+            # below has equal shapes, which numpy dispatches fastest; a later
+            # stage gathers the values of the one before
+            if values is not None:
                 coefs = values.take(rows, axis=0)
+                # the stage before is released before this one's arrays
+                # are made, so that with the table held through the call no
+                # more memory is alive at once than with a table per block
+                del values, r, live, xs, xa
             # a chain is zero until its top degree, where r * x + c_top is
             # c_top + x * 0; the row past the chains stays zero
             chains = runs[-1][0]
             r = np.zeros((chains + 1, len(xv)))
-            xs = np.repeat(xv[None], chains, axis=0)  # equal shapes multiply fastest
+            xs = xv[None].repeat(chains, axis=0)  # equal shapes multiply fastest
             for a, offsets in runs:
                 live, xa = r[:a], xs[:a]
                 for o in offsets:
                     live *= xa
                     live += coefs[o:o + a]
             values = r
-        return values[self._order]
+        return values.take(self._order, axis=0)

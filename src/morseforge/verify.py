@@ -19,14 +19,16 @@ Hessian together, and one batched solve over every live row that gives both
 the next iterate of a row still searching and the float Newton image
 x - J^-1 g of a row accepted as a candidate.  A row is live while it lies
 in the guard box, clipped to the finite doubles so that it holds no NaN or
-infinite coordinate, and its gradient is finite.  The box is tested before the evaluation, so a row that
-has left it is never evaluated, and the finiteness of the gradient after;
-each mask is built one column at a time, the rows are compacted only when
-some leave, |grad| is taken on the live rows alone with the ufuncs of
-np.linalg.norm, and candidates are kept only on an iteration that finds
-some.  A row whose step is not finite, NaN where LAPACK finds the
-Jacobian exactly singular, is counted singular and dropped, and a
-candidate's image is then NaN.
+infinite coordinate, and its gradient is finite.  The box is tested before
+the evaluation, so a row that has left it is never evaluated, and the
+finiteness of the gradient after; each mask is built one column at a time,
+the rows are compacted only when some leave, |grad| is taken on the live
+rows alone by _row_norms (column sums of squares, the bits of
+np.linalg.norm on rows of fewer than eight entries), which also finds the
+blind points, and candidates are kept only on an iteration that finds
+some.  A row whose step is not finite, NaN where LAPACK finds the Jacobian
+exactly singular, is counted singular and dropped, and a candidate's image
+is then NaN.
 Deduplication loops over representatives, not candidates: with the
 candidates sorted on their first coordinate, each new representative drops
 every candidate within DEDUP_TOL of it among those within 2 DEDUP_TOL on
@@ -62,13 +64,13 @@ same loop evaluates and guards nothing beyond the field), and solves three
 systems against one W = I - h d J (one inverse, three products; NaN where W
 is exactly singular, which makes the proposal non-finite).  The evaluation at
 an accepted proposal starts the next step and classifies convergence
-(GRAD_TOL, POINT_TOL; target distances only where |field| < GRAD_TOL).  On
-a pass that accepts every row the proposal becomes the state as it is;
-otherwise the accepted rows are copied in.  The per-row state is compacted,
-and the rows that finished written back, only on a pass where some
-trajectory leaves.  A proposal that fails the error test,
-leaves the guard box, goes non-finite, or increases the Lyapunov value beyond
-half of LYAP_STEP_TOL is rejected and the step shrunk.  A trajectory is
+(GRAD_TOL, POINT_TOL; target distances only where |field| < GRAD_TOL,
+|field| by the census's _row_norms).  The accepted rows are copied into
+the state by masked copies, its only update.  The per-row state is
+compacted, and the rows that finished written back, only on a pass where
+some trajectory leaves.  A proposal that fails the error test, leaves the
+guard box, goes non-finite, or increases the Lyapunov value beyond half of
+LYAP_STEP_TOL is rejected and the step shrunk.  A trajectory is
 classified diverged only when the step floor is reached with the proposal
 still outside the guard box or non-finite, and times out at t_max or after
 MAX_ATTEMPTS attempts, whichever comes first.
@@ -188,6 +190,20 @@ def _inside(x: np.ndarray, bounds) -> np.ndarray:
         mask &= x[:, j] >= lo
         mask &= x[:, j] <= hi
     return mask
+
+
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    """|g| per row of g (N, n): the squares summed a column at a time, in
+    column order, then the square root.  numpy's np.add.reduce sums a row
+    of fewer than eight entries in the same order, so for those the bits
+    are np.linalg.norm's; on many short rows the column sums cost a fifth
+    as much as a reduction along each row."""
+    col = g[:, 0]
+    sq = col * col
+    for j in range(1, g.shape[1]):
+        col = g[:, j]
+        sq += col * col
+    return np.sqrt(sq, out=sq)
 
 
 # ----------------------------------------------------------- Newton search
@@ -340,7 +356,7 @@ def newton_search(
     seeds = box.grid(seeds_per_axis)
     at_claimed = grad_hess(np.asarray(claimed, dtype=float).reshape(-1, box.dim))[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        blind = int(np.count_nonzero(~(np.linalg.norm(at_claimed, axis=1) < COARSE_TOL)))
+        blind = int(np.count_nonzero(~(_row_norms(at_claimed) < COARSE_TOL)))
 
     x = seeds
     abandoned = 0
@@ -366,10 +382,10 @@ def newton_search(
         if len(rows) < len(x):
             abandoned += len(x) - len(rows)
             x, g, jac = x.take(rows, axis=0), g.take(rows, axis=0), jac.take(rows, axis=0)
-        # the ufuncs of np.linalg.norm; a finite gradient past about 1e154
-        # squares to inf, which only means "not converged"
+        # a finite gradient past about 1e154 squares to inf, which only
+        # means "not converged"
         with np.errstate(over="ignore"):
-            conv = np.sqrt(np.add.reduce(g * g, axis=1)) < COARSE_TOL
+            conv = _row_norms(g) < COARSE_TOL
         # one Newton step for every live row: the next iterate of a row still
         # searching, the float image of a candidate; a row whose step is not
         # finite (NaN where LAPACK finds the Jacobian singular) is dropped
@@ -543,7 +559,7 @@ def integrate_batch(
     def classify(pts, g):
         """|g| per row, and the index of the target each row has converged
         to (-1 for none): |g| < GRAD_TOL within POINT_TOL of it."""
-        gn = np.sqrt(np.add.reduce(g * g, axis=1))
+        gn = _row_norms(g)
         near = np.full(len(gn), -1, dtype=np.int64)
         small = gn < GRAD_TOL
         if len(tg) and np.count_nonzero(small):

@@ -8,7 +8,7 @@ from numpy.polynomial import polynomial as npp
 
 from conftest import rand_rat
 from morseforge._rat import rat
-from morseforge.numeric import CompiledPoly
+from morseforge.numeric import BLOCK, CompiledPoly
 from morseforge.poly import MultiPoly, PolyMap
 
 
@@ -83,6 +83,11 @@ def long_poly(dim: int) -> MultiPoly:
     return MultiPoly(dim, [(e, rand_rat(rng, 100)) for e in product(range(side), repeat=dim)])
 
 
+# batches at the block boundary: one short of a block, one block, one past
+# it, and two full blocks followed by a partial one
+BOUNDARY = [(BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (2 * BLOCK + 3,)]
+
+
 def components(dim: int) -> list:
     """Seven polynomials of different degrees and sizes, sharing monomials,
     with a zero polynomial, a constant and a lopsided one among them."""
@@ -99,7 +104,7 @@ def components(dim: int) -> list:
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-@pytest.mark.parametrize("batch", [(0,), (1,), (300,), (4, 25)])
+@pytest.mark.parametrize("batch", [(0,), (1,), (300,), (4, 25), *BOUNDARY])
 @pytest.mark.parametrize("shape", [(), (7,), (1,)])
 def test_merged_matches_per_polynomial(dim, batch, shape):
     polys = components(dim)
@@ -116,8 +121,14 @@ def test_merged_matches_per_polynomial(dim, batch, shape):
     assert np.array_equal(out, expected)
 
 
-@pytest.mark.parametrize("dim", [1, 3, 4])
-@pytest.mark.parametrize("batch", [(1,), (300,), (4, 25)])
+# a dim x batch grid, except that two blocks and a partial one run in dims 3
+# and 4 only: in dim 1 the long polynomial's one chain makes each of the
+# single-row calls below slow
+@pytest.mark.parametrize("dim, batch", [
+    pytest.param(dim, batch, id=f"batch{i}-{dim}")
+    for i, batch in enumerate([(1,), (300,), (4, 25), (2 * BLOCK + 3,)])
+    for dim in ((1, 3, 4) if i < 3 else (3, 4))
+])
 def test_rows_do_not_depend_on_the_batch(dim, batch):
     compiled = CompiledPoly(PolyMap([*components(dim), long_poly(dim)], dim))
     rng = np.random.default_rng(dim)
@@ -148,7 +159,7 @@ def repeated(dim: int) -> list:
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-@pytest.mark.parametrize("batch", [(0,), (1,), (300,), (4, 25)])
+@pytest.mark.parametrize("batch", [(0,), (1,), (300,), (4, 25), *BOUNDARY])
 def test_repeated_components_match(dim, batch):
     polys = repeated(dim)
     compiled = CompiledPoly(PolyMap(polys, dim))

@@ -44,5 +44,20 @@ def test_bench_pairs_summary():
     assert wall["median_diff"] == -0.5
     assert wall["median_rel_change"] == 2.5 / 3.0 - 1.0
     assert wall["parent_iqr"] == 2.0
+    assert wall["claim_met"] is False
+
+    # ten pairs, parent 10..19 (median 14.5, quartile spread 4.5); the last
+    # pair ties in every case
+    def verdict(drops):
+        runs = [10.0 + i for i in range(10)]
+        parent = [dict.fromkeys(metrics, v) for v in runs]
+        change = [dict.fromkeys(metrics, v - d) for v, d in zip(runs, drops + [0.0])]
+        return pairs.summarize(parent, change)["wall_s"]["claim_met"]
+
+    assert verdict([5.0] * 9) is True  # 9/10 lower, median 5 lower
+    assert verdict([4.5] * 9) is False  # median lower by the spread itself
+    assert verdict([4.0] * 9) is False  # median lower by less than it
+    assert verdict([9.0] * 8 + [-1.0]) is False  # lower in 8/10 only
+    assert verdict([-5.0] * 9) is False  # higher in 9/10
     assert pairs.parse_seeds("31-40") == list(range(31, 41))
     assert pairs.parse_seeds("7") == [7]

@@ -376,6 +376,36 @@ def test_guard_bounds_stay_finite_when_the_guard_overflows():
     assert verify._inside(rows, bounds).tolist() == [True, True] + [False] * 5
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_row_norms_match_the_row_reduction(n):
+    # summed a column at a time, the squares give the bits of numpy's row
+    # reduction, also where a row is zero or its squares overflow to inf
+    rng = np.random.default_rng(n)
+    g = rng.standard_normal((400, n)) * 10.0 ** rng.integers(-150, 150, size=(400, n))
+    g[:20] = 0.0
+    g[20:40, 0] = 1e200
+    g[40:60] = -1e160
+    with np.errstate(over="ignore"):
+        want = np.sqrt(np.add.reduce(g * g, axis=1))
+        got = verify._row_norms(g)
+    assert np.isinf(want).any() and not want[:20].any()
+    assert np.array_equal(got, want)
+
+
+def test_census_and_flow_take_row_norms_from_the_helper(monkeypatch):
+    calls = []
+    recording(monkeypatch, "_row_norms", calls)
+    grad = PolyMap([x(2, 0) * x(2, 0) * x(2, 0) - x(2, 0), x(2, 1)], 2)
+    box = BoxSpec(lower=(-2.0, -1.0), upper=(2.0, 1.0))
+    newton_search(grad, box, 5, claimed=[[1.0, 0.0]])
+    # the blind test at the one claimed point, then the first iteration's
+    # convergence test on the 25 seeds
+    assert [len(g) for g, in calls[:2]] == [1, 25]
+    calls.clear()
+    integrate_batch(PolyMap([-x(2, 0), -x(2, 1)], 2), [[0.5, 0.5]], box, [[0.0, 0.0]])
+    assert calls
+
+
 def gradient_map(dim: int) -> PolyMap:
     rng = random.Random(dim)
     terms = []
