@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import List, Sequence, Tuple
 
 from ._rat import Rat, rat
-from .poly import MultiPoly, PolyMap, json_int
+from .poly import MultiPoly, PolyMap, json_int, json_row
 
 
 class PointSetError(ValueError):
@@ -67,7 +67,7 @@ class PointSet:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PointSet":
-        return cls(json_int(obj["dimension"]), [list(p) for p in obj["points"]])
+        return cls(json_int(obj["dimension"]), [json_row(p) for p in obj["points"]])
 
 
 @dataclass(frozen=True)

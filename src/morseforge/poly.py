@@ -39,9 +39,24 @@ class DimensionMismatch(ValueError):
 def json_int(value) -> int:
     """value, if it is a JSON integer; int() would truncate 2.5 to 2 and
     read true as 1."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int:
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def json_digits(value) -> int:
+    """A term's num or den: a decimal string or a JSON integer."""
+    if type(value) not in (str, int):
+        raise TypeError(f"expected an integer or a decimal string, got {value!r}")
+    return int(value)
+
+
+def json_row(value) -> List[Rat]:
+    """The entries of a JSON list as rationals; a string would iterate as
+    its characters, and Fraction reads true as 1."""
+    if type(value) is not list or bool in map(type, value):
+        raise TypeError(f"expected a list of rationals, got {value!r}")
+    return [rat(c) for c in value]
 
 
 def grlex_key(exps: Exponent):
@@ -426,7 +441,8 @@ class MultiPoly:
     def from_obj(cls, obj: dict) -> "MultiPoly":
         dim = json_int(obj["dimension"])
         terms = [
-            (tuple(json_int(x) for x in t["exponents"]), Fraction(int(t["num"]), int(t["den"])))
+            (tuple(json_int(x) for x in t["exponents"]),
+             Fraction(json_digits(t["num"]), json_digits(t["den"])))
             for t in obj["terms"]
         ]
         return cls(dim, terms)

@@ -14,9 +14,9 @@ from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import List
 
 from . import exactmat
-from ._rat import Rat, rat, rat_str
+from ._rat import Rat, rat_str
 from .coord_change import CoordChange, PointSet
-from .poly import MultiPoly, PolyMap
+from .poly import MultiPoly, PolyMap, json_row
 from .synth import SaddleField, SynthesisResult, hessian_at
 
 BUNDLE_SCHEMA = "morseforge-bundle-v1"
@@ -25,10 +25,6 @@ SADDLE_SCHEMA = "morseforge-saddle-field-v1"
 
 def _matrix_obj(rows) -> list:
     return [[rat_str(c) for c in row] for row in rows]
-
-
-def _matrix_from(obj) -> list:
-    return [[rat(c) for c in row] for row in obj]
 
 
 def coord_change_obj(change: CoordChange) -> dict:
@@ -92,9 +88,9 @@ def parse_bundle(obj: dict) -> ParsedBundle:
         inverse=PolyMap.from_obj(cc["inverse"]),
         p=MultiPoly.from_obj(obj["p"]),
         grad_field=PolyMap.from_obj(obj["grad_field"]),
-        hessians=[_matrix_from(h) for h in obj["hessians"]],
-        minors=[[rat(m) for m in row] for row in obj["minors"]],
-        axis_images=[rat(a) for a in cc["axis_images"]],
+        hessians=[[json_row(row) for row in h] for h in obj["hessians"]],
+        minors=[json_row(row) for row in obj["minors"]],
+        axis_images=json_row(cc["axis_images"]),
     )
     n = bundle.pointset.dimension
     maps = (bundle.forward, bundle.inverse, bundle.grad_field)

@@ -3,8 +3,9 @@
 Everything here treats the synthesized objects as claims under test: a
 Newton search for critical points the construction says cannot exist,
 adaptive integration of the descent flow with convergence classification,
-and the certification report that rebuilds the gradient and Hessians from P
-alone.  The descent field -grad P has one derivation, synth.descent_field,
+and certify, which rebuilds the gradient and Hessians from a bundle's P
+alone, compares the stored claims with them and decides verify's one
+verdict.  The descent field -grad P has one derivation, synth.descent_field,
 which certify and the flow commands share; no stored field is integrated
 or searched.  Every float evaluation goes through numeric.CompiledPoly,
 whose value at a point does not depend on the batch it is evaluated in: a
@@ -42,12 +43,12 @@ evaluation of the gradient, even by Horner's rule, has a cancellation noise
 floor near X far above the residual target RESIDUAL_TOL (1e-10 to 2e-9 on
 four-point sets), so the final residual is evaluated exactly (rational
 arithmetic at the float iterate) and only then compared against the target.
-The report counts both limits: blind, the claimed points where the float
-|grad| is at or above COARSE_TOL, so that no seed can be accepted there, and
-polish_failed, the representatives whose exact polish failed.  It also gives
-coverage, the share of seeds neither abandoned nor singular, and degraded,
-set when the recall is below 1 or a point is blind; neither enters
-overall_pass.
+The report, NewtonResult, counts both limits: blind, the claimed points
+where the float |grad| is at or above COARSE_TOL, so that no seed can be
+accepted there, and polish_failed, the representatives whose exact polish
+failed.  It also gives coverage, the share of seeds neither abandoned nor
+singular, and degraded, set when the recall is below 1 or a point is blind;
+neither enters overall_pass.
 The census only cross-checks the construction, so its tolerances, like the
 flow's, are module constants of one recipe; the caller chooses only the
 search box and the seed density.
@@ -88,6 +89,7 @@ from . import exactmat
 from ._rat import GridTooLarge, rat
 from .numeric import CompiledPoly, _float
 from .poly import MultiPoly, PolyMap
+from .serialize import ParsedBundle
 from .synth import descent_field
 
 
@@ -233,6 +235,43 @@ class NewtonResult:
     singular: int
     blind: int  # claimed points the float phase cannot accept
     polish_failed: int  # representatives whose exact polish failed
+    near: np.ndarray  # near[i, j]: claimed point i within SPURIOUS_TOL of points[j]
+
+    @property
+    def all_within_tol(self) -> bool:
+        """Every found point lies within SPURIOUS_TOL of a claimed one."""
+        return bool(self.near.any(axis=0).all())
+
+    @property
+    def newton_recall(self) -> float:
+        """Share of claimed points within SPURIOUS_TOL of a found one."""
+        return float(self.near.any(axis=1).mean())
+
+    @property
+    def coverage(self) -> float:
+        """Share of seeds that the float phase neither abandoned nor dropped
+        as singular."""
+        return (self.seeds_used - self.abandoned - self.singular) / self.seeds_used
+
+    @property
+    def degraded(self) -> bool:
+        """The census missed a claimed point or could not accept one."""
+        return self.newton_recall < 1 or self.blind > 0
+
+    def to_obj(self) -> dict:
+        return {
+            "seeds_used": self.seeds_used,
+            "converged_points": [p.tolist() for p in self.points],
+            "all_within_tol_of_X": self.all_within_tol,
+            "tol": SPURIOUS_TOL,
+            "abandoned": self.abandoned,
+            "singular": self.singular,
+            "blind": self.blind,
+            "polish_failed": self.polish_failed,
+            "newton_recall": self.newton_recall,
+            "coverage": self.coverage,
+            "degraded": self.degraded,
+        }
 
 
 def _first_come(points: np.ndarray, tol: float) -> List[int]:
@@ -354,7 +393,8 @@ def newton_search(
         raise ValueError("seeds_per_axis must be >= 2")
     grad_hess = field_jacobian(grad)
     seeds = box.grid(seeds_per_axis)
-    at_claimed = grad_hess(np.asarray(claimed, dtype=float).reshape(-1, box.dim))[0]
+    claimed = np.asarray(claimed, dtype=float).reshape(-1, box.dim)
+    at_claimed = grad_hess(claimed)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         blind = int(np.count_nonzero(~(_row_norms(at_claimed) < COARSE_TOL)))
 
@@ -420,13 +460,16 @@ def newton_search(
             polish_failed += 1
         else:
             polished = np.vstack([polished, point])
+    points = _dedup(polished, DEDUP_TOL)
+    found = np.asarray(points, dtype=float).reshape(-1, box.dim)
     return NewtonResult(
-        points=_dedup(polished, DEDUP_TOL),
+        points=points,
         seeds_used=len(seeds),
         abandoned=abandoned,
         singular=singular,
         blind=blind,
         polish_failed=polish_failed,
+        near=np.linalg.norm(claimed[:, None, :] - found[None, :, :], axis=2) <= SPURIOUS_TOL,
     )
 
 
@@ -699,50 +742,22 @@ class PointCert:
 
 
 @dataclass
-class SpuriousSearch:
-    seeds_used: int
-    converged_points: List[List[float]]
-    all_within_tol: bool
-    abandoned: int = 0
-    singular: int = 0
-    blind: int = 0  # claimed points where the census's |grad| is >= COARSE_TOL
-    polish_failed: int = 0  # representatives whose exact polish failed
-    newton_recall: float = 0.0  # share of claimed points within SPURIOUS_TOL of a found one
-
-    @property
-    def coverage(self) -> float:
-        """Share of seeds that the float phase neither abandoned nor dropped
-        as singular."""
-        return (self.seeds_used - self.abandoned - self.singular) / self.seeds_used
-
-    @property
-    def degraded(self) -> bool:
-        """The census missed a claimed point or could not accept one."""
-        return self.newton_recall < 1 or self.blind > 0
-
-    def to_obj(self) -> dict:
-        return {
-            "seeds_used": self.seeds_used,
-            "converged_points": [list(p) for p in self.converged_points],
-            "all_within_tol_of_X": self.all_within_tol,
-            "tol": SPURIOUS_TOL,
-            "abandoned": self.abandoned,
-            "singular": self.singular,
-            "blind": self.blind,
-            "polish_failed": self.polish_failed,
-            "newton_recall": self.newton_recall,
-            "coverage": self.coverage,
-            "degraded": self.degraded,
-        }
-
-
-@dataclass
 class CertReport:
     per_point: List[PointCert]
-    spurious: SpuriousSearch
+    spurious: NewtonResult
     box: BoxSpec
-    grad: PolyMap  # -grad P, recomputed from P; not in to_obj
-    overall_pass: bool
+    # the bundle's stored claims against what P gives
+    minors_match_bundle: bool
+    hessians_match_bundle: bool
+    grad_field_consistent: bool
+
+    @property
+    def overall_pass(self) -> bool:
+        """The verdict: every point passes, every found point is claimed and
+        every stored claim matches."""
+        stored = (self.minors_match_bundle, self.hessians_match_bundle, self.grad_field_consistent)
+        points = all(c.passed for c in self.per_point)
+        return points and self.spurious.all_within_tol and all(stored)
 
     def to_obj(self) -> dict:
         return {
@@ -750,31 +765,34 @@ class CertReport:
             "spurious_search": self.spurious.to_obj(),
             "box": self.box.to_obj(),
             "overall_pass": self.overall_pass,
+            "minors_match_bundle": self.minors_match_bundle,
+            "hessians_match_bundle": self.hessians_match_bundle,
+            "grad_field_consistent": self.grad_field_consistent,
         }
 
 
 def certify(
-    points,
-    p: MultiPoly,
+    bundle: ParsedBundle,
     box: Optional[BoxSpec] = None,
     seeds_per_axis: Optional[int] = None,
 ) -> CertReport:
-    """Exact certification of P at the claimed critical points plus a
-    numeric search for critical points of P anywhere else in the box.
+    """Exact certification of P at the claimed critical points, a numeric
+    search for critical points of P anywhere else in the box, and the verdict.
 
     The descent field -grad P (synth.descent_field, the derivation every
-    command shares) and the Hessians are derived from P itself, and the
-    report carries both so that a caller can compare them with stored
-    claims.  Failures become report entries; only a seed grid over
-    MAX_GRID_POINTS (GridTooLarge) and a coefficient of P or a point
-    coordinate past the double range (numeric.CoefficientTooLarge) raise."""
-    grad = descent_field(p)
+    command shares) and the Hessians are derived from the bundle's p; its
+    stored grad_field, hessians and minors (one row per point) are only
+    claims compared with them.  Failures become report entries; only a seed
+    grid over MAX_GRID_POINTS (GridTooLarge) and a coefficient of P or a
+    point coordinate past the double range (numeric.CoefficientTooLarge)
+    raise."""
+    points = bundle.pointset.points
+    grad = descent_field(bundle.p)
     per = []
     for pt in points:
-        pt = tuple(rat(c) for c in pt)
         residues = grad.eval_rational(pt)
         zero = all(r == 0 for r in residues)
-        hessian = p.hessian_at(pt)
+        hessian = bundle.p.hessian_at(pt)
         minors = exactmat.leading_principal_minors(hessian)
         per.append(
             PointCert(
@@ -791,26 +809,13 @@ def certify(
     if seeds_per_axis is None:
         # roughly 2000 seeds total regardless of dimension
         seeds_per_axis = max(2, int(round(2000 ** (1.0 / box.dim))))
-    ref = _float_points(points)
-    search = newton_search(grad, box, seeds_per_axis, claimed=ref)
-    found = np.asarray(search.points, dtype=float).reshape(-1, box.dim)
-    # near[i, j]: claimed point i lies within SPURIOUS_TOL of found point j
-    near = np.linalg.norm(ref[:, None, :] - found[None, :, :], axis=2) <= SPURIOUS_TOL
-    all_within = bool(near.any(axis=0).all())
-    spurious = SpuriousSearch(
-        seeds_used=search.seeds_used,
-        converged_points=[[float(c) for c in p] for p in search.points],
-        all_within_tol=all_within,
-        abandoned=search.abandoned,
-        singular=search.singular,
-        blind=search.blind,
-        polish_failed=search.polish_failed,
-        newton_recall=float(near.any(axis=1).mean()),
-    )
     return CertReport(
         per_point=per,
-        spurious=spurious,
+        spurious=newton_search(grad, box, seeds_per_axis, claimed=_float_points(points)),
         box=box,
-        grad=grad,
-        overall_pass=all(c.passed for c in per) and all_within,
+        minors_match_bundle=len(bundle.minors) == len(per)
+        and all(c.minors == stored for c, stored in zip(per, bundle.minors)),
+        hessians_match_bundle=len(bundle.hessians) == len(per)
+        and all(c.hessian == stored for c, stored in zip(per, bundle.hessians)),
+        grad_field_consistent=grad == bundle.grad_field,
     )

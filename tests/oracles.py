@@ -32,6 +32,7 @@ from morseforge.verify import (
     MIN_STEP_RATIO,
     POINT_TOL,
     RTOL,
+    SPURIOUS_TOL,
     STATUS_ACTIVE,
     STATUS_CONVERGED,
     STATUS_DIVERGED,
@@ -343,13 +344,15 @@ def reference_newton_search(
     gradient and the iterate for finiteness and the iterate against the
     guard box over whole rows, takes np.linalg.norm of every row, compacts
     every array and extends the candidate lists row by row; deduplication
-    is reference_first_come.  verify.MAX_ITER is read at call time."""
+    is reference_first_come, and each claimed point is measured against
+    each found point alone.  verify.MAX_ITER is read at call time."""
     if seeds_per_axis < 2:
         raise ValueError("seeds_per_axis must be >= 2")
     grad_hess = field_jacobian(grad)
     seeds = box.grid(seeds_per_axis)
     guard_lo, guard_hi = box.guard()
-    at_claimed = grad_hess(np.asarray(claimed, dtype=float).reshape(-1, box.dim))[0]
+    claimed = np.asarray(claimed, dtype=float).reshape(-1, box.dim)
+    at_claimed = grad_hess(claimed)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         blind = int(np.count_nonzero(~(np.linalg.norm(at_claimed, axis=1) < COARSE_TOL)))
 
@@ -389,11 +392,15 @@ def reference_newton_search(
             polish_failed += 1
         else:
             polished = np.vstack([polished, point])
+    points = [polished[i] for i in reference_first_come(polished, DEDUP_TOL)]
+    near = np.array([[np.linalg.norm(c - q) <= SPURIOUS_TOL for q in points]
+                     for c in claimed], dtype=bool).reshape(len(claimed), len(points))
     return NewtonResult(
-        points=[polished[i] for i in reference_first_come(polished, DEDUP_TOL)],
+        points=points,
         seeds_used=len(seeds),
         abandoned=abandoned,
         singular=singular,
         blind=blind,
         polish_failed=polish_failed,
+        near=near,
     )

@@ -90,6 +90,14 @@ class TestVerify:
         assert obj["overall_pass"] is True
         assert obj["grad_field_consistent"] is True
         assert obj["minors_match_bundle"] is True
+        assert list(obj) == [
+            "per_point", "spurious_search", "box", "overall_pass", "minors_match_bundle",
+            "hessians_match_bundle", "grad_field_consistent", "seed",
+        ]
+        assert list(obj["spurious_search"]) == [
+            "seeds_used", "converged_points", "all_within_tol_of_X", "tol", "abandoned",
+            "singular", "blind", "polish_failed", "newton_recall", "coverage", "degraded",
+        ]
 
     def test_tampered_polynomial_fails(self, two_point_bundle, tmp_path):
         obj = json.loads(two_point_bundle.read_text())
@@ -441,6 +449,50 @@ def test_fractional_exponent_rejected(command, extra, two_point_bundle, tmp_path
     obj = json.loads(two_point_bundle.read_text())
     obj["p"]["terms"][-1]["exponents"][0] += 0.5
     src = tmp_path / "exp.json"
+    src.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert cli.main([command, "-i", str(src), "-o", str(out), *extra]) == 2
+    assert not out.exists()
+
+
+# JSON that breaks the schema, as (where, path, value): where is "pointset"
+# (the point set file, or a bundle's pointset) or "bundle".  int() would read
+# 1.9 and true as 1, Fraction reads true as 1 and fails on infinity with an
+# OverflowError, and a string where a list belongs iterates as its characters.
+SCHEMA_BREAKS = [
+    ("pointset", ["points"], ["12", "34"]),
+    ("pointset", ["points", 0, 0], True),
+    ("pointset", ["points", 0, 0], float("inf")),
+    ("bundle", ["p", "terms", -1, "num"], 1.9),
+    ("bundle", ["p", "terms", -1, "num"], True),
+    ("bundle", ["grad_field", "components", 0, "terms", 0, "den"], 1.0),
+    ("bundle", ["hessians", 0], ["12", "34"]),
+    ("bundle", ["minors", 0], "12"),
+    ("bundle", ["minors", 0, 0], True),
+    ("bundle", ["coord_change", "axis_images"], "12"),
+]
+
+
+@pytest.mark.parametrize("command, extra, where, path, value", [
+    pytest.param(command, extra, where, path, value,
+                 id=f"{command}-{where}.{'.'.join(map(str, path))}="
+                 f"{json.dumps(value, separators=(',', ':'))}")
+    for where, path, value in SCHEMA_BREAKS
+    for command, extra in EVERY_COMMAND
+    if where == "pointset" or (command, extra) in BUNDLE_COMMANDS
+])
+def test_schema_break_rejected(command, extra, where, path, value, two_point_bundle,
+                               tmp_path):
+    if command in ("synthesize", "saddle-field"):
+        obj = target = {"dimension": 2, "points": [["-1/2", "0"], ["1/2", "1/4"]]}
+    else:
+        obj = json.loads(two_point_bundle.read_text())
+        target = obj["pointset"] if where == "pointset" else obj
+    *head, last = path
+    for key in head:
+        target = target[key]
+    target[last] = value
+    src = tmp_path / "broken.json"
     src.write_text(json.dumps(obj))
     out = tmp_path / "out"
     assert cli.main([command, "-i", str(src), "-o", str(out), *extra]) == 2

@@ -15,6 +15,7 @@ from morseforge.morse_scalar import (
 from morseforge.poly import MultiPoly
 from morseforge.verify import certify
 from oracles import eval_symmetric, squared_plane_f
+from test_verify import plane_bundle
 
 
 def xvar():
@@ -179,12 +180,9 @@ class TestHessian:
 
 
 def certify_pair(spec):
-    """Exact per-root certification plus a numeric spurious-point search."""
-    return certify(
-        points=[(r, rat(0)) for r in spec.roots],
-        p=build_pair(spec).f,
-        seeds_per_axis=40,
-    )
+    """Exact per-root certification of f plus a numeric spurious-point
+    search, on the bundle of the points (r, 0), whose P is f."""
+    return certify(plane_bundle(spec), seeds_per_axis=40)
 
 
 class TestCertification:

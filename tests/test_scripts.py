@@ -61,3 +61,29 @@ def test_bench_pairs_summary():
     assert verdict([-5.0] * 9) is False  # higher in 9/10
     assert pairs.parse_seeds("31-40") == list(range(31, 41))
     assert pairs.parse_seeds("7") == [7]
+
+
+def test_same_outputs_differences():
+    same = load_script("same_outputs")
+    assert same.parse_seeds("1,101") == [1, 101]
+
+    def record(argv, stage="job", **fields):
+        rec = {"workload": "verify", "seed": 1, "stage": stage, "argv": argv,
+               "code": 0, "stdout": "", "stderr": "", "sha256": "ab"}
+        return {**rec, **fields}
+
+    setup = record(["synthesize", "-i", "a.json", "-o", "b.json"], stage="setup")
+    job = record(["verify", "-i", "b.json", "-o", "r.json"])
+    assert same.differences([setup, job], [setup, job]) == []
+    assert same.differences([setup, job], [setup, {**job, "code": 1, "sha256": "cd"}]) == [
+        "verify seed 1 job: verify -i b.json -o r.json: differs in code, sha256"]
+    assert same.differences([setup, job], [{**setup, "stderr": "error: x\n"}, job]) == [
+        "verify seed 1 setup: synthesize -i a.json -o b.json: differs in stderr"]
+    assert same.differences([setup, job], [setup]) == [
+        "verify seed 1 job: verify -i b.json -o r.json: run by the parent only"]
+    assert same.differences([setup], [setup, job]) == [
+        "verify seed 1 job: verify -i b.json -o r.json: run by the change only"]
+    other = {**job, "argv": ["verify", "-i", "c.json", "-o", "r.json"]}
+    assert same.differences([job], [other]) == [
+        "verify seed 1 job: verify -i b.json -o r.json: the change ran "
+        "verify -i c.json -o r.json"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import warnings
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morseforge import verify
+from morseforge import serialize, verify
 from morseforge._rat import rat
 from morseforge.coord_change import PointSet
 from morseforge.exactmat import leading_principal_minors
@@ -271,14 +272,19 @@ BENCH_N3_SETS = [
 ]
 
 
-def assert_same_census(got, want):
-    """Equal NewtonResults: the points bit for bit, the counts exactly."""
+def assert_same_census(got, want, claimed):
+    """Equal NewtonResults: the points bit for bit, the counts exactly, and
+    the same match of the claimed points to the found ones."""
     assert len(got.points) == len(want.points)
     for a, b in zip(got.points, want.points):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     counts = ("seeds_used", "abandoned", "singular", "blind", "polish_failed")
     assert [getattr(got, c) for c in counts] == [getattr(want, c) for c in counts]
     assert all(type(getattr(got, c)) is int for c in counts)
+    assert got.near.shape == want.near.shape == (len(claimed), len(got.points))
+    assert np.array_equal(got.near, want.near)
+    if len(claimed):
+        assert got.to_obj() == want.to_obj()
 
 
 def census_both(points, seeds=None):
@@ -290,7 +296,7 @@ def census_both(points, seeds=None):
     seeds = seeds or max(2, int(round(2000 ** (1.0 / box.dim))))
     claimed = verify._float_points(res.input.points)
     got = newton_search(grad, box, seeds, claimed=claimed)
-    assert_same_census(got, reference_newton_search(grad, box, seeds, claimed=claimed))
+    assert_same_census(got, reference_newton_search(grad, box, seeds, claimed=claimed), claimed)
     return got
 
 
@@ -329,7 +335,7 @@ class TestNewtonMatchesReference:
             warnings.simplefilter("error")
             got = newton_search(grad, box, 17, claimed=claimed)
             want = reference_newton_search(grad, box, 17, claimed=claimed)
-        assert_same_census(got, want)
+        assert_same_census(got, want, claimed)
         assert got.abandoned > 0 and got.singular > 0
         assert got.blind == 1
 
@@ -743,14 +749,28 @@ class TestFlowMatchesReference:
         assert (got.attempts <= 7).all()
 
 
+def parsed(res):
+    """The bundle of a synthesis as `verify` reads it."""
+    return serialize.parse_bundle(serialize.bundle_obj(res))
+
+
+def plane_bundle(spec):
+    """The bundle of the points (r, 0) over the roots r of spec.  On the
+    axis the coordinate change is the identity, so P is the plane f."""
+    res = synthesize(PointSet(2, [(r, 0) for r in spec.roots]))
+    assert res.p_poly == build_pair(spec).f
+    return parsed(res)
+
+
 class TestCertify:
     def test_plane_pair_passes(self):
         spec = AlphaSpec(["-1/2", "1/2"])
-        pts = [(r, rat(0)) for r in spec.roots]
         f = build_pair(spec).f
-        report = certify(points=pts, p=f, seeds_per_axis=30)
+        bundle = plane_bundle(spec)
+        report = certify(bundle, seeds_per_axis=30)
         assert report.overall_pass
-        assert report.grad == PolyMap([-f.partial(0), -f.partial(1)])
+        assert bundle.grad_field == PolyMap([-f.partial(0), -f.partial(1)])
+        assert report.grad_field_consistent
         assert len(report.per_point) == 2
         for cert in report.per_point:
             assert cert.gradient_zero
@@ -762,15 +782,44 @@ class TestCertify:
     def test_report_serializes(self):
         import json
 
-        pair = build_pair(AlphaSpec([0]))
-        report = certify(points=[(rat(0), rat(0))], p=pair.f, seeds_per_axis=20)
+        report = certify(plane_bundle(AlphaSpec([0])), seeds_per_axis=20)
         json.dumps(report.to_obj())
 
     def test_coordinate_past_double_range_refused(self):
-        pair = build_pair(AlphaSpec([0]))
+        bundle = plane_bundle(AlphaSpec([0]))
+        far = dataclasses.replace(bundle, pointset=PointSet(2, [(rat(10 ** 400), rat(0))]))
         box = BoxSpec(lower=(-1.0, -1.0), upper=(1.0, 1.0))
         with pytest.raises(CoefficientTooLarge):
-            certify(points=[(rat(10 ** 400), rat(0))], p=pair.f, box=box, seeds_per_axis=5)
+            certify(far, box=box, seeds_per_axis=5)
+
+    @pytest.mark.parametrize("tamper, flag", [
+        ("hessian-entry", "hessians_match_bundle"),
+        ("flipped-minor", "minors_match_bundle"),
+        ("truncated-minors", "minors_match_bundle"),
+        ("negated-field", "grad_field_consistent"),
+    ])
+    def test_tampered_claim_fails_the_verdict(self, tamper, flag):
+        obj = serialize.bundle_obj(synthesize(PointSet(2, [["-1/2", "0"], ["1/2", "1/4"]])))
+        flags = ("minors_match_bundle", "hessians_match_bundle", "grad_field_consistent")
+        intact = certify(serialize.parse_bundle(obj), seeds_per_axis=30)
+        assert intact.overall_pass
+        assert all(getattr(intact, f) for f in flags)
+        if tamper == "hessian-entry":
+            obj["hessians"][0][0][0] = "-7"
+        elif tamper == "flipped-minor":
+            obj["minors"][0][0] = "-" + obj["minors"][0][0]
+        elif tamper == "truncated-minors":
+            del obj["minors"][1:]
+        else:
+            field = PolyMap.from_obj(obj["grad_field"])
+            obj["grad_field"] = PolyMap([-c for c in field.components], 2).to_obj()
+        report = certify(serialize.parse_bundle(obj), seeds_per_axis=30)
+        assert report.overall_pass is False
+        assert {f: getattr(report, f) for f in flags} == {f: f != flag for f in flags}
+        assert all(c.passed for c in report.per_point)
+        assert report.spurious.all_within_tol
+        out = report.to_obj()
+        assert out["overall_pass"] is False and out[flag] is False
 
 
 def fresh_set(seed: int, n: int, k: int) -> PointSet:
@@ -793,7 +842,7 @@ class TestCensusCounts:
         # census cannot accept any of them
         res = synthesize(fresh_set(1, 2, 4))
         assert len(res.p_poly.terms) == 60
-        search = certify(res.input.points, res.p_poly).spurious
+        search = certify(parsed(res)).spurious
         assert search.blind == 4
         assert search.newton_recall == 0.0
         assert search.to_obj()["blind"] == 4
@@ -802,7 +851,7 @@ class TestCensusCounts:
         # float candidates 6-38 units from X whose exact |grad P| is large
         res = synthesize(fresh_set(2, 3, 6))
         assert len(res.p_poly.terms) == 97
-        search = certify(res.input.points, res.p_poly).spurious
+        search = certify(parsed(res)).spurious
         assert search.polish_failed > 0
         assert search.to_obj()["polish_failed"] == search.polish_failed
 
@@ -810,7 +859,7 @@ class TestCensusCounts:
         # no blind point and no failed polish, yet one minimum is never
         # reached: only coverage and degraded show the loss
         res = synthesize(PointSet(3, N3_K4_MISSED))
-        search = certify(res.input.points, res.p_poly).spurious
+        search = certify(parsed(res)).spurious
         assert (search.blind, search.polish_failed, search.newton_recall) == (0, 0, 0.75)
         obj = search.to_obj()
         assert obj["degraded"] is True
@@ -821,7 +870,7 @@ class TestCensusCounts:
     def test_acceptance_plane_sets_report_none(self):
         for pts in PLANE_INSTANCES:
             res = synthesize(PointSet(2, pts))
-            search = certify(res.input.points, res.p_poly).spurious
+            search = certify(parsed(res)).spurious
             assert (search.blind, search.polish_failed, search.newton_recall) == (0, 0, 1.0)
             assert search.to_obj()["degraded"] is False
             assert 0 < search.to_obj()["coverage"] <= 1
