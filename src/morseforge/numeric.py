@@ -12,7 +12,10 @@ the values of stage s-1 (stage 0: the coefficients, a missing one an
 explicit zero) for every (polynomial, e_{s+1}, ..., e_{n-1}) exponent tail
 that occurs.  A chain starts as c_top + x * 0 and goes on as c + r * x, the
 operations of numpy's polyval, so plane values are bit for bit polyval2d's
-at finite points.  Points go through in blocks of BLOCK in every dimension.
+at finite points.  Points go through in blocks of the instance's width,
+derived once at compile time from stage 0's chains (see MAX_WIDTH): 512 for
+every census field of the perfbench verify sets, 128 for a sixteen-point set
+in the plane (467 chains), 32 for a twelve-point set in R^3 (1248 chains).
 
 Each distinct polynomial of a map is compiled and evaluated once, and equal
 components read its one row of values.  Stage 0's coefficient table is
@@ -21,8 +24,9 @@ call's blocks, and every full block reuses it; a trailing partial block
 gets its own table at its own width.  So every Horner step, like every
 later stage, multiplies and adds contiguous arrays of equal shapes, the
 cheapest numpy dispatch (a broadcast add costs about twice as much on a
-small block).  The repeated table holds (stage-0 rows x min(N, BLOCK))
-doubles: 440 KB for the census field of a four-point set in R^3 (215 rows).
+small block).  The repeated table holds (stage-0 rows x min(N, width))
+doubles: 880 KB for the census field of a four-point set in R^3 (215 rows,
+width 512), 23 MB for the sixteen-point plane set above (22043 rows).
 At most one table is alive at a time, and each stage's arrays are released
 before the next stage's are made, so that holding the table through a
 call's later stages leaves its peak memory where a table per block had it
@@ -39,8 +43,13 @@ import numpy as np
 from ._rat import CoefficientTooLarge
 from .poly import MultiPoly, PolyMap
 
-# points per block, which bounds each stage's table of values
-BLOCK = 256
+# A call runs its points in blocks of CompiledPoly.width, derived at compile
+# time: the largest power of two, at most MAX_WIDTH, at which stage 0's
+# Horner state (one row per chain, the most of any stage) holds at most
+# MAX_STATE doubles.  A narrow block costs numpy dispatch per point; a wide
+# one runs the many chains of a large map out of cache.
+MAX_WIDTH = 512
+MAX_STATE = 2 ** 16
 
 
 def _float(value, what: str = "a polynomial coefficient") -> float:
@@ -91,6 +100,8 @@ class CompiledPoly:
             self._stages.append((np.array(rows, dtype=np.intp), runs))
         # stage 0's rows are the coefficients themselves, gathered here once
         self._table = coefs.take(self._stages[0][0], axis=0)
+        chains = self._stages[0][1][-1][0]
+        self.width = min(MAX_WIDTH, 1 << max(0, (MAX_STATE // chains).bit_length() - 1))
         self._order = np.argsort([k for k, in keys])[where]
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
@@ -101,8 +112,8 @@ class CompiledPoly:
         vals = np.empty((len(x), len(self._order)))
         table = None
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(0, len(x), BLOCK):
-                block = x[i:i + BLOCK]
+            for i in range(0, len(x), self.width):
+                block = x[i:i + self.width]
                 # stage 0's table, repeated once to the width of the first
                 # block and reused by every block of that width; a trailing
                 # partial block gets its own, made after the full one is
@@ -110,7 +121,7 @@ class CompiledPoly:
                 if table is None or table.shape[1] != len(block):
                     table = None
                     table = self._table.repeat(len(block), axis=1)
-                vals[i:i + BLOCK] = self._horner(block.T, table).T
+                vals[i:i + self.width] = self._horner(block.T, table).T
         return vals.reshape(pts.shape[:-1] + self.shape)
 
     def _horner(self, x: np.ndarray, coefs: np.ndarray) -> np.ndarray:

@@ -52,9 +52,10 @@ def json_digits(value) -> int:
 
 
 def json_row(value) -> List[Rat]:
-    """The entries of a JSON list as rationals; a string would iterate as
-    its characters, and Fraction reads true as 1."""
-    if type(value) is not list or bool in map(type, value):
+    """The entries of a JSON list as rationals, each a decimal string or a
+    JSON integer, as in json_digits; a string would iterate as its
+    characters, Fraction reads true as 1 and a float as its binary value."""
+    if type(value) is not list or any(type(c) not in (str, int) for c in value):
         raise TypeError(f"expected a list of rationals, got {value!r}")
     return [rat(c) for c in value]
 

@@ -20,14 +20,15 @@ Hessian together, and one batched solve over every live row that gives both
 the next iterate of a row still searching and the float Newton image
 x - J^-1 g of a row accepted as a candidate.  A row is live while it lies
 in the guard box, clipped to the finite doubles so that it holds no NaN or
-infinite coordinate, and its gradient is finite.  The box is tested before
-the evaluation, so a row that has left it is never evaluated, and the
-finiteness of the gradient after; each mask is built one column at a time,
-the rows are compacted only when some leave, |grad| is taken on the live
-rows alone by _row_norms (column sums of squares, the bits of
-np.linalg.norm on rows of fewer than eight entries), which also finds the
-blind points, and candidates are kept only on an iteration that finds
-some.  A row whose step is not finite, NaN where LAPACK finds the Jacobian
+infinite coordinate, and its gradient is finite.  The seeds lie in the box,
+and each next iterate is tested against it in the one compaction that also
+drops the candidates and the singular rows, so a row that has left the box
+is never evaluated; the finiteness of the gradient is tested after the
+evaluation.  Each mask is built one column at a time, the rows are
+compacted only when some leave, |grad| is taken on the live rows alone by
+_row_norms (column sums of squares, the bits of np.linalg.norm on rows of
+fewer than eight entries), which also finds the blind points, and
+candidates are kept only on an iteration that finds some.  A row whose step is not finite, NaN where LAPACK finds the Jacobian
 exactly singular, is counted singular and dropped, and a candidate's image
 is then NaN.
 Deduplication loops over representatives, not candidates: with the
@@ -408,12 +409,9 @@ def newton_search(
         if len(x) == 0:
             break
         # a row stays live while it lies in the guard box and its gradient
-        # is finite; the box is tested first, so that a row outside it is
-        # never evaluated
-        rows = _inside(x, bounds).nonzero()[0]
-        if len(rows) < len(x):
-            abandoned += len(x) - len(rows)
-            x = x.take(rows, axis=0)
+        # is finite; the seeds lie in the box, and each next iterate is
+        # tested against it below, so that a row outside it is never
+        # evaluated
         g, jac = grad_hess(x)
         finite = np.isfinite(g[:, 0])
         for j in range(1, box.dim):
@@ -439,8 +437,13 @@ def newton_search(
             candidates.append(x[conv])
             images.append(x_next[conv])
             keep &= ~conv
+        stepped = int(np.count_nonzero(keep))
+        singular += len(x) - found - stepped
+        # a next iterate outside the guard box is abandoned in the same
+        # compaction, before it reaches the evaluator
+        keep &= _inside(x_next, bounds)
         kept = int(np.count_nonzero(keep))
-        singular += len(x) - found - kept
+        abandoned += stepped - kept
         x = x_next if kept == len(x) else x_next[keep]
     abandoned += len(x)  # hit the iteration cap without settling
 

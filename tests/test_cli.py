@@ -458,7 +458,9 @@ def test_fractional_exponent_rejected(command, extra, two_point_bundle, tmp_path
 # JSON that breaks the schema, as (where, path, value): where is "pointset"
 # (the point set file, or a bundle's pointset) or "bundle".  int() would read
 # 1.9 and true as 1, Fraction reads true as 1 and fails on infinity with an
-# OverflowError, and a string where a list belongs iterates as its characters.
+# OverflowError, a string where a list belongs iterates as its characters,
+# and Fraction reads a float as its binary value: each float below equals
+# the value it replaces, so only its JSON type breaks the schema.
 SCHEMA_BREAKS = [
     ("pointset", ["points"], ["12", "34"]),
     ("pointset", ["points", 0, 0], True),
@@ -470,6 +472,10 @@ SCHEMA_BREAKS = [
     ("bundle", ["minors", 0], "12"),
     ("bundle", ["minors", 0, 0], True),
     ("bundle", ["coord_change", "axis_images"], "12"),
+    ("pointset", ["points", 0, 0], -0.5),
+    ("bundle", ["hessians", 0, 0, 1], 1.5),
+    ("bundle", ["minors", 0, 0], 2.125),
+    ("bundle", ["coord_change", "axis_images", 0], -0.5),
 ]
 
 

@@ -1,5 +1,7 @@
 import math
 import random
+from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -8,7 +10,7 @@ from numpy.polynomial import polynomial as npp
 
 from conftest import rand_rat
 from morseforge._rat import rat
-from morseforge.numeric import BLOCK, CompiledPoly
+from morseforge.numeric import MAX_STATE, MAX_WIDTH, CompiledPoly
 from morseforge.poly import MultiPoly, PolyMap
 
 
@@ -74,6 +76,7 @@ def lopsided(dim: int) -> MultiPoly:
     ])
 
 
+@cache
 def long_poly(dim: int) -> MultiPoly:
     """At least 8200 terms, more than numpy's default buffer of 8192
     elements, so its Horner chains are long (degree 8199 at dim 1) or
@@ -83,9 +86,31 @@ def long_poly(dim: int) -> MultiPoly:
     return MultiPoly(dim, [(e, rand_rat(rng, 100)) for e in product(range(side), repeat=dim)])
 
 
+def wide(dim: int) -> PolyMap:
+    """components(dim) and long_poly(dim): in dims 3 and 4 a map of
+    hundreds of stage-0 chains (493 and 1073), whose block width falls below
+    MAX_WIDTH."""
+    return PolyMap([*components(dim), long_poly(dim)], dim)
+
+
+@dataclass(frozen=True)
+class Blocks:
+    """A batch at the block boundary of a compiled instance: full blocks of
+    its width, then extra points more (fewer when negative)."""
+    full: int
+    extra: int
+
+
+def batch_of(batch, compiled: CompiledPoly) -> tuple:
+    """batch itself, or a Blocks batch at compiled's width."""
+    if isinstance(batch, Blocks):
+        return (batch.full * compiled.width + batch.extra,)
+    return batch
+
+
 # batches at the block boundary: one short of a block, one block, one past
 # it, and two full blocks followed by a partial one
-BOUNDARY = [(BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (2 * BLOCK + 3,)]
+BOUNDARY = [Blocks(1, -1), Blocks(1, 0), Blocks(1, 1), Blocks(2, 3)]
 
 
 def components(dim: int) -> list:
@@ -105,32 +130,39 @@ def components(dim: int) -> list:
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 @pytest.mark.parametrize("batch", [(0,), (1,), (300,), (4, 25), *BOUNDARY])
-@pytest.mark.parametrize("shape", [(), (7,), (1,)])
+@pytest.mark.parametrize("shape", [(), (7,), (1,), (8,)])
 def test_merged_matches_per_polynomial(dim, batch, shape):
     polys = components(dim)
     if shape == ():
         compiled, refs = CompiledPoly(polys[0]), polys[:1]
     elif shape == (7,):
         compiled, refs = CompiledPoly(PolyMap(polys, dim)), polys
+    elif shape == (8,):
+        compiled, refs = CompiledPoly(wide(dim)), wide(dim).components
     else:
         compiled, refs = CompiledPoly(PolyMap(polys[4:5], dim)), polys[4:5]
-    pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=batch + (dim,))
+    batch = batch_of(batch, compiled)
+    # long_poly's chain of degree 8199 in dim 1 overflows past |x| = 1
+    side = 1.0 if shape == (8,) else 2.0
+    pts = np.random.default_rng(dim).uniform(-side, side, size=batch + (dim,))
     out = compiled(pts)
     assert out.shape == batch + shape
     expected = np.stack([reference(p, pts) for p in refs], axis=-1).reshape(out.shape)
     assert np.array_equal(out, expected)
 
 
-# a dim x batch grid, except that two blocks and a partial one run in dims 3
-# and 4 only: in dim 1 the long polynomial's one chain makes each of the
-# single-row calls below slow
+# a dim x batch grid, except that two blocks and a partial one, at the
+# width derived for the map (below MAX_WIDTH), run in dims 3 and 4 only: in
+# dim 1 the long polynomial's one chain makes each of the single-row calls
+# below slow
 @pytest.mark.parametrize("dim, batch", [
     pytest.param(dim, batch, id=f"batch{i}-{dim}")
-    for i, batch in enumerate([(1,), (300,), (4, 25), (2 * BLOCK + 3,)])
+    for i, batch in enumerate([(1,), (300,), (4, 25), Blocks(2, 3)])
     for dim in ((1, 3, 4) if i < 3 else (3, 4))
 ])
 def test_rows_do_not_depend_on_the_batch(dim, batch):
-    compiled = CompiledPoly(PolyMap([*components(dim), long_poly(dim)], dim))
+    compiled = CompiledPoly(wide(dim))
+    batch = batch_of(batch, compiled)
     rng = np.random.default_rng(dim)
     pts = rng.uniform(-1.0, 1.0, size=batch + (dim,))
     out = compiled(pts)
@@ -163,11 +195,29 @@ def repeated(dim: int) -> list:
 def test_repeated_components_match(dim, batch):
     polys = repeated(dim)
     compiled = CompiledPoly(PolyMap(polys, dim))
+    batch = batch_of(batch, compiled)
     pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=batch + (dim,))
     out = compiled(pts)
     assert out.shape == batch + (len(polys),)
     expected = np.stack([reference(p, pts) for p in polys], axis=-1)
     assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_width_from_the_stage_zero_chains(dim):
+    # stage 0 runs one Horner chain per distinct polynomial and exponent
+    # tail (e_1, ..., e_{n-1}); the width is the largest power of two, at
+    # most MAX_WIDTH, at which those chains times the width stay within
+    # MAX_STATE doubles
+    for polys in (components(dim), repeated(dim), wide(dim).components):
+        distinct = dict.fromkeys(polys)
+        chains = len({(k, *e[1:]) for k, p in enumerate(distinct)
+                      for e in (p.terms or [(0,) * dim])})
+        width = MAX_WIDTH
+        while width > 1 and chains * width > MAX_STATE:
+            width //= 2
+        assert CompiledPoly(PolyMap(polys, dim)).width == width
+    assert (CompiledPoly(wide(dim)).width < MAX_WIDTH) == (dim > 2)
 
 
 def test_each_distinct_polynomial_compiled_once(monkeypatch):
