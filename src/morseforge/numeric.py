@@ -14,8 +14,9 @@ that occurs.  A chain starts as c_top + x * 0 and goes on as c + r * x, the
 operations of numpy's polyval, so plane values are bit for bit polyval2d's
 at finite points.  Points go through in blocks of the instance's width,
 derived once at compile time from stage 0's chains (see MAX_WIDTH): 512 for
-every census field of the perfbench verify sets, 128 for a sixteen-point set
-in the plane (467 chains), 32 for a twelve-point set in R^3 (1248 chains).
+the census field of a four-point set in R^3 (18 chains), 128 for a
+sixteen-point set in the plane (467 chains), 32 for a twelve-point set in
+R^3 (1248 chains).
 
 Each distinct polynomial of a map is compiled and evaluated once, and equal
 components read its one row of values.  Stage 0's coefficient table is

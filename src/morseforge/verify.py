@@ -28,9 +28,9 @@ evaluation.  Each mask is built one column at a time, the rows are
 compacted only when some leave, |grad| is taken on the live rows alone by
 _row_norms (column sums of squares, the bits of np.linalg.norm on rows of
 fewer than eight entries), which also finds the blind points, and
-candidates are kept only on an iteration that finds some.  A row whose step is not finite, NaN where LAPACK finds the Jacobian
-exactly singular, is counted singular and dropped, and a candidate's image
-is then NaN.
+candidates are kept only on an iteration that finds some.  A row whose
+step is not finite, NaN where LAPACK finds the Jacobian exactly singular,
+is counted singular and dropped, and a candidate's image is then NaN.
 Deduplication loops over representatives, not candidates: with the
 candidates sorted on their first coordinate, each new representative drops
 every candidate within DEDUP_TOL of it among those within 2 DEDUP_TOL on
