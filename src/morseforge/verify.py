@@ -16,9 +16,12 @@ once and evaluated over a whole batch of points per call.
 Newton runs in two phases: a fast float phase over the whole seed grid, then
 an exact-arithmetic polish of one candidate per critical point.  Each float
 iteration makes one field_jacobian call that returns the gradient and the
-Hessian together, and one batched solve over every live row that gives both
-the next iterate of a row still searching and the float Newton image
-x - J^-1 g of a row accepted as a candidate.  A row is live while it lies
+Hessian together, and one batched Newton step over every live row that
+gives both the next iterate of a row still searching and the float Newton
+image x - J^-1 g of a row accepted as a candidate.  _newton_step, which
+the polish shares, writes the step for n <= 3 in closed form, cofactors
+over the determinant, so that each row's step depends on its own J and g
+alone; for n >= 4 it is LAPACK's batched solve.  A row is live while it lies
 in the guard box, clipped to the finite doubles so that it holds no NaN or
 infinite coordinate, and its gradient is finite.  The seeds lie in the box,
 and each next iterate is tested against it in the one compaction that also
@@ -29,8 +32,9 @@ compacted only when some leave, |grad| is taken on the live rows alone by
 _row_norms (column sums of squares, the bits of np.linalg.norm on rows of
 fewer than eight entries), which also finds the blind points, and
 candidates are kept only on an iteration that finds some.  A row whose
-step is not finite, NaN where LAPACK finds the Jacobian exactly singular,
-is counted singular and dropped, and a candidate's image is then NaN.
+step is not finite, as where a closed-form determinant is exactly 0 (for
+n >= 4, where LAPACK meets an exactly zero pivot), is counted singular and
+dropped, and a candidate's image is then NaN.
 Deduplication loops over representatives, not candidates: with the
 candidates sorted on their first coordinate, each new representative drops
 every candidate within DEDUP_TOL of it among those within 2 DEDUP_TOL on
@@ -233,6 +237,8 @@ class NewtonResult:
     points: List[np.ndarray]
     seeds_used: int
     abandoned: int
+    # rows whose Newton step was not finite: a closed-form determinant of
+    # exactly 0 (n <= 3) or LAPACK's exactly zero pivot (n >= 4)
     singular: int
     blind: int  # claimed points the float phase cannot accept
     polish_failed: int  # representatives whose exact polish failed
@@ -342,8 +348,9 @@ def field_jacobian(field: PolyMap, lyap: Optional[MultiPoly] = None) -> Callable
 
 
 def _lapack(fn: Callable, a: np.ndarray, *rest) -> np.ndarray:
-    """fn, np.linalg.solve or np.linalg.inv, over a batch of matrices a.
-    Only when LAPACK raises are the rows with an exactly zero pivot found
+    """fn over a batch of matrices a: np.linalg.inv for the flow's W, and
+    np.linalg.solve for the Newton steps of _newton_step at n >= 4.  Only
+    when LAPACK raises are the rows with an exactly zero pivot found
     (getrf's own test), rerun with the identity in their place and returned
     as NaN, so a row's result depends on its own matrix alone."""
     try:
@@ -356,16 +363,76 @@ def _lapack(fn: Callable, a: np.ndarray, *rest) -> np.ndarray:
         return out
 
 
+def _cramer(jac: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """J^-1 g per row for n <= 3, and det J: the cofactors over the
+    determinant, written one column of rows at a time.  A row whose
+    determinant is 0 gets a step that is not finite."""
+    n = g.shape[1]
+    if n == 1:
+        return g / jac[:, :, 0], jac[:, 0, 0]
+    a = [[jac[:, i, j] for j in range(n)] for i in range(n)]
+    r = [g[:, j] for j in range(n)]
+    step = np.empty_like(g)
+    if n == 2:
+        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        step[:, 0] = a[1][1] * r[0] - a[0][1] * r[1]
+        step[:, 1] = a[0][0] * r[1] - a[1][0] * r[0]
+    else:
+        # cof[i][j] is the (i, j) cofactor, by the cyclic rule of the 3 x 3
+        cof = [[a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
+                - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]
+                for j in range(3)] for i in range(3)]
+        det = a[0][0] * cof[0][0] + a[0][1] * cof[0][1] + a[0][2] * cof[0][2]
+        for i in range(3):
+            step[:, i] = cof[0][i] * r[0] + cof[1][i] * r[1] + cof[2][i] * r[2]
+    step /= det[:, None]
+    return step, det
+
+
+def _newton_step(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The Newton step J^-1 g of each row of jac (N, n, n) and g (N, n).
+
+    For n <= 3 it is the closed form of _cramer, so a row's step depends on
+    that row's J and g alone, and a row whose determinant is exactly 0 gets
+    a step that is not finite.  A row whose step is not finite, or whose
+    determinant is not a finite normal double (its products overflowed or
+    underflowed, which can also leave a finite but wrong step), is solved
+    once more with J and g scaled by powers of two to a largest entry in
+    [1/2, 1), and its step scaled back exactly.  Products that underflow
+    while the determinant stays normal (g some 150 orders of magnitude
+    below J) are not retried.  For n >= 4 the step is LAPACK's, through
+    _lapack, NaN where it meets an exactly zero pivot."""
+    n = g.shape[1]
+    if n > 3:
+        return _lapack(np.linalg.solve, jac, g[..., None])[..., 0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        step, det = _cramer(jac, g)
+        det = np.abs(det)
+        ok = det >= np.finfo(float).tiny
+        ok &= det < np.inf
+        for j in range(n):
+            ok &= np.isfinite(step[:, j])
+        bad = ~ok
+        if bad.any():
+            jac, g = jac[bad], g[bad]
+            ej = np.frexp(np.abs(jac).max(axis=(1, 2)))[1]
+            eg = np.frexp(np.abs(g).max(axis=1))[1]
+            scaled = _cramer(np.ldexp(jac, -ej[:, None, None]), np.ldexp(g, -eg[:, None]))[0]
+            step[bad] = np.ldexp(scaled, (eg - ej)[:, None])
+    return step
+
+
 def _polish_exact(grad: PolyMap, grad_hess: Callable, x0: np.ndarray):
     """Newton refinement with the gradient evaluated exactly at the float
-    iterate; accepts only if the exact residual norm reaches the target."""
+    iterate; accepts only if the exact residual norm reaches the target.
+    A residual past the double range, or a step that is not finite, fails
+    the polish."""
     x = np.array(x0, dtype=float)
     for attempt in range(POLISH_ITER + 1):
         exact_pt = [rat(float(c)) for c in x]
-        g = np.array(
-            [float(comp.eval_rational(exact_pt)) for comp in grad.components]
-        )
-        if not np.isfinite(g).all():
+        try:
+            g = np.array([float(comp.eval_rational(exact_pt)) for comp in grad.components])
+        except OverflowError:  # an exact residual past the double range
             return None
         # a finite g past about 1e154 overflows the norm to inf: not converged
         with np.errstate(over="ignore"):
@@ -373,7 +440,7 @@ def _polish_exact(grad: PolyMap, grad_hess: Callable, x0: np.ndarray):
                 return x
         if attempt == POLISH_ITER:
             return None
-        step = _lapack(np.linalg.solve, grad_hess(x[None, :])[1], g[None, :, None])[0, :, 0]
+        step = _newton_step(grad_hess(x[None, :])[1], g[None, :])[0]
         if not np.isfinite(step).all():
             return None
         x = x - step
@@ -426,8 +493,8 @@ def newton_search(
             conv = _row_norms(g) < COARSE_TOL
         # one Newton step for every live row: the next iterate of a row still
         # searching, the float image of a candidate; a row whose step is not
-        # finite (NaN where LAPACK finds the Jacobian singular) is dropped
-        step = _lapack(np.linalg.solve, jac, g[..., None])[..., 0]
+        # finite (as where its Jacobian is exactly singular) is dropped
+        step = _newton_step(jac, g)
         x_next = x - step
         keep = np.isfinite(step[:, 0])
         for j in range(1, box.dim):

@@ -42,7 +42,7 @@ from morseforge.verify import (
     FlowConfig,
     NewtonResult,
     _float_points,
-    _lapack,
+    _newton_step,
     _polish_exact,
     _solve,
     field_jacobian,
@@ -373,7 +373,7 @@ def reference_newton_search(
         abandoned += int((~live).sum())
         x, g, jac = x[live], g[live], jac[live]
         conv = gn[live] < COARSE_TOL
-        step = _lapack(np.linalg.solve, jac, g[..., None])[..., 0]
+        step = _newton_step(jac, g)
         good = np.isfinite(step).all(axis=1)
         x_next = x - step
         candidates.extend(x[conv])

@@ -196,7 +196,25 @@ class TestVerify:
                          "--box=-1e20,1e20", "--box=-1e20,1e20"]) == 0
         assert capsys.readouterr().err == ""
         search = json.loads(report.read_text())["spurious_search"]
-        assert (search["newton_recall"], search["polish_failed"]) == (0.0, 15)
+        assert (search["newton_recall"], search["polish_failed"]) == (0.0, 7)
+
+    def test_polish_residual_past_the_double_range_fails_the_polish(
+            self, two_point_bundle, tmp_path, capsys):
+        # with p = x^41/41 + x/10^7 + y^2/2, a Newton step of the polish
+        # from near x = 0 lands far out, where the exact residual x^40 +
+        # 10^-7 is past the largest double: that polish fails, and verify
+        # exits 1 since the stored claims do not hold for this p
+        obj = json.loads(two_point_bundle.read_text())
+        x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+        p = x ** 41 * rat(1, 41) + x * rat(1, 10 ** 7) + y * y * rat(1, 2)
+        obj["p"] = p.to_obj()
+        bad = tmp_path / "steep.json"
+        bad.write_text(json.dumps(obj))
+        report = tmp_path / "report.json"
+        assert cli.main(["verify", "-i", str(bad), "-o", str(report),
+                         "--box=-1,1", "--box=-1,1"]) == 1
+        assert capsys.readouterr().err == ""
+        assert json.loads(report.read_text())["spurious_search"]["polish_failed"] >= 1
 
     def test_low_recall_is_reported_not_failed(self, two_point_bundle, tmp_path):
         report = tmp_path / "report.json"

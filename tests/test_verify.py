@@ -412,6 +412,144 @@ def test_census_and_flow_take_row_norms_from_the_helper(monkeypatch):
     assert calls
 
 
+def conditioned(rng, rows: int, n: int) -> np.ndarray:
+    """rows random n x n matrices, each with singular values spread over up
+    to eight decades and scaled by up to 1e3 either way."""
+    q1 = np.linalg.qr(rng.standard_normal((rows, n, n)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((rows, n, n)))[0]
+    sv = 10.0 ** (rng.uniform(0, 8, (rows, 1)) * rng.uniform(0, 1, (rows, n)))
+    scale = 10.0 ** rng.uniform(-3, 3, (rows, 1, 1))
+    return scale * (q1 * sv[:, None, :]) @ q2
+
+
+def lapack_step(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.linalg.solve(jac, g[..., None])[..., 0]
+
+
+def assert_close_steps(got: np.ndarray, want: np.ndarray, cond: np.ndarray):
+    """got within 1e-12 cond of want, relative to want's largest entry."""
+    err = np.abs(got - want).max(axis=1) / np.abs(want).max(axis=1)
+    assert (err <= 1e-12 * cond).all()
+
+
+class TestNewtonStep:
+    """verify._newton_step: closed-form for n <= 3, LAPACK's beyond."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_lapack(self, n):
+        rng = np.random.default_rng(n)
+        jac = conditioned(rng, 500, n)
+        g = rng.standard_normal((500, n)) * 10.0 ** rng.uniform(-3, 3, (500, 1))
+        cond = np.linalg.cond(jac)
+        assert cond.max() <= 1e8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = verify._newton_step(jac, g)
+        assert got.shape == (500, n)
+        assert_close_steps(got, lapack_step(jac, g), cond)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exactly_singular_rows_are_not_finite(self, n):
+        # the zero matrix and integer rank-one matrices u v^T, whose entries
+        # of u are powers of two so that LAPACK's elimination is exact too
+        rng = np.random.default_rng(10 + n)
+        singular = [np.zeros((n, n))]
+        if n > 1:
+            for _ in range(20):
+                u = rng.choice([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0], n)
+                singular.append(np.outer(u, rng.integers(-9, 10, n).astype(float)))
+        regular = conditioned(rng, len(singular), n)
+        jac = np.stack([m for pair in zip(singular, regular) for m in pair])
+        g = rng.standard_normal((len(jac), n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = verify._newton_step(jac, g)
+        assert (~np.isfinite(got[0::2])).any(axis=1).all()
+        assert np.isfinite(got[1::2]).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scale", [1e200, 1e155, 1e-200, "subnormal det"])
+    def test_extreme_entries_get_lapacks_step(self, n, scale):
+        # products of entries near 1e200 overflow, near 1e155 they overflow
+        # the determinant alone, near 1e-200 they underflow, and near
+        # 1e-318^(1/n) the determinant is a subnormal with few bits left;
+        # wherever LAPACK's step is finite, so is this one, and it is as
+        # close.  Beside a large J, g is of order 1 and, on every other row,
+        # of the order of J; beside a tiny J it is about 1e-20, small enough
+        # for LAPACK's step to stay finite, large enough for the products
+        # of g and J to stay normal (their underflow alone is not retried)
+        if scale == "subnormal det":
+            scale = 10.0 ** (-318 / n)
+        rng = np.random.default_rng(20 + n)
+        jac = conditioned(rng, 200, n) * scale
+        g_scale = np.where(np.arange(200) % 2, scale, 1.0) if scale > 1 else 1e-20
+        g = rng.standard_normal((200, n)) * np.reshape(g_scale, (-1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = verify._newton_step(jac, g)
+        with np.errstate(over="ignore", under="ignore"):
+            want = lapack_step(jac, g)
+        finite = np.isfinite(want).all(axis=1)
+        assert finite.sum() >= 100
+        assert np.isfinite(got[finite]).all()
+        assert_close_steps(got[finite], want[finite], np.linalg.cond(jac[finite]))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_row_alone_matches_the_batch(self, n):
+        # regular, huge, tiny and singular rows in one batch of 13^3 rows
+        rng = np.random.default_rng(30 + n)
+        jac = conditioned(rng, 2197, n)
+        jac[1::7] *= 1e200
+        jac[2::7] *= 1e-200
+        jac[3::7] = 0.0
+        jac[4::7, :, 0] = jac[4::7, :, -1]
+        g = rng.standard_normal((2197, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = verify._newton_step(jac, g)
+            alone = np.concatenate([verify._newton_step(jac[i:i + 1], g[i:i + 1])
+                                    for i in range(len(g))])
+        assert batch.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_empty_batch(self, n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = verify._newton_step(np.empty((0, n, n)), np.empty((0, n)))
+        assert got.shape == (0, n)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_census_and_polish_take_steps_from_the_helper(monkeypatch, dim):
+    # for n <= 3 no Newton step goes through LAPACK: the float phase steps
+    # its live rows, and the polish its one point, through _newton_step
+    def refused(*args):
+        raise AssertionError("np.linalg.solve called")
+
+    steps, phase = [], ["float"]
+    newton_step, polish = verify._newton_step, verify._polish_exact
+
+    def stepping(jac, g):
+        steps.append((phase[0], len(g)))
+        return newton_step(jac, g)
+
+    def polishing(*args):
+        phase[0] = "polish"
+        return polish(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    monkeypatch.setattr(verify, "_newton_step", stepping)
+    monkeypatch.setattr(verify, "_polish_exact", polishing)
+    # critical points at x1 = 0 and +-sqrt(2), which no seed hits exactly
+    grad = PolyMap([x(dim, 0) * x(dim, 0) * x(dim, 0) - x(dim, 0) * 2,
+                    *(x(dim, i) for i in range(1, dim))], dim)
+    box = BoxSpec(lower=(-2.0,) + (-1.0,) * (dim - 1), upper=(2.0,) + (1.0,) * (dim - 1))
+    res = newton_search(grad, box, 5, claimed=[[math.sqrt(2)] + [0.0] * (dim - 1)])
+    assert res.newton_recall == 1.0 and res.polish_failed == 0
+    assert steps[0] == ("float", 5 ** dim)
+    assert ("polish", 1) in steps
+
+
 def gradient_map(dim: int) -> PolyMap:
     rng = random.Random(dim)
     terms = []
