@@ -365,28 +365,28 @@ def _lapack(fn: Callable, a: np.ndarray, *rest) -> np.ndarray:
 
 def _cramer(jac: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """J^-1 g per row for n <= 3, and det J: the cofactors over the
-    determinant, written one column of rows at a time.  A row whose
+    determinant, each entry an array over the rows.  A row whose
     determinant is 0 gets a step that is not finite."""
     n = g.shape[1]
     if n == 1:
         return g / jac[:, :, 0], jac[:, 0, 0]
-    a = [[jac[:, i, j] for j in range(n)] for i in range(n)]
-    r = [g[:, j] for j in range(n)]
-    step = np.empty_like(g)
     if n == 2:
-        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-        step[:, 0] = a[1][1] * r[0] - a[0][1] * r[1]
-        step[:, 1] = a[0][0] * r[1] - a[1][0] * r[0]
-    else:
-        # cof[i][j] is the (i, j) cofactor, by the cyclic rule of the 3 x 3
-        cof = [[a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
-                - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]
-                for j in range(3)] for i in range(3)]
-        det = a[0][0] * cof[0][0] + a[0][1] * cof[0][1] + a[0][2] * cof[0][2]
-        for i in range(3):
-            step[:, i] = cof[0][i] * r[0] + cof[1][i] * r[1] + cof[2][i] * r[2]
-    step /= det[:, None]
-    return step, det
+        a, b, c, d = (jac[:, i, j] for i in range(2) for j in range(2))
+        det = a * d - b * c
+        step = np.empty_like(g)
+        step[:, 0] = d * g[:, 0] - b * g[:, 1]
+        step[:, 1] = a * g[:, 1] - c * g[:, 0]
+        step /= det[:, None]
+        return step, det
+    # e[i, j] is the entry (i % 3, j % 3) of J, an array over the rows, so
+    # that the cyclic rule gives all nine cofactors C[i, j] at once
+    e = jac.transpose(1, 2, 0).take([0, 1, 2, 0, 1], axis=0).take([0, 1, 2, 0, 1], axis=1)
+    cof = e[1:4, 1:4] * e[2:5, 2:5] - e[1:4, 2:5] * e[2:5, 1:4]
+    det = e[0, 0] * cof[0, 0] + e[0, 1] * cof[0, 1] + e[0, 2] * cof[0, 2]
+    r = g.T
+    step = cof[0] * r[0] + cof[1] * r[1] + cof[2] * r[2]
+    step /= det
+    return step.T, det
 
 
 def _newton_step(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
