@@ -18,6 +18,14 @@ the census field of a four-point set in R^3 (18 chains), 128 for a
 sixteen-point set in the plane (467 chains), 32 for a twelve-point set in
 R^3 (1248 chains).
 
+A call's values are component-major.  Horner computes one row per
+component over a block's points, and each block's rows go into one (K, N)
+array, which is the block's own result when the call has one block; the
+caller gets its transpose, a (..., K) view, with no staging buffer and no
+transposing copy.  Each component's values are thus contiguous, for the
+consumers that read one component at a time, and every call returns an
+array of its own, never memory that an earlier call returned.
+
 Each distinct polynomial of a map is compiled and evaluated once, and equal
 components read its one row of values.  Stage 0's coefficient table is
 gathered at compile time and repeated once per call, to the width of the
@@ -62,7 +70,8 @@ def _float(value, what: str = "a polynomial coefficient") -> float:
 
 class CompiledPoly:
     """A polynomial (shape ()) or a PolyMap (shape (m,)); a call maps points
-    of shape (..., dim) to values of shape (..., *shape)."""
+    of shape (..., dim) to values of shape (..., *shape), a view of the
+    call's own component-major array."""
 
     def __init__(self, polys):
         if isinstance(polys, MultiPoly):
@@ -109,21 +118,29 @@ class CompiledPoly:
         pts = np.asarray(pts, dtype=np.float64)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[-1]}, expected {self.dim}")
-        x = pts.reshape(-1, self.dim)
-        vals = np.empty((len(x), len(self._order)))
-        table = None
+        x = pts.reshape(-1, self.dim).T
+        count = x.shape[1]
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(0, len(x), self.width):
-                block = x[i:i + self.width]
-                # stage 0's table, repeated once to the width of the first
-                # block and reused by every block of that width; a trailing
-                # partial block gets its own, made after the full one is
-                # released, so that one table at most is alive
-                if table is None or table.shape[1] != len(block):
-                    table = None
-                    table = self._table.repeat(len(block), axis=1)
-                vals[i:i + self.width] = self._horner(block.T, table).T
-        return vals.reshape(pts.shape[:-1] + self.shape)
+            if count <= self.width:
+                # one block: its Horner rows are the result
+                vals = self._horner(x, self._table.repeat(count, axis=1))
+            else:
+                vals = np.empty((len(self._order), count))
+                table = None
+                for i in range(0, count, self.width):
+                    block = x[:, i:i + self.width]
+                    # stage 0's table, repeated once to the width of the
+                    # first block and reused by every block of that width; a
+                    # trailing partial block gets its own, made after the
+                    # full one is released, so that one table at most is
+                    # alive
+                    if table is None or table.shape[1] != block.shape[1]:
+                        table = None
+                        table = self._table.repeat(block.shape[1], axis=1)
+                    vals[:, i:i + self.width] = self._horner(block, table)
+        # the values are component-major, (K, N); the caller gets the
+        # (..., K) view of them, with no transposing copy
+        return vals.T.reshape(pts.shape[:-1] + self.shape)
 
     def _horner(self, x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
         """The polynomials at the points x (dim, N), shape (K, N), given

@@ -27,10 +27,14 @@ infinite coordinate, and its gradient is finite.  The seeds lie in the box,
 and each next iterate is tested against it in the one compaction that also
 drops the candidates and the singular rows, so a row that has left the box
 is never evaluated; the finiteness of the gradient is tested after the
-evaluation.  Each mask is built one column at a time, the rows are
-compacted only when some leave, |grad| is taken on the live rows alone by
-_row_norms (column sums of squares, the bits of np.linalg.norm on rows of
-fewer than eight entries), which also finds the blind points, and
+evaluation.  The state is component-major, like the evaluator's values:
+each coordinate, gradient entry and Hessian entry is one contiguous array
+over the live rows, compacted with [:, keep], and the helpers, which take
+(rows, n) arrays, get transposed views whose columns are those arrays.
+Each mask is built one component at a time, the rows are compacted only
+when some leave, |grad| is taken on the live rows alone by _row_norms
+(sums of squares a component at a time, the bits of np.linalg.norm on rows
+of fewer than eight entries), which also finds the blind points, and
 candidates are kept only on an iteration that finds some.  A row whose
 step is not finite, as where a closed-form determinant is exactly 0 (for
 n >= 4, where LAPACK meets an exactly zero pivot), is counted singular and
@@ -70,11 +74,14 @@ same loop evaluates and guards nothing beyond the field), and solves three
 systems against one W = I - h d J (one inverse, three products; NaN where W
 is exactly singular, which makes the proposal non-finite).  The evaluation at
 an accepted proposal starts the next step and classifies convergence
-(GRAD_TOL, POINT_TOL; target distances only where |field| < GRAD_TOL,
-|field| by the census's _row_norms).  The accepted rows are copied into
-the state by masked copies, its only update.  The per-row state is
-compacted, and the rows that finished written back, only on a pass where
-some trajectory leaves.  A proposal that fails the error test, leaves the
+(GRAD_TOL, POINT_TOL; target distances only where some |field| < GRAD_TOL,
+|field| by the census's _row_norms).  On a pass where every row is
+accepted, the proposal and its evaluation become the state, since every
+evaluator call returns arrays of its own; on any other pass the accepted
+rows are copied into the state by masked copies.  A per-row factor is
+broadcast over the shape it multiplies.  The per-row state is compacted,
+and the rows that finished written back, only on a pass where some
+trajectory leaves.  A proposal that fails the error test, leaves the
 guard box, goes non-finite, or increases the Lyapunov value beyond half of
 LYAP_STEP_TOL is rejected and the step shrunk.  A trajectory is
 classified diverged only when the step floor is reached with the proposal
@@ -192,8 +199,10 @@ def _inside(x: np.ndarray, bounds) -> np.ndarray:
     column.  The mask is built one column at a time, which on tens of rows
     or more costs less than comparing the whole array with broadcast
     corners."""
-    mask = np.ones(len(x), dtype=bool)
-    for j, (lo, hi) in enumerate(bounds):
+    (lo, hi), *rest = bounds
+    mask = x[:, 0] >= lo
+    mask &= x[:, 0] <= hi
+    for j, (lo, hi) in enumerate(rest, 1):
         mask &= x[:, j] >= lo
         mask &= x[:, j] <= hi
     return mask
@@ -363,6 +372,10 @@ def _lapack(fn: Callable, a: np.ndarray, *rest) -> np.ndarray:
         return out
 
 
+# _CYCLIC[i, j]: the place of the entry (i % 3, j % 3) in a flat 3 x 3 matrix
+_CYCLIC = np.array([[i % 3 * 3 + j % 3 for j in range(5)] for i in range(5)])
+
+
 def _cramer(jac: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """J^-1 g per row for n <= 3, and det J: the cofactors over the
     determinant, each entry an array over the rows.  A row whose
@@ -374,13 +387,13 @@ def _cramer(jac: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         a, b, c, d = (jac[:, i, j] for i in range(2) for j in range(2))
         det = a * d - b * c
         step = np.empty_like(g)
-        step[:, 0] = d * g[:, 0] - b * g[:, 1]
-        step[:, 1] = a * g[:, 1] - c * g[:, 0]
+        np.subtract(d * g[:, 0], b * g[:, 1], out=step[:, 0])
+        np.subtract(a * g[:, 1], c * g[:, 0], out=step[:, 1])
         step /= det[:, None]
         return step, det
     # e[i, j] is the entry (i % 3, j % 3) of J, an array over the rows, so
     # that the cyclic rule gives all nine cofactors C[i, j] at once
-    e = jac.transpose(1, 2, 0).take([0, 1, 2, 0, 1], axis=0).take([0, 1, 2, 0, 1], axis=1)
+    e = jac.transpose(1, 2, 0).reshape(9, len(g)).take(_CYCLIC, axis=0)
     cof = e[1:4, 1:4] * e[2:5, 2:5] - e[1:4, 2:5] * e[2:5, 1:4]
     det = e[0, 0] * cof[0, 0] + e[0, 1] * cof[0, 1] + e[0, 2] * cof[0, 2]
     r = g.T
@@ -412,8 +425,8 @@ def _newton_step(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
         ok &= det < np.inf
         for j in range(n):
             ok &= np.isfinite(step[:, j])
-        bad = ~ok
-        if bad.any():
+        if np.count_nonzero(ok) < len(ok):
+            bad = ~ok
             jac, g = jac[bad], g[bad]
             ej = np.frexp(np.abs(jac).max(axis=(1, 2)))[1]
             eg = np.frexp(np.abs(g).max(axis=1))[1]
@@ -466,53 +479,60 @@ def newton_search(
     with np.errstate(over="ignore", invalid="ignore"):
         blind = int(np.count_nonzero(~(_row_norms(at_claimed) < COARSE_TOL)))
 
-    x = seeds
+    # the state is component-major: x[j] is coordinate j over the live rows,
+    # g[j] and jac[i, j] the gradient and Hessian entries, each contiguous;
+    # the helpers take the (rows, n) views x.T, g.T and jac.transpose(2, 0, 1)
+    x = seeds.T.copy()
     abandoned = 0
     singular = 0
     candidates: List[np.ndarray] = []
     images: List[np.ndarray] = []
     bounds = _guard_bounds(box)
-    for _ in range(MAX_ITER):
-        if len(x) == 0:
-            break
-        # a row stays live while it lies in the guard box and its gradient
-        # is finite; the seeds lie in the box, and each next iterate is
-        # tested against it below, so that a row outside it is never
-        # evaluated
-        g, jac = grad_hess(x)
-        finite = np.isfinite(g[:, 0])
-        for j in range(1, box.dim):
-            finite &= np.isfinite(g[:, j])
-        rows = finite.nonzero()[0]
-        if len(rows) < len(x):
-            abandoned += len(x) - len(rows)
-            x, g, jac = x.take(rows, axis=0), g.take(rows, axis=0), jac.take(rows, axis=0)
-        # a finite gradient past about 1e154 squares to inf, which only
-        # means "not converged"
-        with np.errstate(over="ignore"):
-            conv = _row_norms(g) < COARSE_TOL
-        # one Newton step for every live row: the next iterate of a row still
-        # searching, the float image of a candidate; a row whose step is not
-        # finite (as where its Jacobian is exactly singular) is dropped
-        step = _newton_step(jac, g)
-        x_next = x - step
-        keep = np.isfinite(step[:, 0])
-        for j in range(1, box.dim):
-            keep &= np.isfinite(step[:, j])
-        found = int(np.count_nonzero(conv))
-        if found:
-            candidates.append(x[conv])
-            images.append(x_next[conv])
-            keep &= ~conv
-        stepped = int(np.count_nonzero(keep))
-        singular += len(x) - found - stepped
-        # a next iterate outside the guard box is abandoned in the same
-        # compaction, before it reaches the evaluator
-        keep &= _inside(x_next, bounds)
-        kept = int(np.count_nonzero(keep))
-        abandoned += stepped - kept
-        x = x_next if kept == len(x) else x_next[keep]
-    abandoned += len(x)  # hit the iteration cap without settling
+    # a finite gradient past about 1e154 squares to inf, which only means
+    # "not converged", and an iterate that overflows leaves the guard box
+    with np.errstate(over="ignore"):
+        for _ in range(MAX_ITER):
+            live = x.shape[1]
+            if live == 0:
+                break
+            # a row stays live while it lies in the guard box and its
+            # gradient is finite; the seeds lie in the box, and each next
+            # iterate is tested against it below, so that a row outside it
+            # is never evaluated
+            g, jac = grad_hess(x.T)
+            g, jac = g.T, jac.transpose(1, 2, 0)
+            finite = np.isfinite(g[0])
+            for j in range(1, box.dim):
+                finite &= np.isfinite(g[j])
+            rows = finite.nonzero()[0]
+            if len(rows) < live:
+                abandoned += live - len(rows)
+                x, g, jac = x.take(rows, axis=1), g.take(rows, axis=1), jac.take(rows, axis=2)
+                live = len(rows)
+            conv = _row_norms(g.T) < COARSE_TOL
+            # one Newton step for every live row: the next iterate of a row
+            # still searching, the float image of a candidate; a row whose
+            # step is not finite (as where its Jacobian is exactly singular)
+            # is dropped
+            step = _newton_step(jac.transpose(2, 0, 1), g.T).T
+            x_next = x - step
+            keep = np.isfinite(step[0])
+            for j in range(1, box.dim):
+                keep &= np.isfinite(step[j])
+            found = int(np.count_nonzero(conv))
+            if found:
+                candidates.append(x[:, conv].T)
+                images.append(x_next[:, conv].T)
+                keep &= ~conv
+            stepped = int(np.count_nonzero(keep))
+            singular += live - found - stepped
+            # a next iterate outside the guard box is abandoned in the same
+            # compaction, before it reaches the evaluator
+            keep &= _inside(x_next.T, bounds)
+            kept = int(np.count_nonzero(keep))
+            abandoned += stepped - kept
+            x = x_next if kept == live else x_next[:, keep]
+    abandoned += x.shape[1]  # hit the iteration cap without settling
 
     # Polish the representatives in order, skipping one whose image already
     # lies within DEDUP_TOL of a polished point: its own polish would land
@@ -575,8 +595,12 @@ class FlowConfig:
     t_max: float = 200.0
 
     def __post_init__(self):
-        if not (self.dt > 0 and 0 < self.t_max < math.inf):
-            raise ValueError("dt and t_max must be positive, t_max finite")
+        # the step floor is dt * MIN_STEP_RATIO, and a step at the floor is
+        # accepted without the error test: an infinite dt, or one past t_max,
+        # would put the floor above the first step and switch off error
+        # control
+        if not (0 < self.dt <= self.t_max < math.inf):
+            raise ValueError("dt and t_max must be finite, with 0 < dt <= t_max")
 
 
 def _solve(w_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -667,21 +691,22 @@ def integrate_batch(
 
     # the loop calls the ufuncs that np.linalg.norm, np.mean, np.clip and
     # np.maximum.at would, with the same bits and without their per-call
-    # cost, and repeats a per-row factor to the shape it multiplies, since
-    # numpy dispatches equal shapes fastest
+    # cost, and broadcasts a per-row factor over the shape it multiplies
     def classify(pts, g):
         """|g| per row, and the index of the target each row has converged
-        to (-1 for none): |g| < GRAD_TOL within POINT_TOL of it."""
+        to (-1 for none): |g| < GRAD_TOL within POINT_TOL of it.  The
+        indices are None when no row has |g| < GRAD_TOL."""
         gn = _row_norms(g)
-        near = np.full(len(gn), -1, dtype=np.int64)
         small = gn < GRAD_TOL
-        if len(tg) and np.count_nonzero(small):
-            cand = np.flatnonzero(small)
-            diff = pts[cand, None, :] - tg
-            d = np.sqrt(np.add.reduce(diff * diff, axis=2))
-            nearest = d.argmin(axis=1)
-            hit = d.min(axis=1) < POINT_TOL
-            near[cand[hit]] = nearest[hit]
+        if not (len(tg) and np.count_nonzero(small)):
+            return gn, None
+        near = np.full(len(gn), -1, dtype=np.int64)
+        cand = np.flatnonzero(small)
+        diff = pts[cand, None, :] - tg
+        d = np.sqrt(np.add.reduce(diff * diff, axis=2))
+        nearest = d.argmin(axis=1)
+        hit = d.min(axis=1) < POINT_TOL
+        near[cand[hit]] = nearest[hit]
         return gn, near
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -694,6 +719,8 @@ def integrate_batch(
         f0, jac, *va = fj(starts)
         # seeds already at a target converge in 0 steps
         gnorm, conv_idx = classify(starts, f0)
+        if conv_idx is None:
+            conv_idx = np.full(B, -1, dtype=np.int64)
         keep = conv_idx < 0
         status = np.where(keep, STATUS_ACTIVE, STATUS_CONVERGED)
         idx, xa, f0, jac = np.flatnonzero(keep), starts[keep], f0[keep], jac[keep]
@@ -709,8 +736,8 @@ def integrate_batch(
             rest = cfg.t_max - t
             last = h >= rest
             ht = np.minimum(h, rest)
-            col = ht.repeat(n).reshape(-1, n)
-            w_inv = _lapack(np.linalg.inv, eye - (_D * ht).repeat(n * n).reshape(-1, n, n) * jac)
+            col = ht[:, None]
+            w_inv = _lapack(np.linalg.inv, eye - (_D * ht)[:, None, None] * jac)
             k1 = _solve(w_inv, f0)
             f1 = fc(xa + 0.5 * col * k1)
             k2 = _solve(w_inv, f1 - k1) + k1
@@ -736,35 +763,48 @@ def integrate_batch(
             diverged = ~hard_ok & floor
             h = np.maximum(ht * np.where(guard_ok, fac, np.minimum(fac, 0.5)), h_min)
 
-            acc_col = acc[:, None]
-            np.copyto(xa, xn, where=acc_col)
-            np.copyto(f0, f2, where=acc_col)
-            np.copyto(jac, jn, where=acc_col[:, :, None])
-            if guarded:
-                np.copyto(va, vn[0], where=acc)
-            np.add(t, ht, out=t, where=acc)
             taken += acc
             if guarded:
                 np.maximum(inc_max, inc, out=inc_max, where=acc & finite_inc)
+            if np.count_nonzero(acc) == len(acc):
+                # every row accepted: the proposal becomes the state, since
+                # each evaluator call returns arrays of its own
+                xa, f0, jac = xn, f2, jn
+                if guarded:
+                    va = vn[0]
+                t += ht
+            else:
+                acc_col = acc[:, None]
+                np.copyto(xa, xn, where=acc_col)
+                np.copyto(f0, f2, where=acc_col)
+                np.copyto(jac, jn, where=acc_col[:, :, None])
+                if guarded:
+                    np.copyto(va, vn[0], where=acc)
+                np.add(t, ht, out=t, where=acc)
             # FSAL: the field at an accepted proposal classifies it; a row
             # that was not accepted keeps its state, which did not converge
             gn, near = classify(xa, f0)
-            conv = near >= 0
             # a row leaves once it diverged or converged, after its step to
             # t_max, and when the attempt budget is spent
-            leave = diverged | conv | (acc & last)
+            out_of_time = acc & last
+            leave = diverged | out_of_time
+            if near is not None:
+                conv = near >= 0
+                leave |= conv
+                out_of_time &= ~conv
             if passes >= MAX_ATTEMPTS:
                 leave[:] = True
             elif not np.count_nonzero(leave):
                 continue
-            out_of_time = acc & last & ~conv
-            out_of_budget = leave & ~(diverged | conv | out_of_time)
-            timeout = out_of_time | out_of_budget
+            out_of_budget = leave & ~(diverged | out_of_time)
             gone = idx[leave]
             ends[gone], steps[gone], attempts[gone] = xa[leave], taken[leave], passes
-            gnorm[gone], conv_idx[gone] = gn[leave], near[leave]
-            status[idx[conv]] = STATUS_CONVERGED
-            status[idx[timeout]] = STATUS_TIMEOUT
+            gnorm[gone] = gn[leave]
+            if near is not None:
+                out_of_budget &= ~conv
+                conv_idx[gone] = near[leave]
+                status[idx[conv]] = STATUS_CONVERGED
+            status[idx[out_of_time | out_of_budget]] = STATUS_TIMEOUT
             status[idx[diverged]] = STATUS_DIVERGED
             reason[idx[out_of_time]] = "t_max"
             reason[idx[out_of_budget]] = "step_budget"

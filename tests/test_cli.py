@@ -321,7 +321,8 @@ class TestFlow:
 
     @pytest.mark.parametrize("flags", [
         ["--dt", "0"], ["--dt", "-1"], ["--dt", "nan"], ["--t-max", "0"],
-        ["--t-max", "inf"],
+        ["--t-max", "inf"], ["--dt", "inf"], ["--dt", "1e308"],
+        ["--dt", "1", "--t-max", "0.5"],
     ])
     def test_bad_step_flags_rejected(self, two_point_bundle, tmp_path, flags):
         code = cli.main(["flow", "-i", str(two_point_bundle), "-o",
@@ -398,7 +399,8 @@ class TestExportGrid:
 
     @pytest.mark.parametrize("flags", [
         ["--dt", "0"], ["--dt", "-1"], ["--t-max", "0"], ["--t-max", "-5"],
-        ["--t-max", "inf"],
+        ["--t-max", "inf"], ["--dt", "inf"], ["--dt", "1e308"],
+        ["--dt", "1", "--t-max", "0.5"],
     ])
     def test_bad_step_flags_rejected(self, two_point_bundle, tmp_path, flags):
         code = cli.main(["export-grid", "-i", str(two_point_bundle), "-o",

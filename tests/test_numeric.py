@@ -233,3 +233,18 @@ def test_each_distinct_polynomial_compiled_once(monkeypatch):
     CompiledPoly(PolyMap(polys, 3))
     # polys[4] and its copy, polys[0] twice, and the two zeros are one each
     assert calls == [polys[0], polys[1], polys[3], polys[5]]
+
+
+@pytest.mark.parametrize("shape", [(), (7,)])
+@pytest.mark.parametrize("batch", [(5,), Blocks(2, 3)])
+def test_successive_calls_share_no_memory(shape, batch):
+    # the flow integrator keeps a call's output as its state and later
+    # writes accepted rows into it, so no call may return memory that an
+    # earlier call returned, within one block or past one
+    polys = components(2)
+    compiled = CompiledPoly(polys[0] if shape == () else PolyMap(polys, 2))
+    batch = batch_of(batch, compiled)
+    pts = np.random.default_rng(2).uniform(-2.0, 2.0, size=batch + (2,))
+    first, second = compiled(pts), compiled(pts)
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)

@@ -612,6 +612,19 @@ class TestFieldJacobian:
         assert np.array_equal(jac, want_jac)
         assert np.array_equal(v, CompiledPoly(lyap)(pts))
 
+    @pytest.mark.parametrize("rows", [1, 1000])
+    def test_successive_calls_share_no_memory(self, rows):
+        # integrate_batch keeps a call's field, Jacobian and Lyapunov values
+        # as its state and later writes accepted rows into them; 1000 rows
+        # run in more than one block
+        grad = gradient_map(2)
+        evaluate = field_jacobian(grad, grad.components[0])
+        pts = np.random.default_rng(2).uniform(-2.0, 2.0, size=(rows, 2))
+        first, second = evaluate(pts), evaluate(pts)
+        for a in first:
+            for b in second:
+                assert not np.shares_memory(a, b)
+
     def test_jacobian_of_a_map(self):
         x0, x1, x2 = (x(3, i) for i in range(3))
         f, jac = field_jacobian(PolyMap([x0 * x1 - x2 ** 2, x0 ** 3, x1 + 1]))(
@@ -885,6 +898,47 @@ class TestFlowMatchesReference:
         assert budget.any()
         assert (got.attempts[budget] == 7).all()
         assert (got.attempts <= 7).all()
+
+
+def non_covering_witness(res):
+    """The paper's non-covering remark made exact: on y = alpha/beta^2,
+    Q(t, y, 0, ...) = -int alpha beta (t), which falls below min P(X) once t
+    is large, so xi = F^-1(t, alpha(t)/beta(t)^2, 0, ...) for the first
+    integer t past the largest root where it does.  Returns xi exactly."""
+    alpha, beta, p = res.morse.alpha, res.morse.beta, res.p_poly
+    lowest = min(p.eval_rational(pt) for pt in res.input.points)
+    t = math.floor(max(res.change.axis_images)) + 1
+    while True:
+        b = beta.eval_rational([rat(t)])
+        if b:
+            z = [rat(t), alpha.eval_rational([rat(t)]) / (b * b)]
+            xi = res.change.inverse.eval_rational(z + [rat(0)] * (res.dimension - 2))
+            if p.eval_rational(xi) < lowest:
+                return xi
+        t += 1
+
+
+@pytest.mark.parametrize("pts", [
+    FLOW_SETS["two"][1],
+    FLOW_SETS["three"][1],
+    [["-3/2", 0], ["-1/2", "1/4"], ["1/2", 0], ["3/2", "-1/4"]],
+    [[0, 0], [1, 1]],
+])
+def test_flow_from_the_non_covering_witness_never_converges(pts):
+    # P decreases along the flow, so a start with P below min P(X) lies in
+    # no basin of X; its orbit is unbounded and leaves the guard box
+    res = synthesize(PointSet(2, pts))
+    xi, points = non_covering_witness(res), res.input.points
+    assert res.p_poly.eval_rational(xi) < min(res.p_poly.eval_rational(p) for p in points)
+    box = BoxSpec.from_points(points)
+    start = [float(c) for c in xi]
+    lo, hi = box.guard()
+    assert all(l <= c <= h for l, c, h in zip(lo, start, hi))
+    cfg = FlowConfig(dt=1e-2, t_max=200.0)
+    got = integrate_batch(res.grad_field, [start], box, points, cfg, lyap=res.p_poly)
+    want = reference_integrate_batch(res.grad_field, [start], box, points, cfg, lyap=res.p_poly)
+    assert_same_flow(got, want)
+    assert got.status[0] != STATUS_CONVERGED
 
 
 def parsed(res):
