@@ -19,12 +19,13 @@ sixteen-point set in the plane (467 chains), 32 for a twelve-point set in
 R^3 (1248 chains).
 
 A call's values are component-major.  Horner computes one row per
-component over a block's points, and each block's rows go into one (K, N)
-array, which is the block's own result when the call has one block; the
-caller gets its transpose, a (..., K) view, with no staging buffer and no
-transposing copy.  Each component's values are thus contiguous, for the
-consumers that read one component at a time, and every call returns an
-array of its own, never memory that an earlier call returned.
+component over a block's points, and the last gather of each block writes
+its rows straight into one C-contiguous (K, N) array of the call's own, with
+no staging buffer and no transposing copy.  CompiledPoly.by_component
+takes points component-major, (dim, N), and returns that array; a call
+takes points (..., dim) and returns its transposed view, (..., K).  Each component's
+values are thus contiguous, for the consumers that read one component at a
+time, and no call returns memory that an earlier call returned.
 
 Each distinct polynomial of a map is compiled and evaluated once, and equal
 components read its one row of values.  Stage 0's coefficient table is
@@ -70,8 +71,8 @@ def _float(value, what: str = "a polynomial coefficient") -> float:
 
 class CompiledPoly:
     """A polynomial (shape ()) or a PolyMap (shape (m,)); a call maps points
-    of shape (..., dim) to values of shape (..., *shape), a view of the
-    call's own component-major array."""
+    of shape (..., dim) to values of shape (..., *shape), and by_component
+    maps points (dim, N) to values (*shape, N)."""
 
     def __init__(self, polys):
         if isinstance(polys, MultiPoly):
@@ -115,36 +116,36 @@ class CompiledPoly:
         self._order = np.argsort([k for k, in keys])[where]
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
+        """The values at pts (..., dim), shape (..., *shape): the transposed
+        view of the call's own C-contiguous (K, N) array."""
         pts = np.asarray(pts, dtype=np.float64)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[-1]}, expected {self.dim}")
         x = pts.reshape(-1, self.dim).T
-        count = x.shape[1]
+        vals = np.empty((len(self._order), x.shape[1]))
+        table = None
         with np.errstate(over="ignore", invalid="ignore"):
-            if count <= self.width:
-                # one block: its Horner rows are the result
-                vals = self._horner(x, self._table.repeat(count, axis=1))
-            else:
-                vals = np.empty((len(self._order), count))
-                table = None
-                for i in range(0, count, self.width):
-                    block = x[:, i:i + self.width]
-                    # stage 0's table, repeated once to the width of the
-                    # first block and reused by every block of that width; a
-                    # trailing partial block gets its own, made after the
-                    # full one is released, so that one table at most is
-                    # alive
-                    if table is None or table.shape[1] != block.shape[1]:
-                        table = None
-                        table = self._table.repeat(block.shape[1], axis=1)
-                    vals[:, i:i + self.width] = self._horner(block, table)
-        # the values are component-major, (K, N); the caller gets the
-        # (..., K) view of them, with no transposing copy
+            for i in range(0, x.shape[1], self.width):
+                block = x[:, i:i + self.width]
+                # stage 0's table, repeated once to the width of the first
+                # block and reused by every block of that width; a trailing
+                # partial block gets its own, made after the full one is
+                # released, so that one table at most is alive
+                if table is None or table.shape[1] != block.shape[1]:
+                    table = None
+                    table = self._table.repeat(block.shape[1], axis=1)
+                self._horner(block, table, vals[:, i:i + self.width])
         return vals.T.reshape(pts.shape[:-1] + self.shape)
 
-    def _horner(self, x: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-        """The polynomials at the points x (dim, N), shape (K, N), given
-        stage 0's table repeated to width N."""
+    def by_component(self, x: np.ndarray) -> np.ndarray:
+        """The values at points given component-major, x (dim, N), shape
+        (*shape, N): the C-contiguous array a call on x.T computes, of
+        which the call returns the transpose."""
+        return self(x.T).T
+
+    def _horner(self, x: np.ndarray, coefs: np.ndarray, out: np.ndarray) -> None:
+        """The polynomials at the points x (dim, N), written to out (K, N),
+        given stage 0's table repeated to width N."""
         values = None
         for xv, (rows, runs) in zip(x, self._stages):
             # stage 0 reads the repeated table, so that every Horner add
@@ -167,4 +168,6 @@ class CompiledPoly:
                     live *= xa
                     live += coefs[o:o + a]
             values = r
-        return values.take(self._order, axis=0)
+        # the indices are valid; mode "clip" lets take write straight into
+        # a contiguous out, where "raise" would stage a copy
+        values.take(self._order, 0, out, "clip")

@@ -18,27 +18,28 @@ an exact-arithmetic polish of one candidate per critical point.  Each float
 iteration makes one field_jacobian call that returns the gradient and the
 Hessian together, and one batched Newton step over every live row that
 gives both the next iterate of a row still searching and the float Newton
-image x - J^-1 g of a row accepted as a candidate.  _newton_step, which
-the polish shares, writes the step for n <= 3 in closed form, cofactors
-over the determinant, so that each row's step depends on its own J and g
-alone; for n >= 4 it is LAPACK's batched solve.  A row is live while it lies
+image x - J^-1 g of a row accepted as a candidate.  The Newton step, which
+the polish shares, is written for n <= 3 in closed form, cofactors over the
+determinant, so that each row's step depends on its own J and g alone; for
+n >= 4 it is LAPACK's batched solve.  A row is live while it lies
 in the guard box, clipped to the finite doubles so that it holds no NaN or
 infinite coordinate, and its gradient is finite.  The seeds lie in the box,
 and each next iterate is tested against it in the one compaction that also
 drops the candidates and the singular rows, so a row that has left the box
 is never evaluated; the finiteness of the gradient is tested after the
-evaluation.  The state is component-major, like the evaluator's values:
-each coordinate, gradient entry and Hessian entry is one contiguous array
-over the live rows, compacted with [:, keep], and the helpers, which take
-(rows, n) arrays, get transposed views whose columns are those arrays.
-Each mask is built one component at a time, the rows are compacted only
-when some leave, |grad| is taken on the live rows alone by _row_norms
-(sums of squares a component at a time, the bits of np.linalg.norm on rows
-of fewer than eight entries), which also finds the blind points, and
-candidates are kept only on an iteration that finds some.  A row whose
-step is not finite, as where a closed-form determinant is exactly 0 (for
-n >= 4, where LAPACK meets an exactly zero pivot), is counted singular and
-dropped, and a candidate's image is then NaN.
+evaluation.  The state is component-major, as the evaluator's
+by_component returns its values: each coordinate, gradient entry and
+Hessian entry is one contiguous array over the live rows, compacted with
+[:, keep], and the helpers (_row_norms, _inside, _newton_step_by_component)
+take it as it is; the polish and the flows, whose rows are points, pass
+them transposed views.  Each mask is built one component at a time, the
+rows are compacted only when some leave, |grad| is taken on the live rows
+alone by _row_norms (sums of squares a component at a time, the bits of
+np.linalg.norm on rows of fewer than eight entries), which also finds the
+blind points, and candidates are kept only on an iteration that finds
+some.  A row whose step is not finite, as where a closed-form determinant
+is exactly 0 (for n >= 4, where LAPACK meets an exactly zero pivot), is
+counted singular and dropped, and a candidate's image is then NaN.
 Deduplication loops over representatives, not candidates: with the
 candidates sorted on their first coordinate, each new representative drops
 every candidate within DEDUP_TOL of it among those within 2 DEDUP_TOL on
@@ -74,11 +75,9 @@ same loop evaluates and guards nothing beyond the field), and solves three
 systems against one W = I - h d J (one inverse, three products; NaN where W
 is exactly singular, which makes the proposal non-finite).  The evaluation at
 an accepted proposal starts the next step and classifies convergence
-(GRAD_TOL, POINT_TOL; target distances only where some |field| < GRAD_TOL,
-|field| by the census's _row_norms).  On a pass where every row is
-accepted, the proposal and its evaluation become the state, since every
-evaluator call returns arrays of its own; on any other pass the accepted
-rows are copied into the state by masked copies.  A per-row factor is
+(GRAD_TOL, POINT_TOL; target distances only where |field| < GRAD_TOL,
+|field| by the census's _row_norms).  The accepted rows are copied into
+the state by masked copies, its only update, and a per-row factor is
 broadcast over the shape it multiplies.  The per-row state is compacted,
 and the rows that finished written back, only on a pass where some
 trajectory leaves.  A proposal that fails the error test, leaves the
@@ -195,30 +194,26 @@ def _guard_bounds(box: BoxSpec) -> List[Tuple[float, float]]:
 
 
 def _inside(x: np.ndarray, bounds) -> np.ndarray:
-    """The rows of x (N, n) within bounds, one (lower, upper) pair per
-    column.  The mask is built one column at a time, which on tens of rows
-    or more costs less than comparing the whole array with broadcast
-    corners."""
-    (lo, hi), *rest = bounds
-    mask = x[:, 0] >= lo
-    mask &= x[:, 0] <= hi
-    for j, (lo, hi) in enumerate(rest, 1):
-        mask &= x[:, j] >= lo
-        mask &= x[:, j] <= hi
+    """The rows of x, given component-major (n, N), within bounds, one
+    (lower, upper) pair per component.  The mask is built one component at
+    a time, which on tens of rows or more costs less than comparing the
+    whole array with broadcast corners."""
+    mask = np.ones(x.shape[1], dtype=bool)
+    for comp, (lo, hi) in zip(x, bounds):
+        mask &= comp >= lo
+        mask &= comp <= hi
     return mask
 
 
 def _row_norms(g: np.ndarray) -> np.ndarray:
-    """|g| per row of g (N, n): the squares summed a column at a time, in
-    column order, then the square root.  numpy's np.add.reduce sums a row
-    of fewer than eight entries in the same order, so for those the bits
-    are np.linalg.norm's; on many short rows the column sums cost a fifth
-    as much as a reduction along each row."""
-    col = g[:, 0]
-    sq = col * col
-    for j in range(1, g.shape[1]):
-        col = g[:, j]
-        sq += col * col
+    """|g| per row of g, given component-major (n, N): the squares summed a
+    component at a time, in component order, then the square root.  numpy's
+    np.add.reduce sums a row of fewer than eight entries in the same order,
+    so for those the bits are np.linalg.norm's; on many short rows the
+    component sums cost a fifth as much as a reduction along each row."""
+    sq = g[0] * g[0]
+    for comp in g[1:]:
+        sq += comp * comp
     return np.sqrt(sq, out=sq)
 
 
@@ -334,26 +329,44 @@ def _dedup(points: np.ndarray, tol: float) -> List[np.ndarray]:
     return [points[i] for i in _first_come(points, tol)]
 
 
-def field_jacobian(field: PolyMap, lyap: Optional[MultiPoly] = None) -> Callable:
-    """Compile a field and its Jacobian into one evaluator that maps points
-    (..., n) to the field (..., n) and the Jacobian (..., n, n); given lyap,
-    a scalar polynomial, it returns lyap's values (...) as a third output
-    from the same call.  The components, the entries and lyap form one
+class FieldJacobian:
+    """A field and its Jacobian compiled into one evaluator; given lyap, a
+    scalar polynomial, lyap's values come from the same evaluation as a
+    third output.  The components, the entries and lyap form one
     CompiledPoly, which compiles each distinct polynomial among them once,
-    so a gradient's equal mixed partials are evaluated once."""
-    n = field.domain_dim
-    entries = [*field.components, *(e for row in field.jacobian() for e in row)]
-    if lyap is not None:
-        entries.append(lyap)
-    compiled = CompiledPoly(PolyMap(entries, n))
+    so a gradient's equal mixed partials are evaluated once.
 
-    def evaluate(pts: np.ndarray) -> Tuple[np.ndarray, ...]:
-        vals = compiled(pts)
+    A call maps points (..., n) to the field (..., n) and the Jacobian
+    (..., n, n), and lyap's values (...).  by_component maps points given
+    component-major, (n, N), to the field (n, N), the Jacobian (n, n, N)
+    and lyap's values (N), each a contiguous slice of the array that
+    CompiledPoly.by_component returns."""
+
+    def __init__(self, field: PolyMap, lyap: Optional[MultiPoly] = None):
+        self.n = n = field.domain_dim
+        entries = [*field.components, *(e for row in field.jacobian() for e in row)]
+        if lyap is not None:
+            entries.append(lyap)
+        self.guarded = lyap is not None
+        self._compiled = CompiledPoly(PolyMap(entries, n))
+
+    def __call__(self, pts: np.ndarray) -> Tuple[np.ndarray, ...]:
+        vals, n = self._compiled(pts), self.n
         f = vals[..., :n]
         jac = vals[..., n:n + n * n].reshape(vals.shape[:-1] + (n, n))
-        return (f, jac) if lyap is None else (f, jac, vals[..., -1])
+        return (f, jac, vals[..., -1]) if self.guarded else (f, jac)
 
-    return evaluate
+    def by_component(self, x: np.ndarray) -> Tuple[np.ndarray, ...]:
+        vals, n = self._compiled.by_component(x), self.n
+        f = vals[:n]
+        jac = vals[n:n + n * n].reshape((n, n) + vals.shape[1:])
+        return (f, jac, vals[-1]) if self.guarded else (f, jac)
+
+
+def field_jacobian(field: PolyMap, lyap: Optional[MultiPoly] = None) -> FieldJacobian:
+    """The one evaluator of a field and its Jacobian (and lyap, if given)
+    that the census, its polish and the flows share."""
+    return FieldJacobian(field, lyap)
 
 
 def _lapack(fn: Callable, a: np.ndarray, *rest) -> np.ndarray:
@@ -377,33 +390,34 @@ _CYCLIC = np.array([[i % 3 * 3 + j % 3 for j in range(5)] for i in range(5)])
 
 
 def _cramer(jac: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """J^-1 g per row for n <= 3, and det J: the cofactors over the
-    determinant, each entry an array over the rows.  A row whose
-    determinant is 0 gets a step that is not finite."""
-    n = g.shape[1]
+    """J^-1 g per row for n <= 3, and det J, given component-major, jac
+    (n, n, N) and g (n, N): the cofactors over the determinant, each entry
+    an array over the rows.  A row whose determinant is 0 gets a step that
+    is not finite."""
+    n = len(g)
     if n == 1:
-        return g / jac[:, :, 0], jac[:, 0, 0]
+        return g / jac[0], jac[0, 0]
     if n == 2:
-        a, b, c, d = (jac[:, i, j] for i in range(2) for j in range(2))
+        (a, b), (c, d) = jac
         det = a * d - b * c
         step = np.empty_like(g)
-        np.subtract(d * g[:, 0], b * g[:, 1], out=step[:, 0])
-        np.subtract(a * g[:, 1], c * g[:, 0], out=step[:, 1])
-        step /= det[:, None]
+        np.subtract(d * g[0], b * g[1], out=step[0])
+        np.subtract(a * g[1], c * g[0], out=step[1])
+        step /= det
         return step, det
     # e[i, j] is the entry (i % 3, j % 3) of J, an array over the rows, so
     # that the cyclic rule gives all nine cofactors C[i, j] at once
-    e = jac.transpose(1, 2, 0).reshape(9, len(g)).take(_CYCLIC, axis=0)
+    e = jac.reshape(9, g.shape[1]).take(_CYCLIC, axis=0)
     cof = e[1:4, 1:4] * e[2:5, 2:5] - e[1:4, 2:5] * e[2:5, 1:4]
     det = e[0, 0] * cof[0, 0] + e[0, 1] * cof[0, 1] + e[0, 2] * cof[0, 2]
-    r = g.T
-    step = cof[0] * r[0] + cof[1] * r[1] + cof[2] * r[2]
+    step = cof[0] * g[0] + cof[1] * g[1] + cof[2] * g[2]
     step /= det
-    return step.T, det
+    return step, det
 
 
-def _newton_step(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The Newton step J^-1 g of each row of jac (N, n, n) and g (N, n).
+def _newton_step_by_component(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The Newton step J^-1 g of each row, given component-major, jac
+    (n, n, N) and g (n, N); the steps (n, N).
 
     For n <= 3 it is the closed form of _cramer, so a row's step depends on
     that row's J and g alone, and a row whose determinant is exactly 0 gets
@@ -415,27 +429,33 @@ def _newton_step(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
     while the determinant stays normal (g some 150 orders of magnitude
     below J) are not retried.  For n >= 4 the step is LAPACK's, through
     _lapack, NaN where it meets an exactly zero pivot."""
-    n = g.shape[1]
+    n = len(g)
     if n > 3:
-        return _lapack(np.linalg.solve, jac, g[..., None])[..., 0]
+        return _lapack(np.linalg.solve, jac.transpose(2, 0, 1), g.T[..., None])[..., 0].T
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         step, det = _cramer(jac, g)
         det = np.abs(det)
         ok = det >= np.finfo(float).tiny
         ok &= det < np.inf
-        for j in range(n):
-            ok &= np.isfinite(step[:, j])
-        if np.count_nonzero(ok) < len(ok):
-            bad = ~ok
-            jac, g = jac[bad], g[bad]
-            ej = np.frexp(np.abs(jac).max(axis=(1, 2)))[1]
-            eg = np.frexp(np.abs(g).max(axis=1))[1]
-            scaled = _cramer(np.ldexp(jac, -ej[:, None, None]), np.ldexp(g, -eg[:, None]))[0]
-            step[bad] = np.ldexp(scaled, (eg - ej)[:, None])
+        for comp in step:
+            ok &= np.isfinite(comp)
+        bad = ~ok
+        if bad.any():
+            jac, g = jac[:, :, bad], g[:, bad]
+            ej = np.frexp(np.abs(jac).max(axis=(0, 1)))[1]
+            eg = np.frexp(np.abs(g).max(axis=0))[1]
+            scaled = _cramer(np.ldexp(jac, -ej), np.ldexp(g, -eg))[0]
+            step[:, bad] = np.ldexp(scaled, eg - ej)
     return step
 
 
-def _polish_exact(grad: PolyMap, grad_hess: Callable, x0: np.ndarray):
+def _newton_step(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The Newton step J^-1 g of each row of jac (N, n, n) and g (N, n),
+    shape (N, n): _newton_step_by_component on the transposed views."""
+    return _newton_step_by_component(jac.transpose(1, 2, 0), g.T).T
+
+
+def _polish_exact(grad: PolyMap, grad_hess: FieldJacobian, x0: np.ndarray):
     """Newton refinement with the gradient evaluated exactly at the float
     iterate; accepts only if the exact residual norm reaches the target.
     A residual past the double range, or a step that is not finite, fails
@@ -475,14 +495,14 @@ def newton_search(
     grad_hess = field_jacobian(grad)
     seeds = box.grid(seeds_per_axis)
     claimed = np.asarray(claimed, dtype=float).reshape(-1, box.dim)
-    at_claimed = grad_hess(claimed)[0]
+    at_claimed = grad_hess.by_component(claimed.T)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         blind = int(np.count_nonzero(~(_row_norms(at_claimed) < COARSE_TOL)))
 
-    # the state is component-major: x[j] is coordinate j over the live rows,
-    # g[j] and jac[i, j] the gradient and Hessian entries, each contiguous;
-    # the helpers take the (rows, n) views x.T, g.T and jac.transpose(2, 0, 1)
-    x = seeds.T.copy()
+    # the state is component-major, as grad_hess.by_component returns it:
+    # x[j] is coordinate j over the live rows, g[j] and jac[i, j] the
+    # gradient and Hessian entries, each a contiguous array
+    x = np.ascontiguousarray(seeds.T)
     abandoned = 0
     singular = 0
     candidates: List[np.ndarray] = []
@@ -499,8 +519,7 @@ def newton_search(
             # gradient is finite; the seeds lie in the box, and each next
             # iterate is tested against it below, so that a row outside it
             # is never evaluated
-            g, jac = grad_hess(x.T)
-            g, jac = g.T, jac.transpose(1, 2, 0)
+            g, jac = grad_hess.by_component(x)
             finite = np.isfinite(g[0])
             for j in range(1, box.dim):
                 finite &= np.isfinite(g[j])
@@ -509,12 +528,12 @@ def newton_search(
                 abandoned += live - len(rows)
                 x, g, jac = x.take(rows, axis=1), g.take(rows, axis=1), jac.take(rows, axis=2)
                 live = len(rows)
-            conv = _row_norms(g.T) < COARSE_TOL
+            conv = _row_norms(g) < COARSE_TOL
             # one Newton step for every live row: the next iterate of a row
             # still searching, the float image of a candidate; a row whose
             # step is not finite (as where its Jacobian is exactly singular)
             # is dropped
-            step = _newton_step(jac.transpose(2, 0, 1), g.T).T
+            step = _newton_step_by_component(jac, g)
             x_next = x - step
             keep = np.isfinite(step[0])
             for j in range(1, box.dim):
@@ -528,7 +547,7 @@ def newton_search(
             singular += live - found - stepped
             # a next iterate outside the guard box is abandoned in the same
             # compaction, before it reaches the evaluator
-            keep &= _inside(x_next.T, bounds)
+            keep &= _inside(x_next, bounds)
             kept = int(np.count_nonzero(keep))
             abandoned += stepped - kept
             x = x_next if kept == live else x_next[:, keep]
@@ -596,11 +615,13 @@ class FlowConfig:
 
     def __post_init__(self):
         # the step floor is dt * MIN_STEP_RATIO, and a step at the floor is
-        # accepted without the error test: an infinite dt, or one past t_max,
-        # would put the floor above the first step and switch off error
-        # control
-        if not (0 < self.dt <= self.t_max < math.inf):
-            raise ValueError("dt and t_max must be finite, with 0 < dt <= t_max")
+        # accepted without the error test; the first step is min(dt, t_max),
+        # so a floor at or past t_max (an infinite dt, or one near the
+        # largest double) would switch error control off
+        if not (0 < self.t_max < math.inf):
+            raise ValueError("t_max must be finite and positive")
+        if not (0 < self.dt < math.inf and self.dt * MIN_STEP_RATIO < self.t_max):
+            raise ValueError("dt must be finite and positive, with dt * 2^-40 below t_max")
 
 
 def _solve(w_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -694,19 +715,17 @@ def integrate_batch(
     # cost, and broadcasts a per-row factor over the shape it multiplies
     def classify(pts, g):
         """|g| per row, and the index of the target each row has converged
-        to (-1 for none): |g| < GRAD_TOL within POINT_TOL of it.  The
-        indices are None when no row has |g| < GRAD_TOL."""
-        gn = _row_norms(g)
-        small = gn < GRAD_TOL
-        if not (len(tg) and np.count_nonzero(small)):
-            return gn, None
+        to (-1 for none): |g| < GRAD_TOL within POINT_TOL of it."""
+        gn = _row_norms(g.T)
         near = np.full(len(gn), -1, dtype=np.int64)
-        cand = np.flatnonzero(small)
-        diff = pts[cand, None, :] - tg
-        d = np.sqrt(np.add.reduce(diff * diff, axis=2))
-        nearest = d.argmin(axis=1)
-        hit = d.min(axis=1) < POINT_TOL
-        near[cand[hit]] = nearest[hit]
+        small = gn < GRAD_TOL
+        if len(tg) and np.count_nonzero(small):
+            cand = np.flatnonzero(small)
+            diff = pts[cand, None, :] - tg
+            d = np.sqrt(np.add.reduce(diff * diff, axis=2))
+            nearest = d.argmin(axis=1)
+            hit = d.min(axis=1) < POINT_TOL
+            near[cand[hit]] = nearest[hit]
         return gn, near
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -719,8 +738,6 @@ def integrate_batch(
         f0, jac, *va = fj(starts)
         # seeds already at a target converge in 0 steps
         gnorm, conv_idx = classify(starts, f0)
-        if conv_idx is None:
-            conv_idx = np.full(B, -1, dtype=np.int64)
         keep = conv_idx < 0
         status = np.where(keep, STATUS_ACTIVE, STATUS_CONVERGED)
         idx, xa, f0, jac = np.flatnonzero(keep), starts[keep], f0[keep], jac[keep]
@@ -747,7 +764,7 @@ def integrate_batch(
             scale = ATOL + RTOL * np.maximum(np.abs(xa), np.abs(xn))
             q = (col / 6.0 * (k1 - 2.0 * k2 + k3) / scale) ** 2
             err = np.sqrt(np.add.reduce(q, axis=1) / n)
-            hard_ok = _inside(xn, bounds)  # finite and inside the guard box
+            hard_ok = _inside(xn.T, bounds)  # finite and inside the guard box
             guard_ok = hard_ok
             if guarded:
                 inc = vn[0] - va
@@ -763,48 +780,35 @@ def integrate_batch(
             diverged = ~hard_ok & floor
             h = np.maximum(ht * np.where(guard_ok, fac, np.minimum(fac, 0.5)), h_min)
 
+            acc_col = acc[:, None]
+            np.copyto(xa, xn, where=acc_col)
+            np.copyto(f0, f2, where=acc_col)
+            np.copyto(jac, jn, where=acc_col[:, :, None])
+            if guarded:
+                np.copyto(va, vn[0], where=acc)
+            np.add(t, ht, out=t, where=acc)
             taken += acc
             if guarded:
                 np.maximum(inc_max, inc, out=inc_max, where=acc & finite_inc)
-            if np.count_nonzero(acc) == len(acc):
-                # every row accepted: the proposal becomes the state, since
-                # each evaluator call returns arrays of its own
-                xa, f0, jac = xn, f2, jn
-                if guarded:
-                    va = vn[0]
-                t += ht
-            else:
-                acc_col = acc[:, None]
-                np.copyto(xa, xn, where=acc_col)
-                np.copyto(f0, f2, where=acc_col)
-                np.copyto(jac, jn, where=acc_col[:, :, None])
-                if guarded:
-                    np.copyto(va, vn[0], where=acc)
-                np.add(t, ht, out=t, where=acc)
             # FSAL: the field at an accepted proposal classifies it; a row
             # that was not accepted keeps its state, which did not converge
             gn, near = classify(xa, f0)
+            conv = near >= 0
             # a row leaves once it diverged or converged, after its step to
             # t_max, and when the attempt budget is spent
-            out_of_time = acc & last
-            leave = diverged | out_of_time
-            if near is not None:
-                conv = near >= 0
-                leave |= conv
-                out_of_time &= ~conv
+            leave = diverged | conv | (acc & last)
             if passes >= MAX_ATTEMPTS:
                 leave[:] = True
             elif not np.count_nonzero(leave):
                 continue
-            out_of_budget = leave & ~(diverged | out_of_time)
+            out_of_time = acc & last & ~conv
+            out_of_budget = leave & ~(diverged | conv | out_of_time)
+            timeout = out_of_time | out_of_budget
             gone = idx[leave]
             ends[gone], steps[gone], attempts[gone] = xa[leave], taken[leave], passes
-            gnorm[gone] = gn[leave]
-            if near is not None:
-                out_of_budget &= ~conv
-                conv_idx[gone] = near[leave]
-                status[idx[conv]] = STATUS_CONVERGED
-            status[idx[out_of_time | out_of_budget]] = STATUS_TIMEOUT
+            gnorm[gone], conv_idx[gone] = gn[leave], near[leave]
+            status[idx[conv]] = STATUS_CONVERGED
+            status[idx[timeout]] = STATUS_TIMEOUT
             status[idx[diverged]] = STATUS_DIVERGED
             reason[idx[out_of_time]] = "t_max"
             reason[idx[out_of_budget]] = "step_budget"

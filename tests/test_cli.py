@@ -302,6 +302,17 @@ class TestFlow:
         assert obj["classified"] == "max_time_reached"
         assert obj["timeout_reason"] == "t_max"
 
+    def test_dt_past_t_max_keeps_error_control(self, two_point_bundle, tmp_path):
+        # the first step is clipped to t_max, far above the step floor, so
+        # the error test still runs and shrinks it
+        out = tmp_path / "trace.json"
+        code = cli.main(["flow", "-i", str(two_point_bundle), "-o", str(out),
+                         "--start=-0.9,0.6", "--dt", "1", "--t-max", "0.5"])
+        assert code == 1
+        obj = json.loads(out.read_text())
+        assert obj["timeout_reason"] == "t_max"
+        assert obj["rejected_steps"] > 0 and obj["steps"] > 1
+
     def test_negative_start_with_equals_form(self, two_point_bundle, tmp_path):
         # argparse reads "--start -0.6,0.9" as an option; the = form passes it
         code = cli.main(["flow", "-i", str(two_point_bundle),
@@ -322,7 +333,6 @@ class TestFlow:
     @pytest.mark.parametrize("flags", [
         ["--dt", "0"], ["--dt", "-1"], ["--dt", "nan"], ["--t-max", "0"],
         ["--t-max", "inf"], ["--dt", "inf"], ["--dt", "1e308"],
-        ["--dt", "1", "--t-max", "0.5"],
     ])
     def test_bad_step_flags_rejected(self, two_point_bundle, tmp_path, flags):
         code = cli.main(["flow", "-i", str(two_point_bundle), "-o",
@@ -392,6 +402,14 @@ class TestExportGrid:
             labels = [int(row[3]) for row in list(csv.reader(fh))[1:]]
         assert labels == [lab for row in reference for lab in row]
 
+    def test_t_max_below_default_dt_runs(self, two_point_bundle, tmp_path):
+        out = tmp_path / "g.csv"
+        code = cli.main(["export-grid", "-i", str(two_point_bundle), "-o", str(out),
+                         "--resolution", "8", "--t-max", "0.005"])
+        assert code == 0
+        with open(out) as fh:
+            assert len(list(csv.reader(fh))) == 1 + 64
+
     def test_small_resolution_rejected(self, two_point_bundle):
         code = cli.main(["export-grid", "-i", str(two_point_bundle),
                          "--resolution", "4"])
@@ -400,7 +418,6 @@ class TestExportGrid:
     @pytest.mark.parametrize("flags", [
         ["--dt", "0"], ["--dt", "-1"], ["--t-max", "0"], ["--t-max", "-5"],
         ["--t-max", "inf"], ["--dt", "inf"], ["--dt", "1e308"],
-        ["--dt", "1", "--t-max", "0.5"],
     ])
     def test_bad_step_flags_rejected(self, two_point_bundle, tmp_path, flags):
         code = cli.main(["export-grid", "-i", str(two_point_bundle), "-o",

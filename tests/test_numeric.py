@@ -238,9 +238,9 @@ def test_each_distinct_polynomial_compiled_once(monkeypatch):
 @pytest.mark.parametrize("shape", [(), (7,)])
 @pytest.mark.parametrize("batch", [(5,), Blocks(2, 3)])
 def test_successive_calls_share_no_memory(shape, batch):
-    # the flow integrator keeps a call's output as its state and later
-    # writes accepted rows into it, so no call may return memory that an
-    # earlier call returned, within one block or past one
+    # every call writes its values into an array of its own, within one
+    # block or past one, so a caller may keep or write into what a call
+    # returned
     polys = components(2)
     compiled = CompiledPoly(polys[0] if shape == () else PolyMap(polys, 2))
     batch = batch_of(batch, compiled)
@@ -248,3 +248,18 @@ def test_successive_calls_share_no_memory(shape, batch):
     first, second = compiled(pts), compiled(pts)
     assert np.array_equal(first, second)
     assert not np.shares_memory(first, second)
+
+
+@pytest.mark.parametrize("shape", [(), (7,)])
+@pytest.mark.parametrize("batch", [(0,), (5,), *BOUNDARY])
+def test_by_component_is_the_contiguous_transpose(shape, batch):
+    # by_component's values are the call's array itself, C-contiguous, one
+    # row per component: the layout the census reads a component at a time
+    polys = components(3)
+    compiled = CompiledPoly(polys[0] if shape == () else PolyMap(polys, 3))
+    batch = batch_of(batch, compiled)
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, size=(3,) + batch)
+    got = compiled.by_component(x)
+    assert got.shape == shape + batch
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, compiled(x.T).T)

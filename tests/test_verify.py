@@ -244,17 +244,13 @@ class TestPolishSkip:
         recording(monkeypatch, "_polish_exact", polishes,
                   lambda k, polish, grad, _, x0: polish(grad, grad_hess, x0))
 
-        def singular_at_candidates(field):
-            evaluate = field_jacobian(field)
+        class SingularAtCandidates(verify.FieldJacobian):
+            def by_component(self, x):
+                g, jac = super().by_component(x)
+                small = np.linalg.norm(g, axis=0) < verify.COARSE_TOL
+                return g, np.where(small, 0.0, jac)
 
-            def singular(pts):
-                g, jac = evaluate(pts)
-                small = np.linalg.norm(g, axis=-1) < verify.COARSE_TOL
-                return g, np.where(small[..., None, None], 0.0, jac)
-
-            return singular
-
-        monkeypatch.setattr(verify, "field_jacobian", singular_at_candidates)
+        monkeypatch.setattr(verify, "field_jacobian", SingularAtCandidates)
         found = newton_search(grad, box, 100).points
         reps = verify._dedup(first_come[0][0], verify.DEDUP_TOL)
         assert len(polishes) == len(reps) > 2
@@ -343,17 +339,17 @@ class TestNewtonMatchesReference:
 def test_census_evaluates_no_row_outside_the_guard_box(monkeypatch):
     # the box is tested before the evaluation: a row that has left the guard
     # box is abandoned without reaching the evaluator
-    def checked(field, lyap=None):
-        evaluate = field_jacobian(field, lyap)
-
-        def call(pts):
-            rows = np.asarray(pts).reshape(-1, field.domain_dim)
+    class Checked(verify.FieldJacobian):
+        def __call__(self, pts):
+            rows = np.asarray(pts).reshape(-1, self.n)
             assert ((rows >= lo) & (rows <= hi)).all()
-            return evaluate(pts)
+            return super().__call__(pts)
 
-        return call
+        def by_component(self, x):
+            assert ((x.T >= lo) & (x.T <= hi)).all()
+            return super().by_component(x)
 
-    monkeypatch.setattr(verify, "field_jacobian", checked)
+    monkeypatch.setattr(verify, "field_jacobian", Checked)
     abandoned = 0
     for pts in PLANE_INSTANCES + BENCH_N3_SETS:
         res = synthesize(PointSet(len(pts[0]), pts))
@@ -379,13 +375,13 @@ def test_guard_bounds_stay_finite_when_the_guard_overflows():
     assert bounds[1] == (lo[1], hi[1])
     rows = np.array([[big, 0.5], [-big, 0.5], [np.inf, 0.5], [-np.inf, 0.5],
                      [np.nan, 0.5], [0.0, np.nan], [0.0, hi[1] * 2]])
-    assert verify._inside(rows, bounds).tolist() == [True, True] + [False] * 5
+    assert verify._inside(rows.T, bounds).tolist() == [True, True] + [False] * 5
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_row_norms_match_the_row_reduction(n):
-    # summed a column at a time, the squares give the bits of numpy's row
-    # reduction, also where a row is zero or its squares overflow to inf
+    # summed a component at a time, the squares give the bits of numpy's
+    # row reduction, also where a row is zero or its squares overflow to inf
     rng = np.random.default_rng(n)
     g = rng.standard_normal((400, n)) * 10.0 ** rng.integers(-150, 150, size=(400, n))
     g[:20] = 0.0
@@ -393,7 +389,7 @@ def test_row_norms_match_the_row_reduction(n):
     g[40:60] = -1e160
     with np.errstate(over="ignore"):
         want = np.sqrt(np.add.reduce(g * g, axis=1))
-        got = verify._row_norms(g)
+        got = verify._row_norms(g.T)
     assert np.isinf(want).any() and not want[:20].any()
     assert np.array_equal(got, want)
 
@@ -405,8 +401,8 @@ def test_census_and_flow_take_row_norms_from_the_helper(monkeypatch):
     box = BoxSpec(lower=(-2.0, -1.0), upper=(2.0, 1.0))
     newton_search(grad, box, 5, claimed=[[1.0, 0.0]])
     # the blind test at the one claimed point, then the first iteration's
-    # convergence test on the 25 seeds
-    assert [len(g) for g, in calls[:2]] == [1, 25]
+    # convergence test on the 25 seeds, each given component-major
+    assert [g.shape for g, in calls[:2]] == [(2, 1), (2, 25)]
     calls.clear()
     integrate_batch(PolyMap([-x(2, 0), -x(2, 1)], 2), [[0.5, 0.5]], box, [[0.0, 0.0]])
     assert calls
@@ -522,15 +518,16 @@ class TestNewtonStep:
 @pytest.mark.parametrize("dim", [2, 3])
 def test_census_and_polish_take_steps_from_the_helper(monkeypatch, dim):
     # for n <= 3 no Newton step goes through LAPACK: the float phase steps
-    # its live rows, and the polish its one point, through _newton_step
+    # its live rows, and the polish its one point, through
+    # _newton_step_by_component (the polish by way of _newton_step)
     def refused(*args):
         raise AssertionError("np.linalg.solve called")
 
     steps, phase = [], ["float"]
-    newton_step, polish = verify._newton_step, verify._polish_exact
+    newton_step, polish = verify._newton_step_by_component, verify._polish_exact
 
     def stepping(jac, g):
-        steps.append((phase[0], len(g)))
+        steps.append((phase[0], g.shape[1]))
         return newton_step(jac, g)
 
     def polishing(*args):
@@ -538,7 +535,7 @@ def test_census_and_polish_take_steps_from_the_helper(monkeypatch, dim):
         return polish(*args)
 
     monkeypatch.setattr(np.linalg, "solve", refused)
-    monkeypatch.setattr(verify, "_newton_step", stepping)
+    monkeypatch.setattr(verify, "_newton_step_by_component", stepping)
     monkeypatch.setattr(verify, "_polish_exact", polishing)
     # critical points at x1 = 0 and +-sqrt(2), which no seed hits exactly
     grad = PolyMap([x(dim, 0) * x(dim, 0) * x(dim, 0) - x(dim, 0) * 2,
@@ -614,16 +611,32 @@ class TestFieldJacobian:
 
     @pytest.mark.parametrize("rows", [1, 1000])
     def test_successive_calls_share_no_memory(self, rows):
-        # integrate_batch keeps a call's field, Jacobian and Lyapunov values
-        # as its state and later writes accepted rows into them; 1000 rows
-        # run in more than one block
+        # each call's field, Jacobian and Lyapunov values are views of an
+        # array of its own; 1000 rows run in more than one block
         grad = gradient_map(2)
         evaluate = field_jacobian(grad, grad.components[0])
         pts = np.random.default_rng(2).uniform(-2.0, 2.0, size=(rows, 2))
-        first, second = evaluate(pts), evaluate(pts)
-        for a in first:
-            for b in second:
-                assert not np.shares_memory(a, b)
+        for call in (evaluate, lambda p: evaluate.by_component(p.T)):
+            first, second = call(pts), call(pts)
+            for a in first:
+                for b in second:
+                    assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("rows", [1, 1000])
+    def test_by_component_is_contiguous(self, dim, rows):
+        # the census reads the field, the Jacobian and lyap one contiguous
+        # component at a time: the transposes of a call's values
+        grad = gradient_map(dim)
+        evaluate = field_jacobian(grad, grad.components[0])
+        pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(rows, dim))
+        got = evaluate.by_component(np.ascontiguousarray(pts.T))
+        want = evaluate(pts)
+        assert [a.shape for a in got] == [(dim, rows), (dim, dim, rows), (rows,)]
+        assert all(a.flags.c_contiguous for a in got)
+        assert np.array_equal(got[0], want[0].T)
+        assert np.array_equal(got[1], want[1].transpose(1, 2, 0))
+        assert np.array_equal(got[2], want[2])
 
     def test_jacobian_of_a_map(self):
         x0, x1, x2 = (x(3, i) for i in range(3))
