@@ -501,8 +501,9 @@ def newton_search(
 
     # the state is component-major, as grad_hess.by_component returns it:
     # x[j] is coordinate j over the live rows, g[j] and jac[i, j] the
-    # gradient and Hessian entries, each a contiguous array
-    x = np.ascontiguousarray(seeds.T)
+    # gradient and Hessian entries, each a contiguous array from the first
+    # step on; the seed grid itself is read through its transposed view
+    x = seeds.T
     abandoned = 0
     singular = 0
     candidates: List[np.ndarray] = []
