@@ -23,9 +23,10 @@ component over a block's points, and the last gather of each block writes
 its rows straight into one C-contiguous (K, N) array of the call's own, with
 no staging buffer and no transposing copy.  CompiledPoly.by_component
 takes points component-major, (dim, N), and returns that array; a call
-takes points (..., dim) and returns its transposed view, (..., K).  Each component's
-values are thus contiguous, for the consumers that read one component at a
-time, and no call returns memory that an earlier call returned.
+takes points (..., dim) and returns its transposed view, (..., K), so the
+layout is chosen in by_component alone.  Each component's values are thus
+contiguous, for the consumers that read one component at a time, and no
+call returns memory that an earlier call returned.
 
 Each distinct polynomial of a map is compiled and evaluated once, and equal
 components read its one row of values.  Stage 0's coefficient table is
@@ -117,11 +118,19 @@ class CompiledPoly:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         """The values at pts (..., dim), shape (..., *shape): the transposed
-        view of the call's own C-contiguous (K, N) array."""
+        view of the array by_component computes."""
         pts = np.asarray(pts, dtype=np.float64)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[-1]}, expected {self.dim}")
-        x = pts.reshape(-1, self.dim).T
+        vals = self.by_component(pts.reshape(-1, self.dim).T)
+        return vals.T.reshape(pts.shape[:-1] + self.shape)
+
+    def by_component(self, x: np.ndarray) -> np.ndarray:
+        """The values at points given component-major, x (dim, N), shape
+        (*shape, N): one C-contiguous array of the call's own."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or len(x) != self.dim:
+            raise ValueError(f"points have shape {x.shape}, expected ({self.dim}, N)")
         vals = np.empty((len(self._order), x.shape[1]))
         table = None
         with np.errstate(over="ignore", invalid="ignore"):
@@ -135,13 +144,7 @@ class CompiledPoly:
                     table = None
                     table = self._table.repeat(block.shape[1], axis=1)
                 self._horner(block, table, vals[:, i:i + self.width])
-        return vals.T.reshape(pts.shape[:-1] + self.shape)
-
-    def by_component(self, x: np.ndarray) -> np.ndarray:
-        """The values at points given component-major, x (dim, N), shape
-        (*shape, N): the C-contiguous array a call on x.T computes, of
-        which the call returns the transpose."""
-        return self(x.T).T
+        return vals.reshape(self.shape + vals.shape[1:])
 
     def _horner(self, x: np.ndarray, coefs: np.ndarray, out: np.ndarray) -> None:
         """The polynomials at the points x (dim, N), written to out (K, N),
