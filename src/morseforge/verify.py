@@ -77,10 +77,9 @@ is exactly singular, which makes the proposal non-finite).  The evaluation at
 an accepted proposal starts the next step and classifies convergence
 (GRAD_TOL, POINT_TOL; target distances only where |field| < GRAD_TOL,
 |field| by the census's _row_norms).  The accepted rows are copied into
-the state by masked copies, its only update, and a per-row factor is
-broadcast over the shape it multiplies.  The per-row state is compacted,
-and the rows that finished written back, only on a pass where some
-trajectory leaves.  A proposal that fails the error test, leaves the
+the state by masked copies, its only update.  The per-row state is
+compacted, and the rows that finished written back, only on a pass where
+some trajectory leaves.  A proposal that fails the error test, leaves the
 guard box, goes non-finite, or increases the Lyapunov value beyond half of
 LYAP_STEP_TOL is rejected and the step shrunk.  A trajectory is
 classified diverged only when the step floor is reached with the proposal
@@ -713,7 +712,8 @@ def integrate_batch(
 
     # the loop calls the ufuncs that np.linalg.norm, np.mean, np.clip and
     # np.maximum.at would, with the same bits and without their per-call
-    # cost, and broadcasts a per-row factor over the shape it multiplies
+    # cost, and repeats a per-row factor to the shape it multiplies, since
+    # numpy dispatches equal shapes fastest
     def classify(pts, g):
         """|g| per row, and the index of the target each row has converged
         to (-1 for none): |g| < GRAD_TOL within POINT_TOL of it."""
@@ -754,8 +754,8 @@ def integrate_batch(
             rest = cfg.t_max - t
             last = h >= rest
             ht = np.minimum(h, rest)
-            col = ht[:, None]
-            w_inv = _lapack(np.linalg.inv, eye - (_D * ht)[:, None, None] * jac)
+            col = ht.repeat(n).reshape(-1, n)
+            w_inv = _lapack(np.linalg.inv, eye - (_D * ht).repeat(n * n).reshape(-1, n, n) * jac)
             k1 = _solve(w_inv, f0)
             f1 = fc(xa + 0.5 * col * k1)
             k2 = _solve(w_inv, f1 - k1) + k1
