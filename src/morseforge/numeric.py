@@ -21,12 +21,14 @@ R^3 (1248 chains).
 A call's values are component-major.  Horner computes one row per
 component over a block's points, and the last gather of each block writes
 its rows straight into one C-contiguous (K, N) array of the call's own, with
-no staging buffer and no transposing copy.  CompiledPoly.by_component
-takes points component-major, (dim, N), and returns that array; a call
-takes points (..., dim) and returns its transposed view, (..., K), so the
-layout is chosen in by_component alone.  Each component's values are thus
-contiguous, for the consumers that read one component at a time, and no
-call returns memory that an earlier call returned.
+no staging buffer and no transposing copy.  A call takes points
+(..., dim) and returns that array's transposed view, (..., K), and
+CompiledPoly.by_component takes points component-major, (dim, N), and
+returns the array itself, by way of a call, so that every evaluation goes
+through __call__, where perfbench's tracer counts calls and rows.  Each
+component's values are thus contiguous, for the consumers that read one
+component at a time, and no call returns memory that an earlier call
+returned.
 
 Each distinct polynomial of a map is compiled and evaluated once, and equal
 components read its one row of values.  Stage 0's coefficient table is
@@ -118,19 +120,11 @@ class CompiledPoly:
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         """The values at pts (..., dim), shape (..., *shape): the transposed
-        view of the array by_component computes."""
+        view of the call's own C-contiguous (K, N) array."""
         pts = np.asarray(pts, dtype=np.float64)
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[-1]}, expected {self.dim}")
-        vals = self.by_component(pts.reshape(-1, self.dim).T)
-        return vals.T.reshape(pts.shape[:-1] + self.shape)
-
-    def by_component(self, x: np.ndarray) -> np.ndarray:
-        """The values at points given component-major, x (dim, N), shape
-        (*shape, N): one C-contiguous array of the call's own."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or len(x) != self.dim:
-            raise ValueError(f"points have shape {x.shape}, expected ({self.dim}, N)")
+        x = pts.reshape(-1, self.dim).T
         vals = np.empty((len(self._order), x.shape[1]))
         table = None
         with np.errstate(over="ignore", invalid="ignore"):
@@ -144,7 +138,13 @@ class CompiledPoly:
                     table = None
                     table = self._table.repeat(block.shape[1], axis=1)
                 self._horner(block, table, vals[:, i:i + self.width])
-        return vals.reshape(self.shape + vals.shape[1:])
+        return vals.T.reshape(pts.shape[:-1] + self.shape)
+
+    def by_component(self, x: np.ndarray) -> np.ndarray:
+        """The values at points given component-major, x (dim, N), shape
+        (*shape, N): the C-contiguous array a call on x.T computes, of
+        which the call returns the transpose."""
+        return self(x.T).T
 
     def _horner(self, x: np.ndarray, coefs: np.ndarray, out: np.ndarray) -> None:
         """The polynomials at the points x (dim, N), written to out (K, N),

@@ -263,3 +263,20 @@ def test_by_component_is_the_contiguous_transpose(shape, batch):
     assert got.shape == shape + batch
     assert got.flags.c_contiguous
     assert np.array_equal(got, compiled(x.T).T)
+
+
+def test_by_component_evaluates_through_the_call(monkeypatch):
+    # perfbench's tracer counts calls and rows at __call__, so the census's
+    # component-major evaluations must pass through it, once each, with
+    # their points row-major
+    seen = []
+    call = CompiledPoly.__call__
+
+    def counted(self, pts):
+        seen.append(np.shape(pts))
+        return call(self, pts)
+
+    monkeypatch.setattr(CompiledPoly, "__call__", counted)
+    compiled = CompiledPoly(PolyMap(components(3), 3))
+    compiled.by_component(np.zeros((3, 11)))
+    assert seen == [(11, 3)]
