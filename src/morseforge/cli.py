@@ -43,8 +43,13 @@ class CommandError(Exception):
 
 
 def _load_json(path: str):
+    """The JSON document at path; one nested past the interpreter's
+    recursion limit is a parse error."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise CommandError(EXIT_PARSE, f"{path}: JSON nested too deeply") from exc
 
 
 def _write_json(path: Optional[str], obj) -> None:

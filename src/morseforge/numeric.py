@@ -21,14 +21,14 @@ R^3 (1248 chains).
 A call's values are component-major.  Horner computes one row per
 component over a block's points, and the last gather of each block writes
 its rows straight into one C-contiguous (K, N) array of the call's own, with
-no staging buffer and no transposing copy.  A call takes points
-(..., dim) and returns that array's transposed view, (..., K), and
-CompiledPoly.by_component takes points component-major, (dim, N), and
-returns the array itself, by way of a call, so that every evaluation goes
-through __call__, where perfbench's tracer counts calls and rows.  Each
-component's values are thus contiguous, for the consumers that read one
-component at a time, and no call returns memory that an earlier call
-returned.
+no staging buffer and no transposing copy, so no call returns memory that
+an earlier call returned.  CompiledPoly.by_component is the one place where
+the two point layouts meet: it takes points component-major, (dim, N), as
+the float verifier keeps them throughout, and returns that array itself.
+It does so by way of a call on the transposed points, so that every
+evaluation goes through __call__, where perfbench's tracer counts calls and
+rows.  A call keeps the row-major contract, points (..., dim) to values
+(..., K), the array's transposed view, for export-grid's P column.
 
 Each distinct polynomial of a map is compiled and evaluated once, and equal
 components read its one row of values.  Stage 0's coefficient table is

@@ -9,13 +9,21 @@ verdict.  The descent field -grad P has one derivation, synth.descent_field,
 which certify and the flow commands share; no stored field is integrated
 or searched.  Every float evaluation goes through numeric.CompiledPoly,
 whose value at a point does not depend on the batch it is evaluated in: a
-field, a Lyapunov function, or a field with its Jacobian (field_jacobian,
+field, a Lyapunov function, or a field with its Jacobian (FieldJacobian,
 the one evaluator that Newton, its polish and the flows share) is compiled
 once and evaluated over a whole batch of points per call.
 
+Points have one layout here, component-major: N points in R^n are an
+(n, N) array, and a field's values (n, N), a Jacobian's (n, n, N) and a
+scalar's (N) follow it, as FieldJacobian returns them.  The helpers
+(_row_norms, _inside, _newton_step) take such arrays as they are, and a
+per-row factor (N) broadcasts along their contiguous last axis.  Only the
+edges are row-major: the seed grid, the claimed and found points, and
+integrate_batch's starts and results.
+
 Newton runs in two phases: a fast float phase over the whole seed grid, then
 an exact-arithmetic polish of one candidate per critical point.  Each float
-iteration makes one field_jacobian call that returns the gradient and the
+iteration makes one FieldJacobian call that returns the gradient and the
 Hessian together, and one batched Newton step over every live row that
 gives both the next iterate of a row still searching and the float Newton
 image x - J^-1 g of a row accepted as a candidate.  The Newton step, which
@@ -27,14 +35,11 @@ infinite coordinate, and its gradient is finite.  The seeds lie in the box,
 and each next iterate is tested against it in the one compaction that also
 drops the candidates and the singular rows, so a row that has left the box
 is never evaluated; the finiteness of the gradient is tested after the
-evaluation.  The state is component-major, as the evaluator's
-by_component returns its values: each coordinate, gradient entry and
-Hessian entry is one contiguous array over the live rows, compacted with
-[:, keep], and the helpers (_row_norms, _inside, _newton_step_by_component)
-take it as it is; the polish and the flows, whose rows are points, pass
-them transposed views.  Each mask is built one component at a time, the
-rows are compacted only when some leave, |grad| is taken on the live rows
-alone by _row_norms (sums of squares a component at a time, the bits of
+evaluation.  Each coordinate, gradient entry and Hessian entry of the
+state is one contiguous array over the live rows, compacted with
+[:, keep]; the polish steps its one point as an (n, 1) column.  Each mask
+is built one component at a time, the rows are compacted only when some
+leave, |grad| is taken on the live rows alone by _row_norms (sums of squares a component at a time, the bits of
 np.linalg.norm on rows of fewer than eight entries), which also finds the
 blind points, and candidates are kept only on an iteration that finds
 some.  A row whose step is not finite, as where a closed-form determinant
@@ -69,11 +74,14 @@ Rosenbrock pair of ode23s (Shampine & Reichelt, SIAM J. Sci. Comput. 1997),
 orders 2 and 3, batched over trajectories.  Each row keeps its own time and
 step; FlowConfig holds only the first step dt and the horizon t_max.  One
 attempt makes two evaluator calls, the field at the midpoint and one
-field_jacobian call at the proposal that returns the field, its full
+FieldJacobian call at the proposal that returns the field, its full
 Jacobian and the Lyapunov value together (without a Lyapunov function, the
 same loop evaluates and guards nothing beyond the field), and solves three
 systems against one W = I - h d J (one inverse, three products; NaN where W
-is exactly singular, which makes the proposal non-finite).  The evaluation at
+is exactly singular, which makes the proposal non-finite).  W is inverted
+by LAPACK as an (N, n, n) batch, the transposed view of the component-major
+W, and the three products are matmul's, whose bits a product summed a
+component at a time would not give.  The evaluation at
 an accepted proposal starts the next step and classifies convergence
 (GRAD_TOL, POINT_TOL; target distances only where |field| < GRAD_TOL,
 |field| by the census's _row_norms).  The accepted rows are copied into
@@ -96,7 +104,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import exactmat
-from ._rat import GridTooLarge, rat
+from ._rat import CoefficientTooLarge, GridTooLarge, rat
 from .numeric import CompiledPoly, _float
 from .poly import MultiPoly, PolyMap
 from .serialize import ParsedBundle
@@ -141,14 +149,21 @@ class BoxSpec:
 
     @classmethod
     def from_points(cls, points) -> "BoxSpec":
+        """A box whose bounds overflow the doubles, or round to equal
+        bounds, raises CoefficientTooLarge."""
         pts = _float_points(points)
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
-        center = (lo + hi) / 2
-        half = (hi - lo) / 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            center = (lo + hi) / 2
+            half = (hi - lo) / 2
+            lower = center - BOX_INFLATE * half - BOX_MARGIN
+            upper = center + BOX_INFLATE * half + BOX_MARGIN
+        if not (np.isfinite(lower) & np.isfinite(upper) & (lower < upper)).all():
+            raise CoefficientTooLarge("the points' search box is too large for float evaluation")
         return cls(
-            tuple(center - BOX_INFLATE * half - BOX_MARGIN),
-            tuple(center + BOX_INFLATE * half + BOX_MARGIN),
+            tuple(lower),
+            tuple(upper),
             derivation=f"bounding box of {len(pts)} points, "
             f"inflated x{BOX_INFLATE} plus margin {BOX_MARGIN}",
         )
@@ -333,13 +348,13 @@ class FieldJacobian:
     scalar polynomial, lyap's values come from the same evaluation as a
     third output.  The components, the entries and lyap form one
     CompiledPoly, which compiles each distinct polynomial among them once,
-    so a gradient's equal mixed partials are evaluated once.
+    so a gradient's equal mixed partials are evaluated once.  This is the
+    one evaluator of a field and its Jacobian that the census, its polish
+    and the flows share.
 
-    A call maps points (..., n) to the field (..., n) and the Jacobian
-    (..., n, n), and lyap's values (...).  by_component maps points given
-    component-major, (n, N), to the field (n, N), the Jacobian (n, n, N)
-    and lyap's values (N), each a contiguous slice of the array that
-    CompiledPoly.by_component returns."""
+    A call maps points given component-major, (n, N), to the field (n, N),
+    the Jacobian (n, n, N) and lyap's values (N), each a contiguous slice of
+    the array that CompiledPoly.by_component returns."""
 
     def __init__(self, field: PolyMap, lyap: Optional[MultiPoly] = None):
         self.n = n = field.domain_dim
@@ -349,23 +364,11 @@ class FieldJacobian:
         self.guarded = lyap is not None
         self._compiled = CompiledPoly(PolyMap(entries, n))
 
-    def __call__(self, pts: np.ndarray) -> Tuple[np.ndarray, ...]:
-        vals, n = self._compiled(pts), self.n
-        f = vals[..., :n]
-        jac = vals[..., n:n + n * n].reshape(vals.shape[:-1] + (n, n))
-        return (f, jac, vals[..., -1]) if self.guarded else (f, jac)
-
-    def by_component(self, x: np.ndarray) -> Tuple[np.ndarray, ...]:
+    def __call__(self, x: np.ndarray) -> Tuple[np.ndarray, ...]:
         vals, n = self._compiled.by_component(x), self.n
         f = vals[:n]
         jac = vals[n:n + n * n].reshape((n, n) + vals.shape[1:])
         return (f, jac, vals[-1]) if self.guarded else (f, jac)
-
-
-def field_jacobian(field: PolyMap, lyap: Optional[MultiPoly] = None) -> FieldJacobian:
-    """The one evaluator of a field and its Jacobian (and lyap, if given)
-    that the census, its polish and the flows share."""
-    return FieldJacobian(field, lyap)
 
 
 def _lapack(fn: Callable, a: np.ndarray, *rest) -> np.ndarray:
@@ -414,7 +417,7 @@ def _cramer(jac: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return step, det
 
 
-def _newton_step_by_component(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _newton_step(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
     """The Newton step J^-1 g of each row, given component-major, jac
     (n, n, N) and g (n, N); the steps (n, N).
 
@@ -448,12 +451,6 @@ def _newton_step_by_component(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
     return step
 
 
-def _newton_step(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The Newton step J^-1 g of each row of jac (N, n, n) and g (N, n),
-    shape (N, n): _newton_step_by_component on the transposed views."""
-    return _newton_step_by_component(jac.transpose(1, 2, 0), g.T).T
-
-
 def _polish_exact(grad: PolyMap, grad_hess: FieldJacobian, x0: np.ndarray):
     """Newton refinement with the gradient evaluated exactly at the float
     iterate; accepts only if the exact residual norm reaches the target.
@@ -472,7 +469,7 @@ def _polish_exact(grad: PolyMap, grad_hess: FieldJacobian, x0: np.ndarray):
                 return x
         if attempt == POLISH_ITER:
             return None
-        step = _newton_step(grad_hess(x[None, :])[1], g[None, :])[0]
+        step = _newton_step(grad_hess(x[:, None])[1], g[:, None])[:, 0]
         if not np.isfinite(step).all():
             return None
         x = x - step
@@ -491,17 +488,15 @@ def newton_search(
     phase cannot accept a seed there, however close it comes."""
     if seeds_per_axis < 2:
         raise ValueError("seeds_per_axis must be >= 2")
-    grad_hess = field_jacobian(grad)
+    grad_hess = FieldJacobian(grad)
     seeds = box.grid(seeds_per_axis)
     claimed = np.asarray(claimed, dtype=float).reshape(-1, box.dim)
-    at_claimed = grad_hess.by_component(claimed.T)[0]
+    at_claimed = grad_hess(claimed.T)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         blind = int(np.count_nonzero(~(_row_norms(at_claimed) < COARSE_TOL)))
 
-    # the state is component-major, as grad_hess.by_component returns it:
     # x[j] is coordinate j over the live rows, g[j] and jac[i, j] the
-    # gradient and Hessian entries, each a contiguous array from the first
-    # step on; the seed grid itself is read through its transposed view
+    # gradient and Hessian entries; the seed grid is read transposed
     x = seeds.T
     abandoned = 0
     singular = 0
@@ -519,7 +514,7 @@ def newton_search(
             # gradient is finite; the seeds lie in the box, and each next
             # iterate is tested against it below, so that a row outside it
             # is never evaluated
-            g, jac = grad_hess.by_component(x)
+            g, jac = grad_hess(x)
             finite = np.isfinite(g[0])
             for j in range(1, box.dim):
                 finite &= np.isfinite(g[j])
@@ -533,7 +528,7 @@ def newton_search(
             # still searching, the float image of a candidate; a row whose
             # step is not finite (as where its Jacobian is exactly singular)
             # is dropped
-            step = _newton_step_by_component(jac, g)
+            step = _newton_step(jac, g)
             x_next = x - step
             keep = np.isfinite(step[0])
             for j in range(1, box.dim):
@@ -625,7 +620,9 @@ class FlowConfig:
 
 
 def _solve(w_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return (w_inv @ rhs[:, :, None])[:, :, 0]
+    """W^-1 rhs per row, given w_inv (N, n, n) and rhs component-major
+    (n, N); the result (n, N)."""
+    return (w_inv @ rhs.T[:, :, None])[:, :, 0].T
 
 
 STATUS_ACTIVE, STATUS_CONVERGED, STATUS_TIMEOUT, STATUS_DIVERGED = 0, 1, 2, 3
@@ -689,7 +686,7 @@ def integrate_batch(
 
     targets are the points convergence is classified against; lyap is a
     scalar polynomial whose per-step increase is both guarded against and
-    recorded, evaluated in the field_jacobian call at each proposal.
+    recorded, evaluated in the FieldJacobian call at each proposal.
     Without lyap nothing is guarded, evaluated or recorded for it, and
     max_step_increase stays 0.  Every row keeps its own time and step size;
     each pass over the loop makes one step attempt for every active row."""
@@ -698,11 +695,11 @@ def integrate_batch(
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     B, n = starts.shape
     guarded = lyap is not None
-    fj = field_jacobian(field, lyap)
+    fj = FieldJacobian(field, lyap)
     tg = _float_points(targets)
     bounds = _guard_bounds(box)
     h_min = cfg.dt * MIN_STEP_RATIO
-    eye = np.eye(n)
+    eye = np.eye(n)[:, :, None]
 
     ends = starts.copy()
     steps = np.zeros(B, dtype=np.int64)
@@ -712,17 +709,16 @@ def integrate_batch(
 
     # the loop calls the ufuncs that np.linalg.norm, np.mean, np.clip and
     # np.maximum.at would, with the same bits and without their per-call
-    # cost, and repeats a per-row factor to the shape it multiplies, since
-    # numpy dispatches equal shapes fastest
+    # cost
     def classify(pts, g):
         """|g| per row, and the index of the target each row has converged
         to (-1 for none): |g| < GRAD_TOL within POINT_TOL of it."""
-        gn = _row_norms(g.T)
+        gn = _row_norms(g)
         near = np.full(len(gn), -1, dtype=np.int64)
         small = gn < GRAD_TOL
         if len(tg) and np.count_nonzero(small):
             cand = np.flatnonzero(small)
-            diff = pts[cand, None, :] - tg
+            diff = pts.T[cand, None, :] - tg
             d = np.sqrt(np.add.reduce(diff * diff, axis=2))
             nearest = d.argmin(axis=1)
             hit = d.min(axis=1) < POINT_TOL
@@ -736,12 +732,15 @@ def integrate_batch(
         # arrays only with lyap); the rows are compacted, and the finished
         # ones written back, only on a pass where one leaves.  Every row
         # still active has made one attempt per pass.
-        f0, jac, *va = fj(starts)
+        f0, jac, *va = fj(starts.T)
         # seeds already at a target converge in 0 steps
-        gnorm, conv_idx = classify(starts, f0)
+        gnorm, conv_idx = classify(starts.T, f0)
         keep = conv_idx < 0
         status = np.where(keep, STATUS_ACTIVE, STATUS_CONVERGED)
-        idx, xa, f0, jac = np.flatnonzero(keep), starts[keep], f0[keep], jac[keep]
+        # compress keeps the component-major arrays C-contiguous, where a
+        # boolean index would put the row axis outermost
+        idx = np.flatnonzero(keep)
+        xa, f0, jac = (a.compress(keep, axis=-1) for a in (starts.T, f0, jac))
         t = np.zeros(len(idx))
         h = np.full(len(idx), cfg.dt)
         taken = np.zeros(len(idx), dtype=np.int64)
@@ -754,18 +753,17 @@ def integrate_batch(
             rest = cfg.t_max - t
             last = h >= rest
             ht = np.minimum(h, rest)
-            col = ht.repeat(n).reshape(-1, n)
-            w_inv = _lapack(np.linalg.inv, eye - (_D * ht).repeat(n * n).reshape(-1, n, n) * jac)
+            w_inv = _lapack(np.linalg.inv, (eye - _D * ht * jac).transpose(2, 0, 1))
             k1 = _solve(w_inv, f0)
-            f1 = fc(xa + 0.5 * col * k1)
+            f1 = fc.by_component(xa + 0.5 * ht * k1)
             k2 = _solve(w_inv, f1 - k1) + k1
-            xn = xa + col * k2
+            xn = xa + ht * k2
             f2, jn, *vn = fj(xn)
             k3 = _solve(w_inv, f2 - _E32 * (k2 - f1) - 2.0 * (k1 - f0))
             scale = ATOL + RTOL * np.maximum(np.abs(xa), np.abs(xn))
-            q = (col / 6.0 * (k1 - 2.0 * k2 + k3) / scale) ** 2
-            err = np.sqrt(np.add.reduce(q, axis=1) / n)
-            hard_ok = _inside(xn.T, bounds)  # finite and inside the guard box
+            q = (ht / 6.0 * (k1 - 2.0 * k2 + k3) / scale) ** 2
+            err = np.sqrt(np.add.reduce(q, axis=0) / n)
+            hard_ok = _inside(xn, bounds)  # finite and inside the guard box
             guard_ok = hard_ok
             if guarded:
                 inc = vn[0] - va
@@ -781,10 +779,9 @@ def integrate_batch(
             diverged = ~hard_ok & floor
             h = np.maximum(ht * np.where(guard_ok, fac, np.minimum(fac, 0.5)), h_min)
 
-            acc_col = acc[:, None]
-            np.copyto(xa, xn, where=acc_col)
-            np.copyto(f0, f2, where=acc_col)
-            np.copyto(jac, jn, where=acc_col[:, :, None])
+            np.copyto(xa, xn, where=acc)
+            np.copyto(f0, f2, where=acc)
+            np.copyto(jac, jn, where=acc)
             if guarded:
                 np.copyto(va, vn[0], where=acc)
             np.add(t, ht, out=t, where=acc)
@@ -806,7 +803,7 @@ def integrate_batch(
             out_of_budget = leave & ~(diverged | conv | out_of_time)
             timeout = out_of_time | out_of_budget
             gone = idx[leave]
-            ends[gone], steps[gone], attempts[gone] = xa[leave], taken[leave], passes
+            ends[gone], steps[gone], attempts[gone] = xa[:, leave].T, taken[leave], passes
             gnorm[gone], conv_idx[gone] = gn[leave], near[leave]
             status[idx[conv]] = STATUS_CONVERGED
             status[idx[timeout]] = STATUS_TIMEOUT
@@ -814,7 +811,8 @@ def integrate_batch(
             reason[idx[out_of_time]] = "t_max"
             reason[idx[out_of_budget]] = "step_budget"
             keep = ~leave
-            idx, xa, f0, jac, t, h, taken = (a[keep] for a in (idx, xa, f0, jac, t, h, taken))
+            idx, xa, f0, jac, t, h, taken = (
+                a.compress(keep, axis=-1) for a in (idx, xa, f0, jac, t, h, taken))
             if guarded:
                 max_inc[gone] = inc_max[leave]
                 va, inc_max = va[keep], inc_max[keep]

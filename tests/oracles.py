@@ -7,7 +7,9 @@ the flow loop that compacts its rows on every pass, the Newton census that
 masks and compacts every row on every iteration and deduplicates against
 all remaining candidates, the Lagrange basis for the shear interpolants, f
 as the square of a plane polynomial, and point Hessians from symbolic second
-partials).
+partials).  The oracles work on points as rows, (N, n): rows_of and
+newton_step_rows adapt the package's component-major evaluator and Newton
+step to them, and the flow's solves are their own row-major copy.
 """
 
 from typing import List, Optional, Sequence, Tuple
@@ -39,16 +41,38 @@ from morseforge.verify import (
     STATUS_TIMEOUT,
     BatchFlowResult,
     BoxSpec,
+    FieldJacobian,
     FlowConfig,
     NewtonResult,
     _float_points,
     _newton_step,
     _polish_exact,
-    _solve,
-    field_jacobian,
 )
 
 Matrix = List[List[Rat]]
+
+
+def rows_of(evaluate: FieldJacobian):
+    """evaluate on points given as rows, (N, n): the field (N, n), the
+    Jacobian (N, n, n) and lyap's values (N), the transposes of its
+    component-major values."""
+
+    def call(pts):
+        f, jac, *rest = evaluate(np.asarray(pts).T)
+        return (f.T, jac.transpose(2, 0, 1), *rest)
+
+    return call
+
+
+def newton_step_rows(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """verify._newton_step on rows: jac (N, n, n) and g (N, n), the steps
+    (N, n)."""
+    return _newton_step(jac.transpose(1, 2, 0), g.T).T
+
+
+def _solve(w_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """W^-1 rhs per row of rhs (N, n)."""
+    return (w_inv @ rhs[:, :, None])[:, :, 0]
 
 
 def _inverse(w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -215,7 +239,7 @@ def reference_integrate_batch(
     recorded (None)."""
     cfg = cfg or FlowConfig()
     fc = CompiledPoly(field)
-    fj = field_jacobian(field)
+    fj = rows_of(FieldJacobian(field))
     lc = CompiledPoly(lyap) if lyap is not None else None
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     B, n = starts.shape
@@ -348,11 +372,12 @@ def reference_newton_search(
     each found point alone.  verify.MAX_ITER is read at call time."""
     if seeds_per_axis < 2:
         raise ValueError("seeds_per_axis must be >= 2")
-    grad_hess = field_jacobian(grad)
+    grad_hess = FieldJacobian(grad)
+    evaluate = rows_of(grad_hess)
     seeds = box.grid(seeds_per_axis)
     guard_lo, guard_hi = box.guard()
     claimed = np.asarray(claimed, dtype=float).reshape(-1, box.dim)
-    at_claimed = grad_hess(claimed)[0]
+    at_claimed = evaluate(claimed)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         blind = int(np.count_nonzero(~(np.linalg.norm(at_claimed, axis=1) < COARSE_TOL)))
 
@@ -364,7 +389,7 @@ def reference_newton_search(
     for _ in range(verify.MAX_ITER):
         if len(x) == 0:
             break
-        g, jac = grad_hess(x)
+        g, jac = evaluate(x)
         finite = np.isfinite(g).all(axis=1) & np.isfinite(x).all(axis=1)
         inside = ((x >= guard_lo) & (x <= guard_hi)).all(axis=1)
         with np.errstate(over="ignore"):
@@ -373,7 +398,7 @@ def reference_newton_search(
         abandoned += int((~live).sum())
         x, g, jac = x[live], g[live], jac[live]
         conv = gn[live] < COARSE_TOL
-        step = _newton_step(jac, g)
+        step = newton_step_rows(jac, g)
         good = np.isfinite(step).all(axis=1)
         x_next = x - step
         candidates.extend(x[conv])

@@ -250,18 +250,25 @@ class TestVerify:
 
 # x1 values near +-10^40 (integers): synthesize succeeds, but P has
 # coefficients past the largest double, about 2^1024; the one point at
-# 10^400 has a coordinate past it too
+# 10^400 has a coordinate past it too.  The points at +-1.5e308 are doubles,
+# but the search box around them is not; around the one point at 10^20 the
+# box's margin of 1 rounds away, and its bounds are equal
 HUGE = 10 ** 40
 HUGE_SETS = {
     2: [[HUGE + 1, 0], [-HUGE + 7, 1], [0, 0]],
     3: [[HUGE + 1, 0, 0], [-HUGE + 7, 1, 0], [3 * HUGE, 0, 1], [0, 0, 0]],
     "coordinate": [[10 ** 400, 0]],
+    "box": [[0, 0], [15 * 10 ** 307, 0]],
+    "box-symmetric": [[-15 * 10 ** 307, 0], [15 * 10 ** 307, 0]],
+    "box-width": [[10 ** 20, 0]],
 }
 
 
 @pytest.mark.parametrize("command, case", [
     ("verify", 2), ("verify", 3), ("flow", 2), ("flow", 3), ("export-grid", 2),
     ("verify", "coordinate"), ("flow", "coordinate"), ("export-grid", "coordinate"),
+    *((command, case) for case in ("box", "box-symmetric", "box-width")
+      for command in ("verify", "flow", "export-grid")),
 ])
 def test_coefficient_past_double_range_unsupported(command, case, tmp_path, capsys):
     dim = len(HUGE_SETS[case][0])
@@ -448,6 +455,19 @@ BUNDLE_COMMANDS = [
     ("export-grid", ["--resolution", "8"]),
 ]
 EVERY_COMMAND = [("synthesize", []), ("saddle-field", []), *BUNDLE_COMMANDS]
+
+
+@pytest.mark.parametrize("command, extra", EVERY_COMMAND)
+def test_deeply_nested_json_rejected(command, extra, tmp_path, capsys):
+    # nested past the interpreter's recursion limit, json.load raises
+    # RecursionError; every reader exits 2 with one error line
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100_000 + "]" * 100_000)
+    out = tmp_path / "out"
+    assert cli.main([command, "-i", str(src), "-o", str(out), *extra]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, extra", EVERY_COMMAND)

@@ -21,17 +21,19 @@ from morseforge.verify import (
     BoxSpec,
     FlowConfig,
     GridTooLarge,
+    FieldJacobian,
     certify,
-    field_jacobian,
     integrate_batch,
     newton_search,
 )
 from oracles import (
     eigen_signs,
     fd_gradient_check_batch,
+    newton_step_rows,
     reference_first_come,
     reference_integrate_batch,
     reference_newton_search,
+    rows_of,
     sample_box,
 )
 from test_acceptance import PLANE_INSTANCES
@@ -180,7 +182,7 @@ def census_input(pts):
 def polish_every_representative(grad, candidates):
     """The census without the skip rule: polish every representative, then
     dedup the polished points."""
-    grad_hess = field_jacobian(grad)
+    grad_hess = FieldJacobian(grad)
     points = []
     for rep in verify._dedup(candidates, verify.DEDUP_TOL):
         polished = verify._polish_exact(grad, grad_hess, rep)
@@ -238,19 +240,19 @@ class TestPolishSkip:
         # candidate gets an image, and every representative is polished
         # (with the true Jacobian)
         grad, box, _ = census_input(TWO_POINTS)
-        grad_hess = field_jacobian(grad)
+        grad_hess = FieldJacobian(grad)
         first_come, polishes = [], []
         recording(monkeypatch, "_first_come", first_come)
         recording(monkeypatch, "_polish_exact", polishes,
                   lambda k, polish, grad, _, x0: polish(grad, grad_hess, x0))
 
         class SingularAtCandidates(verify.FieldJacobian):
-            def by_component(self, x):
-                g, jac = super().by_component(x)
+            def __call__(self, x):
+                g, jac = super().__call__(x)
                 small = np.linalg.norm(g, axis=0) < verify.COARSE_TOL
                 return g, np.where(small, 0.0, jac)
 
-        monkeypatch.setattr(verify, "field_jacobian", SingularAtCandidates)
+        monkeypatch.setattr(verify, "FieldJacobian", SingularAtCandidates)
         found = newton_search(grad, box, 100).points
         reps = verify._dedup(first_come[0][0], verify.DEDUP_TOL)
         assert len(polishes) == len(reps) > 2
@@ -323,7 +325,7 @@ class TestNewtonMatchesReference:
         grad = PolyMap([x1 + (x1 ** 3 - x1 * x2 ** 2) * 10 ** 307,
                         x2 ** 3 - x2 * 3 + x1 ** 6 * 10 ** 306])
         box = BoxSpec((-4.0, -4.0), (4.0, 4.0))
-        g = field_jacobian(grad)(box.grid(17))[0]
+        g = rows_of(FieldJacobian(grad))(box.grid(17))[0]
         assert np.isinf(g[:, 0]).any() and np.isnan(g[:, 0]).any()
         assert (np.isfinite(g[:, 0]) & np.isinf(g[:, 1])).any()
         claimed = [[0.0, 0.0], [1.0, 1.0]]
@@ -340,16 +342,11 @@ def test_census_evaluates_no_row_outside_the_guard_box(monkeypatch):
     # the box is tested before the evaluation: a row that has left the guard
     # box is abandoned without reaching the evaluator
     class Checked(verify.FieldJacobian):
-        def __call__(self, pts):
-            rows = np.asarray(pts).reshape(-1, self.n)
-            assert ((rows >= lo) & (rows <= hi)).all()
-            return super().__call__(pts)
-
-        def by_component(self, x):
+        def __call__(self, x):
             assert ((x.T >= lo) & (x.T <= hi)).all()
-            return super().by_component(x)
+            return super().__call__(x)
 
-    monkeypatch.setattr(verify, "field_jacobian", Checked)
+    monkeypatch.setattr(verify, "FieldJacobian", Checked)
     abandoned = 0
     for pts in PLANE_INSTANCES + BENCH_N3_SETS:
         res = synthesize(PointSet(len(pts[0]), pts))
@@ -429,7 +426,8 @@ def assert_close_steps(got: np.ndarray, want: np.ndarray, cond: np.ndarray):
 
 
 class TestNewtonStep:
-    """verify._newton_step: closed-form for n <= 3, LAPACK's beyond."""
+    """verify._newton_step, on rows: closed-form for n <= 3, LAPACK's
+    beyond."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_lapack(self, n):
@@ -440,7 +438,7 @@ class TestNewtonStep:
         assert cond.max() <= 1e8
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = verify._newton_step(jac, g)
+            got = newton_step_rows(jac, g)
         assert got.shape == (500, n)
         assert_close_steps(got, lapack_step(jac, g), cond)
 
@@ -459,7 +457,7 @@ class TestNewtonStep:
         g = rng.standard_normal((len(jac), n))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = verify._newton_step(jac, g)
+            got = newton_step_rows(jac, g)
         assert (~np.isfinite(got[0::2])).any(axis=1).all()
         assert np.isfinite(got[1::2]).all()
 
@@ -482,7 +480,7 @@ class TestNewtonStep:
         g = rng.standard_normal((200, n)) * np.reshape(g_scale, (-1, 1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = verify._newton_step(jac, g)
+            got = newton_step_rows(jac, g)
         with np.errstate(over="ignore", under="ignore"):
             want = lapack_step(jac, g)
         finite = np.isfinite(want).all(axis=1)
@@ -502,8 +500,8 @@ class TestNewtonStep:
         g = rng.standard_normal((2197, n))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = verify._newton_step(jac, g)
-            alone = np.concatenate([verify._newton_step(jac[i:i + 1], g[i:i + 1])
+            batch = newton_step_rows(jac, g)
+            alone = np.concatenate([newton_step_rows(jac[i:i + 1], g[i:i + 1])
                                     for i in range(len(g))])
         assert batch.tobytes() == alone.tobytes()
 
@@ -511,20 +509,19 @@ class TestNewtonStep:
     def test_empty_batch(self, n):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = verify._newton_step(np.empty((0, n, n)), np.empty((0, n)))
+            got = newton_step_rows(np.empty((0, n, n)), np.empty((0, n)))
         assert got.shape == (0, n)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_census_and_polish_take_steps_from_the_helper(monkeypatch, dim):
     # for n <= 3 no Newton step goes through LAPACK: the float phase steps
-    # its live rows, and the polish its one point, through
-    # _newton_step_by_component (the polish by way of _newton_step)
+    # its live rows, and the polish its one point, through _newton_step
     def refused(*args):
         raise AssertionError("np.linalg.solve called")
 
     steps, phase = [], ["float"]
-    newton_step, polish = verify._newton_step_by_component, verify._polish_exact
+    newton_step, polish = verify._newton_step, verify._polish_exact
 
     def stepping(jac, g):
         steps.append((phase[0], g.shape[1]))
@@ -535,7 +532,7 @@ def test_census_and_polish_take_steps_from_the_helper(monkeypatch, dim):
         return polish(*args)
 
     monkeypatch.setattr(np.linalg, "solve", refused)
-    monkeypatch.setattr(verify, "_newton_step_by_component", stepping)
+    monkeypatch.setattr(verify, "_newton_step", stepping)
     monkeypatch.setattr(verify, "_polish_exact", polishing)
     # critical points at x1 = 0 and +-sqrt(2), which no seed hits exactly
     grad = PolyMap([x(dim, 0) * x(dim, 0) * x(dim, 0) - x(dim, 0) * 2,
@@ -578,7 +575,7 @@ class TestFieldJacobian:
     def test_matches_separate_evaluators(self, dim, rows):
         grad = gradient_map(dim)
         pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(rows, dim))
-        g, jac = field_jacobian(grad)(pts)
+        g, jac = rows_of(FieldJacobian(grad))(pts)
         want_g, want_jac = separately(grad, pts)
         assert np.array_equal(g, want_g)
         assert np.array_equal(jac, want_jac)
@@ -591,7 +588,7 @@ class TestFieldJacobian:
         jac_polys = fld.jacobian()
         assert any(jac_polys[i][j] != jac_polys[j][i] for i in range(dim) for j in range(i))
         pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(rows, dim))
-        f, jac = field_jacobian(fld)(pts)
+        f, jac = rows_of(FieldJacobian(fld))(pts)
         want_f, want_jac = separately(fld, pts)
         assert np.array_equal(f, want_f)
         assert np.array_equal(jac, want_jac)
@@ -603,7 +600,7 @@ class TestFieldJacobian:
         grad = gradient_map(dim)
         lyap = grad.components[0] * grad.components[-1] + 1
         pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(rows, dim))
-        g, jac, v = field_jacobian(grad, lyap)(pts)
+        g, jac, v = rows_of(FieldJacobian(grad, lyap))(pts)
         want_g, want_jac = separately(grad, pts)
         assert np.array_equal(g, want_g)
         assert np.array_equal(jac, want_jac)
@@ -614,33 +611,33 @@ class TestFieldJacobian:
         # each call's field, Jacobian and Lyapunov values are views of an
         # array of its own; 1000 rows run in more than one block
         grad = gradient_map(2)
-        evaluate = field_jacobian(grad, grad.components[0])
-        pts = np.random.default_rng(2).uniform(-2.0, 2.0, size=(rows, 2))
-        for call in (evaluate, lambda p: evaluate.by_component(p.T)):
-            first, second = call(pts), call(pts)
-            for a in first:
-                for b in second:
-                    assert not np.shares_memory(a, b)
+        evaluate = FieldJacobian(grad, grad.components[0])
+        x = np.random.default_rng(2).uniform(-2.0, 2.0, size=(2, rows))
+        first, second = evaluate(x), evaluate(x)
+        for a in first:
+            for b in second:
+                assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("rows", [1, 1000])
     def test_by_component_is_contiguous(self, dim, rows):
-        # the census reads the field, the Jacobian and lyap one contiguous
-        # component at a time: the transposes of a call's values
+        # the census and the flows read the field, the Jacobian and lyap one
+        # contiguous component at a time: the transposes of the values of
+        # row-major evaluators
         grad = gradient_map(dim)
-        evaluate = field_jacobian(grad, grad.components[0])
+        lyap = grad.components[0]
         pts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(rows, dim))
-        got = evaluate.by_component(np.ascontiguousarray(pts.T))
-        want = evaluate(pts)
+        got = FieldJacobian(grad, lyap)(np.ascontiguousarray(pts.T))
+        want_g, want_jac = separately(grad, pts)
         assert [a.shape for a in got] == [(dim, rows), (dim, dim, rows), (rows,)]
         assert all(a.flags.c_contiguous for a in got)
-        assert np.array_equal(got[0], want[0].T)
-        assert np.array_equal(got[1], want[1].transpose(1, 2, 0))
-        assert np.array_equal(got[2], want[2])
+        assert np.array_equal(got[0], want_g.T)
+        assert np.array_equal(got[1], want_jac.transpose(1, 2, 0))
+        assert np.array_equal(got[2], CompiledPoly(lyap)(pts))
 
     def test_jacobian_of_a_map(self):
         x0, x1, x2 = (x(3, i) for i in range(3))
-        f, jac = field_jacobian(PolyMap([x0 * x1 - x2 ** 2, x0 ** 3, x1 + 1]))(
+        f, jac = rows_of(FieldJacobian(PolyMap([x0 * x1 - x2 ** 2, x0 ** 3, x1 + 1])))(
             np.array([[1.0, 2.0, 3.0]])
         )
         assert f.tolist() == [[-7.0, 1.0, 3.0]]
@@ -834,6 +831,7 @@ FLOW_SETS = {
     "two": (2, [["-1/2", 0], ["1/2", "1/4"]]),
     "three": (2, [[-1, 0], [0, "1/4"], [1, "-1/4"]]),
     "n3": (3, [[0, 0, 0], ["1/2", "1/3", "-1/4"]]),
+    "n4": (4, [[0, 0, 0, 0], ["1/2", "1/3", "-1/4", "1/5"]]),
 }
 
 
