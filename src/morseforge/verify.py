@@ -39,12 +39,13 @@ evaluation.  Each coordinate, gradient entry and Hessian entry of the
 state is one contiguous array over the live rows, compacted with
 [:, keep]; the polish steps its one point as an (n, 1) column.  Each mask
 is built one component at a time, the rows are compacted only when some
-leave, |grad| is taken on the live rows alone by _row_norms (sums of squares a component at a time, the bits of
-np.linalg.norm on rows of fewer than eight entries), which also finds the
-blind points, and candidates are kept only on an iteration that finds
-some.  A row whose step is not finite, as where a closed-form determinant
-is exactly 0 (for n >= 4, where LAPACK meets an exactly zero pivot), is
-counted singular and dropped, and a candidate's image is then NaN.
+leave, |grad| is taken on the live rows alone by _row_norms (sums of
+squares a component at a time, the bits of np.linalg.norm on rows of fewer
+than eight entries), which also finds the blind points, and candidates are
+kept only on an iteration that finds some.  A row whose step is not
+finite, as where a closed-form determinant is exactly 0 (for n >= 4, where
+LAPACK meets an exactly zero pivot), is counted singular and dropped, and a
+candidate's image is then NaN.
 Deduplication loops over representatives, not candidates: with the
 candidates sorted on their first coordinate, each new representative drops
 every candidate within DEDUP_TOL of it among those within 2 DEDUP_TOL on
@@ -81,10 +82,10 @@ systems against one W = I - h d J (one inverse, three products; NaN where W
 is exactly singular, which makes the proposal non-finite).  W is inverted
 by LAPACK as an (N, n, n) batch, the transposed view of the component-major
 W, and the three products are matmul's, whose bits a product summed a
-component at a time would not give.  The evaluation at
-an accepted proposal starts the next step and classifies convergence
-(GRAD_TOL, POINT_TOL; target distances only where |field| < GRAD_TOL,
-|field| by the census's _row_norms).  The accepted rows are copied into
+component at a time would not give.  The evaluation at an accepted
+proposal starts the next step and classifies convergence (GRAD_TOL,
+POINT_TOL; target distances only where |field| < GRAD_TOL, |field| by the
+census's _row_norms).  The accepted rows are copied into
 the state by masked copies, its only update.  The per-row state is
 compacted, and the rows that finished written back, only on a pass where
 some trajectory leaves.  A proposal that fails the error test, leaves the
