@@ -5,7 +5,8 @@
 Run it from inside the git repository.  It exports both revisions with
 ``git archive`` (``bench_pairs.export``) into a temporary directory, then
 runs, for each tree in its own process, every set-up and job command of the
-perfbench workloads synth, verify and flow at each seed, through that
+perfbench workloads synth, verify and flow at each seed, then synthesize,
+verify and flow on each of two sparse point sets (SPARSE_SETS), through that
 tree's own ``morseforge.cli.main`` and in the same work directory, so that
 both trees see the same argument lists.  For every command it records the
 exit code, standard output, standard error and the sha256 of the file the
@@ -26,6 +27,13 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("synth", "verify", "flow")
+# point sets whose float evaluators read a coefficient of zero past the
+# first Horner stage, which no evaluator of the workloads does, and a start
+# for the flow on each
+SPARSE_SETS = {
+    "sparse3": ([[0, 0, 0], [0, 0, 1]], "-0.4,0.3,0.6"),
+    "sparse4": ([[0, 0, 0, 0], [0, 0, 0, 1]], "-0.4,0.3,0.2,0.6"),
+}
 FIELDS = ("code", "stdout", "stderr", "sha256")
 # perfbench/run.py pins the BLAS and OpenMP pools to one thread; so does this
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -52,10 +60,25 @@ def _run(cli, argv: list) -> dict:
             "stderr": err.getvalue(), "sha256": digest}
 
 
+def sparse_commands(work: Path) -> list:
+    """synthesize, verify and flow --start on each of SPARSE_SETS, whose
+    point-set files it writes into work."""
+    commands = []
+    for name, (points, start) in SPARSE_SETS.items():
+        src, bundle = work / f"{name}.json", work / f"{name}.bundle.json"
+        src.write_text(json.dumps({"dimension": len(points[0]), "points": points}))
+        commands += [["synthesize", "-i", str(src), "-o", str(bundle)],
+                     ["verify", "-i", str(bundle), "-o", str(work / f"{name}.report.json")],
+                     ["flow", "-i", str(bundle), "-o", str(work / f"{name}.flow.json"),
+                      f"--start={start}"]]
+    return commands
+
+
 def collect(work: str, seeds: list) -> list:
-    """Every set-up and job command of every workload at every seed, run in
-    this process from an empty work directory; morseforge and perfbench's
-    workloads are imported from the tree on sys.path."""
+    """Every set-up and job command of every workload at every seed, then
+    the sparse sets' commands, run in this process from an empty work
+    directory; morseforge and perfbench's workloads are imported from the
+    tree on sys.path."""
     import workloads
     from morseforge import cli
 
@@ -70,6 +93,10 @@ def collect(work: str, seeds: list) -> list:
                 for argv in commands:
                     records.append({"workload": name, "seed": seed, "stage": stage,
                                     **_run(cli, argv)})
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir(parents=True)
+    for argv in sparse_commands(work):
+        records.append({"workload": "sparse", "seed": None, "stage": "job", **_run(cli, argv)})
     return records
 
 
@@ -97,7 +124,8 @@ def differences(parent: list, change: list) -> list:
         a = parent[i] if i < len(parent) else None
         b = change[i] if i < len(change) else None
         rec = a or b
-        label = f"{rec['workload']} seed {rec['seed']} {rec['stage']}: {' '.join(rec['argv'])}"
+        seed = "" if rec["seed"] is None else f" seed {rec['seed']}"
+        label = f"{rec['workload']}{seed} {rec['stage']}: {' '.join(rec['argv'])}"
         if a is None or b is None:
             lines.append(f"{label}: run by the {'change' if a is None else 'parent'} only")
         elif a["argv"] != b["argv"]:

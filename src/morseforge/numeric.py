@@ -22,7 +22,7 @@ A call's values are component-major.  Horner computes one row per
 component over a block's points, and the last gather of each block writes
 its rows straight into one C-contiguous (K, N) array of the call's own, with
 no staging buffer and no transposing copy, so no call returns memory that
-an earlier call returned.  CompiledPoly.by_component is the one place where
+an earlier call returned or that the instance keeps.  CompiledPoly.by_component is the one place where
 the two point layouts meet: it takes points component-major, (dim, N), as
 the float verifier keeps them throughout, and returns that array itself.
 It does so by way of a call on the transposed points, so that every
@@ -31,20 +31,29 @@ rows.  A call keeps the row-major contract, points (..., dim) to values
 (..., K), the array's transposed view, for export-grid's P column.
 
 Each distinct polynomial of a map is compiled and evaluated once, and equal
-components read its one row of values.  Stage 0's coefficient table is
-gathered at compile time and repeated once per call, to the width of the
-call's blocks, and every full block reuses it; a trailing partial block
-gets its own table at its own width.  So every Horner step, like every
-later stage, multiplies and adds contiguous arrays of equal shapes, the
-cheapest numpy dispatch (a broadcast add costs about twice as much on a
-small block).  The repeated table holds (stage-0 rows x min(N, width))
-doubles: 880 KB for the census field of a four-point set in R^3 (215 rows,
-width 512), 23 MB for the sixteen-point plane set above (22043 rows).
-At most one table is alive at a time, and each stage's arrays are released
-before the next stage's are made, so that holding the table through a
-call's later stages leaves its peak memory where a table per block had it
-(to within two array headers, by tracemalloc, on the census fields of the
-perfbench verify sets and the tests' 8200-term polynomials).
+components read its one row of values.  Every Horner step, in every stage,
+multiplies and adds contiguous arrays of equal shapes, the cheapest numpy
+dispatch (a broadcast add costs about twice as much on a small block): stage
+0 reads its coefficient table, gathered at compile time, repeated to the
+width of the block, and x is repeated to one row per chain.
+
+An instance keeps one call plan, built at the first call and rebuilt only
+when a call needs another block width.  A call of N points runs at the power
+of two at or above N, at most the instance's width, so batches that shrink
+or grow within a power of two (the census's, the flow's) reuse the plan; a
+call past the width runs full blocks and pads its last block to the width.
+The plan holds stage 0's table repeated to the plan width and one
+workspace array: a Horner state and repeated x rows, whose leading rows
+every stage uses in turn, and the rows a later stage gathers from the stage
+before; the (state, x, coefficient) views of every Horner step are taken
+once.  A call refills x, zeroes the state and runs the steps over those
+views; the padded columns never reach an output.  So an instance holds,
+between calls, (stage-0 rows + 2 x stage-0 chains + 1 + the most rows of a
+later stage) x (plan width) doubles, the arrays that a call of the same
+width made and released before: 1.1 MB for the census field of a
+four-point set in R^3 (215 + 37 + 18 rows, width 512), about 24 MB for
+the sixteen-point plane set above (22043 stage-0 rows, width 128).  The plan of
+a new width replaces the old one, so at most one is alive per instance.
 """
 
 from __future__ import annotations
@@ -75,7 +84,11 @@ def _float(value, what: str = "a polynomial coefficient") -> float:
 class CompiledPoly:
     """A polynomial (shape ()) or a PolyMap (shape (m,)); a call maps points
     of shape (..., dim) to values of shape (..., *shape), and by_component
-    maps points (dim, N) to values (*shape, N)."""
+    maps points (dim, N) to values (*shape, N).
+
+    An instance keeps one call plan, its Horner workspace, between calls
+    (see the module docstring), so it is not for concurrent use from
+    threads; no call returns memory that the plan or another call holds."""
 
     def __init__(self, polys):
         if isinstance(polys, MultiPoly):
@@ -95,12 +108,15 @@ class CompiledPoly:
         # Stage s turns the rows of stage s-1, keyed (k, e_s, *tail), into
         # one Horner chain in x_s per (k, *tail), sorted by falling top degree
         # so that the chains alive at a degree come first.  A stage is the
-        # row of each alive chain's coefficient at each degree from the top
-        # (-1: a row of zero), and (a, offsets of its degrees in those rows)
-        # for each run of degrees with the same number a of chains alive.
+        # row of each alive chain's coefficient at each degree from the top,
+        # and (a, offsets of its degrees in those rows) for each run of
+        # degrees with the same number a of chains alive.  A missing
+        # coefficient reads the row just past stage s-1's rows, which is
+        # zero: the last coefficient row, or the state row past the chains.
         # The last stage has one chain per polynomial.
         self._stages = []
         for _ in range(self.dim):
+            zero = len(keys)
             chains: dict = {}
             for row, (k, e, *tail) in enumerate(keys):
                 chains.setdefault((k, *tail), {})[e] = row
@@ -109,7 +125,7 @@ class CompiledPoly:
             rows, runs = [], []
             for a, run in groupby(range(tops[0], -1, -1), key=lambda j: sum(d >= j for d in tops)):
                 start = len(rows)
-                rows += [chains[t].get(j, -1) for j in run for t in keys[:a]]
+                rows += [chains[t].get(j, zero) for j in run for t in keys[:a]]
                 runs.append((a, range(start, len(rows), a)))
             self._stages.append((np.array(rows, dtype=np.intp), runs))
         # stage 0's rows are the coefficients themselves, gathered here once
@@ -117,6 +133,7 @@ class CompiledPoly:
         chains = self._stages[0][1][-1][0]
         self.width = min(MAX_WIDTH, 1 << max(0, (MAX_STATE // chains).bit_length() - 1))
         self._order = np.argsort([k for k, in keys])[where]
+        self._plan = None
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         """The values at pts (..., dim), shape (..., *shape): the transposed
@@ -125,19 +142,16 @@ class CompiledPoly:
         if pts.shape[-1] != self.dim:
             raise ValueError(f"points have dim {pts.shape[-1]}, expected {self.dim}")
         x = pts.reshape(-1, self.dim).T
-        vals = np.empty((len(self._order), x.shape[1]))
-        table = None
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(0, x.shape[1], self.width):
-                block = x[:, i:i + self.width]
-                # stage 0's table, repeated once to the width of the first
-                # block and reused by every block of that width; a trailing
-                # partial block gets its own, made after the full one is
-                # released, so that one table at most is alive
-                if table is None or table.shape[1] != block.shape[1]:
-                    table = None
-                    table = self._table.repeat(block.shape[1], axis=1)
-                self._horner(block, table, vals[:, i:i + self.width])
+        n = x.shape[1]
+        vals = np.empty((len(self._order), n))
+        if n:
+            width = min(self.width, 1 << (n - 1).bit_length())
+            if self._plan is None or self._plan.width != width:
+                self._plan = None  # one plan alive at a time
+                self._plan = _CallPlan(self._table, self._stages, width)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(0, n, width):
+                    self._plan.run(x[:, i:i + width], self._order, vals[:, i:i + width])
         return vals.T.reshape(pts.shape[:-1] + self.shape)
 
     def by_component(self, x: np.ndarray) -> np.ndarray:
@@ -146,31 +160,47 @@ class CompiledPoly:
         which the call returns the transpose."""
         return self(x.T).T
 
-    def _horner(self, x: np.ndarray, coefs: np.ndarray, out: np.ndarray) -> None:
-        """The polynomials at the points x (dim, N), written to out (K, N),
-        given stage 0's table repeated to width N."""
-        values = None
-        for xv, (rows, runs) in zip(x, self._stages):
-            # stage 0 reads the repeated table, so that every Horner add
-            # below has equal shapes, which numpy dispatches fastest; a later
-            # stage gathers the values of the one before
-            if values is not None:
-                coefs = values.take(rows, axis=0)
-                # the stage before is released before this one's arrays
-                # are made, so that with the table held through the call no
-                # more memory is alive at once than with a table per block
-                del values, r, live, xs, xa
-            # a chain is zero until its top degree, where r * x + c_top is
-            # c_top + x * 0; the row past the chains stays zero
+
+class _CallPlan:
+    """A CompiledPoly's Horner workspace for blocks of at most width points,
+    and the views of every Horner step into it."""
+
+    def __init__(self, table: np.ndarray, stages: list, width: int):
+        self.width = width
+        chains = stages[0][1][-1][0]
+        later = max((len(rows) for rows, _ in stages[1:]), default=0)
+        # stage 0 reads its table repeated to the width; the workspace rows
+        # are the state, with a row past the chains, zero at every stage,
+        # which the next stage gathers for a missing coefficient; the
+        # repeated x rows, whose columns past a block's points keep values
+        # of earlier blocks, finite or not, which reach no output; and the
+        # later stages' coefficients
+        self.table = table.repeat(width, axis=1)
+        self.workspace = np.zeros((2 * chains + 1 + later, width))
+        self._state, xs, gathered = np.split(self.workspace, [chains + 1, 2 * chains + 1])
+        self._stages = []
+        for s, (rows, runs) in enumerate(stages):
+            coefs = self.table if s == 0 else gathered[:len(rows)]
             chains = runs[-1][0]
-            r = np.zeros((chains + 1, len(xv)))
-            xs = xv[None].repeat(chains, axis=0)  # equal shapes multiply fastest
-            for a, offsets in runs:
-                live, xa = r[:a], xs[:a]
-                for o in offsets:
-                    live *= xa
-                    live += coefs[o:o + a]
-            values = r
-        # the indices are valid; mode "clip" lets take write straight into
-        # a contiguous out, where "raise" would stage a copy
-        values.take(self._order, 0, out, "clip")
+            state = self._state[:chains + 1]
+            steps = [(state[:a], xs[:a], coefs[o:o + a]) for a, offsets in runs for o in offsets]
+            self._stages.append((rows if s else None, coefs, state, xs[:chains], steps))
+
+    def run(self, x: np.ndarray, order: np.ndarray, out: np.ndarray) -> None:
+        """The polynomials at the points x (dim, m), m <= width, written to
+        out (K, m) in the order of order."""
+        m = x.shape[1]
+        for xv, (rows, coefs, state, xs, steps) in zip(x, self._stages):
+            if rows is not None:
+                # the indices are valid; mode "clip" lets take write
+                # straight into the contiguous buffer, where "raise" would
+                # stage a copy
+                self._state.take(rows, 0, coefs, "clip")
+            # a chain is zero until its top degree, where r * x + c_top is
+            # c_top + x * 0
+            state.fill(0.0)
+            xs[:, :m] = xv
+            for live, xa, c in steps:
+                live *= xa
+                live += c
+        self._state[:, :m].take(order, 0, out, "clip")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -10,8 +11,10 @@ from numpy.polynomial import polynomial as npp
 
 from conftest import rand_rat
 from morseforge._rat import rat
+from morseforge.coord_change import PointSet
 from morseforge.numeric import MAX_STATE, MAX_WIDTH, CompiledPoly
 from morseforge.poly import MultiPoly, PolyMap
+from morseforge.synth import synthesize
 
 
 def horner(terms: dict, pts: np.ndarray) -> np.ndarray:
@@ -280,3 +283,71 @@ def test_by_component_evaluates_through_the_call(monkeypatch):
     compiled = CompiledPoly(PolyMap(components(3), 3))
     compiled.by_component(np.zeros((3, 11)))
     assert seen == [(11, 3)]
+
+
+def sparse_field(dim: int) -> PolyMap:
+    """The descent field of two points on the last axis, [[0, 0, 0], [0, 0,
+    1]] in R^3 and [[0, 0, 0, 0], [0, 0, 0, 1]] in R^4: its Horner stages
+    past stage 0 (stage 1 in R^3, stages 1 and 2 in R^4) miss a
+    coefficient, which must read as zero, never as another chain's value."""
+    points = [[0] * dim, [0] * (dim - 1) + [1]]
+    return synthesize(PointSet(dim, [[rat(c) for c in p] for p in points])).grad_field
+
+
+CALL_MAPS = [
+    *[pytest.param(lambda dim=dim: PolyMap(components(dim), dim), id=f"components{dim}")
+      for dim in (1, 2, 3, 4)],
+    *[pytest.param(lambda dim=dim: wide(dim), id=f"wide{dim}") for dim in (1, 2, 3, 4)],
+    *[pytest.param(lambda dim=dim: sparse_field(dim), id=f"sparse{dim}") for dim in (3, 4)],
+]
+
+
+@pytest.mark.parametrize("make", CALL_MAPS)
+def test_calls_do_not_depend_on_earlier_calls(make):
+    # an instance keeps its workspace between calls; batch sizes that cross
+    # every change of plan (within a power of two, past the width, two full
+    # blocks, an empty call) must each give the values of a fresh
+    # evaluation, leave what earlier calls returned as it was, and share no
+    # memory with another call's values or with the workspace
+    polymap = make()
+    compiled = CompiledPoly(polymap)
+    dim, width = polymap.domain_dim, compiled.width
+    rng = np.random.default_rng(dim)
+    kept = []
+    for n in [5, 1, width + 3, 2 * width, 3, 0, width - 1, 64, 1]:
+        pts = rng.uniform(-1.0, 1.0, size=(n, dim))
+        out = compiled(pts)
+        expected = np.stack([reference(p, pts) for p in polymap.components], axis=-1)
+        assert np.array_equal(out, expected)
+        if n:
+            assert not np.shares_memory(out, compiled._plan.workspace)
+            assert not np.shares_memory(out, compiled._plan.table)
+        for earlier, copy in kept:
+            assert np.array_equal(earlier, copy)
+            assert not np.shares_memory(out, earlier)
+        kept.append((out, out.copy()))
+    for earlier, copy in kept:
+        assert np.array_equal(earlier, copy)
+
+
+def test_an_instance_keeps_one_plan():
+    # after calls at many plan widths an instance holds no more memory than
+    # after one call at the last of them: the plan of a new width replaces
+    # the old one
+    polymap = PolyMap(components(3), 3)
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(700, 3))
+
+    def held(sizes):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            compiled = CompiledPoly(polymap)
+            for n in sizes:
+                compiled(pts[:n])
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    held([])  # the first pass also counts one-time allocations
+    smallest = held([1]) - held([])  # a plan of width 1, the least of any
+    assert held([1, 2, 5, 9, 17, 33, 65, 129, 257, 700, 4]) < held([4]) + smallest / 2

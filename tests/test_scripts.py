@@ -87,3 +87,20 @@ def test_same_outputs_differences():
     assert same.differences([job], [other]) == [
         "verify seed 1 job: verify -i b.json -o r.json: the change ran "
         "verify -i c.json -o r.json"]
+
+
+def test_same_outputs_sparse_commands(tmp_path):
+    # synthesize, verify and flow on each sparse set, all of which succeed
+    from morseforge import cli
+
+    same = load_script("same_outputs")
+    commands = same.sparse_commands(tmp_path)
+    assert [argv[0] for argv in commands] == ["synthesize", "verify", "flow"] * 2
+    for argv in commands:
+        assert same._run(cli, argv)["code"] == 0
+    assert same.differences(
+        [{"workload": "sparse", "seed": None, "stage": "job", "argv": commands[1],
+          "code": 0, "stdout": "", "stderr": "", "sha256": "ab"}],
+        [{"workload": "sparse", "seed": None, "stage": "job", "argv": commands[1],
+          "code": 0, "stdout": "", "stderr": "", "sha256": "cd"}]) == [
+        f"sparse job: {' '.join(commands[1])}: differs in sha256"]
