@@ -18,17 +18,18 @@ the census field of a four-point set in R^3 (18 chains), 128 for a
 sixteen-point set in the plane (467 chains), 32 for a twelve-point set in
 R^3 (1248 chains).
 
-A call's values are component-major.  Horner computes one row per
-component over a block's points, and the last gather of each block writes
-its rows straight into one C-contiguous (K, N) array of the call's own, with
-no staging buffer and no transposing copy, so no call returns memory that
-an earlier call returned or that the instance keeps.  CompiledPoly.by_component is the one place where
-the two point layouts meet: it takes points component-major, (dim, N), as
-the float verifier keeps them throughout, and returns that array itself.
-It does so by way of a call on the transposed points, so that every
-evaluation goes through __call__, where perfbench's tracer counts calls and
-rows.  A call keeps the row-major contract, points (..., dim) to values
-(..., K), the array's transposed view, for export-grid's P column.
+A call's values are component-major.  Horner computes one row per component
+over a block's points, and the last gather of each block writes its rows
+straight into one C-contiguous (K, N) array of the call's own, with no
+staging buffer and no transposing copy, so no call returns memory that an
+earlier call returned or that the instance keeps.  CompiledPoly.by_component
+is the one place where the two point layouts meet: it takes points
+component-major, (dim, N), as the float verifier keeps them throughout, and
+returns that array itself.  It does so by way of a call on the transposed
+points, so that every evaluation goes through __call__, where perfbench's
+tracer counts calls and rows.  A call keeps the row-major contract, points
+(..., dim) to values (..., K), the array's transposed view, for
+export-grid's P column.
 
 Each distinct polynomial of a map is compiled and evaluated once, and equal
 components read its one row of values.  Every Horner step, in every stage,
@@ -52,8 +53,9 @@ between calls, (stage-0 rows + 2 x stage-0 chains + 1 + the most rows of a
 later stage) x (plan width) doubles, the arrays that a call of the same
 width made and released before: 1.1 MB for the census field of a
 four-point set in R^3 (215 + 37 + 18 rows, width 512), about 24 MB for
-the sixteen-point plane set above (22043 stage-0 rows, width 128).  The plan of
-a new width replaces the old one, so at most one is alive per instance.
+the sixteen-point plane set above (22043 stage-0 rows, width 128).  The
+plan of a new width replaces the old one, so at most one is alive per
+instance.
 """
 
 from __future__ import annotations
@@ -148,10 +150,10 @@ class CompiledPoly:
             width = min(self.width, 1 << (n - 1).bit_length())
             if self._plan is None or self._plan.width != width:
                 self._plan = None  # one plan alive at a time
-                self._plan = _CallPlan(self._table, self._stages, width)
+                self._plan = _CallPlan(self._table, self._stages, self._order, width)
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(0, n, width):
-                    self._plan.run(x[:, i:i + width], self._order, vals[:, i:i + width])
+                    self._plan.run(x[:, i:i + width], vals[:, i:i + width])
         return vals.T.reshape(pts.shape[:-1] + self.shape)
 
     def by_component(self, x: np.ndarray) -> np.ndarray:
@@ -165,8 +167,8 @@ class _CallPlan:
     """A CompiledPoly's Horner workspace for blocks of at most width points,
     and the views of every Horner step into it."""
 
-    def __init__(self, table: np.ndarray, stages: list, width: int):
-        self.width = width
+    def __init__(self, table: np.ndarray, stages: list, order: np.ndarray, width: int):
+        self.width, self._order = width, order
         chains = stages[0][1][-1][0]
         later = max((len(rows) for rows, _ in stages[1:]), default=0)
         # stage 0 reads its table repeated to the width; the workspace rows
@@ -186,9 +188,9 @@ class _CallPlan:
             steps = [(state[:a], xs[:a], coefs[o:o + a]) for a, offsets in runs for o in offsets]
             self._stages.append((rows if s else None, coefs, state, xs[:chains], steps))
 
-    def run(self, x: np.ndarray, order: np.ndarray, out: np.ndarray) -> None:
+    def run(self, x: np.ndarray, out: np.ndarray) -> None:
         """The polynomials at the points x (dim, m), m <= width, written to
-        out (K, m) in the order of order."""
+        out (K, m)."""
         m = x.shape[1]
         for xv, (rows, coefs, state, xs, steps) in zip(x, self._stages):
             if rows is not None:
@@ -203,4 +205,4 @@ class _CallPlan:
             for live, xa, c in steps:
                 live *= xa
                 live += c
-        self._state[:, :m].take(order, 0, out, "clip")
+        self._state[:, :m].take(self._order, 0, out, "clip")
