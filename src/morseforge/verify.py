@@ -388,9 +388,9 @@ def _lapack(fn: Callable, a: np.ndarray, *rest) -> np.ndarray:
         return out
 
 
-# _CYCLIC[i - 1, j - 1]: the place of the entry (i % 3, j % 3) in a flat
-# 3 x 3 matrix, for i and j from 1 to 4
-_CYCLIC = np.array([[i % 3 * 3 + j % 3 for j in range(1, 5)] for i in range(1, 5)])
+# _CYCLIC[i, j]: the place of the entry ((i + 1) % 3, (j + 1) % 3) in a flat
+# 3 x 3 matrix
+_CYCLIC = np.array([[(i + 1) % 3 * 3 + (j + 1) % 3 for j in range(4)] for i in range(4)])
 
 
 def _cramer(jac: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -409,13 +409,18 @@ def _cramer(jac: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         np.subtract(a * g[1], c * g[0], out=step[1])
         step /= det
         return step, det
-    # e[i - 1, j - 1] is the entry (i % 3, j % 3) of J, an array over the
-    # rows, so that the cyclic rule gives all nine cofactors C[i, j] at once;
-    # the in-place subtraction keeps one 3 x 3 temporary, not two, alive at
-    # the census's widest step
-    e = jac.reshape(9, g.shape[1]).take(_CYCLIC, axis=0)
-    cof = e[:3, :3] * e[1:, 1:]
-    cof -= e[:3, 1:] * e[1:, :3]
+    # the cyclic rule: C[i, j] = e[i, j] e[i + 1, j + 1] - e[i, j + 1] e[i + 1, j]
+    # with e[i, j] the entry ((i + 1) % 3, (j + 1) % 3) of J, an array over
+    # the rows; a row of e is taken when a row of C first needs it, so that
+    # two rows of e, not all sixteen entries, are alive beside the cofactors
+    flat = jac.reshape(9, g.shape[1])
+    cof = np.empty((3, 3, g.shape[1]))
+    lower = flat.take(_CYCLIC[0], axis=0)
+    for i in range(3):
+        upper, lower = lower, flat.take(_CYCLIC[i + 1], axis=0)
+        np.multiply(upper[:3], lower[1:], out=cof[i])
+        cof[i] -= upper[1:] * lower[:3]
+    del upper, lower
     det = jac[0, 0] * cof[0, 0] + jac[0, 1] * cof[0, 1] + jac[0, 2] * cof[0, 2]
     step = cof[0] * g[0] + cof[1] * g[1] + cof[2] * g[2]
     step /= det

@@ -7,7 +7,8 @@ the flow loop that compacts its rows on every pass, the Newton census that
 masks and compacts every row on every iteration and deduplicates against
 all remaining candidates, the Lagrange basis for the shear interpolants, f
 as the square of a plane polynomial, and point Hessians from symbolic second
-partials).  The oracles work on points as rows, (N, n): rows_of and
+partials, and the 3 x 3 cofactors from one cyclic expansion of every
+entry).  The oracles work on points as rows, (N, n): rows_of and
 newton_step_rows adapt the package's component-major evaluator and Newton
 step to them, and the flow's solves are their own row-major copy.
 """
@@ -68,6 +69,20 @@ def newton_step_rows(jac: np.ndarray, g: np.ndarray) -> np.ndarray:
     """verify._newton_step on rows: jac (N, n, n) and g (N, n), the steps
     (N, n)."""
     return _newton_step(jac.transpose(1, 2, 0), g.T).T
+
+
+def cramer3(jac: np.ndarray, g: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """J^-1 g and det J for component-major jac (3, 3, N) and g (3, N), with
+    all nine cofactors from one expansion e[i, j] = J[i % 3, j % 3] for i
+    and j from 0 to 4, products formed before their differences and sums
+    as in verify._cramer."""
+    idx = np.array([[i % 3 * 3 + j % 3 for j in range(5)] for i in range(5)])
+    e = jac.reshape(9, -1).take(idx, axis=0)
+    cof = e[1:4, 1:4] * e[2:5, 2:5] - e[1:4, 2:5] * e[2:5, 1:4]
+    det = e[0, 0] * cof[0, 0] + e[0, 1] * cof[0, 1] + e[0, 2] * cof[0, 2]
+    step = cof[0] * g[0] + cof[1] * g[1] + cof[2] * g[2]
+    step /= det
+    return step, det
 
 
 def _solve(w_inv: np.ndarray, rhs: np.ndarray) -> np.ndarray:

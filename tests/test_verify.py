@@ -27,6 +27,7 @@ from morseforge.verify import (
     newton_search,
 )
 from oracles import (
+    cramer3,
     eigen_signs,
     fd_gradient_check_batch,
     newton_step_rows,
@@ -441,6 +442,25 @@ class TestNewtonStep:
             got = newton_step_rows(jac, g)
         assert got.shape == (500, n)
         assert_close_steps(got, lapack_step(jac, g), cond)
+
+    def test_cofactors_match_one_cyclic_expansion(self):
+        # _cramer takes the rows of its cyclic expansion of J one at a time;
+        # its steps and determinants are those of the whole expansion bit
+        # for bit, on regular, huge, tiny, singular, infinite and NaN rows
+        rng = np.random.default_rng(3)
+        jac = conditioned(rng, 700, 3)
+        jac[1::7] *= 1e200
+        jac[2::7] *= 1e-200
+        jac[3::7] = 0.0
+        jac[4::7, 1, 2] = np.inf
+        jac[5::7, 0, 0] = np.nan
+        jac = jac.transpose(1, 2, 0).copy()
+        g = rng.standard_normal((3, 700))
+        with np.errstate(all="ignore"):
+            got, want = verify._cramer(jac, g), cramer3(jac, g)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b, equal_nan=True)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exactly_singular_rows_are_not_finite(self, n):
