@@ -43,6 +43,8 @@ when a call needs another block width.  A call of N points runs at the power
 of two at or above N, at most the instance's width, so batches that shrink
 or grow within a power of two (the census's, the flow's) reuse the plan; a
 call past the width runs full blocks and pads its last block to the width.
+A finer rule (N rounded up to its three leading bits) wasted fewer padded
+columns but rebuilt the plan so often that the census ran no faster.
 The plan holds stage 0's table repeated to the plan width and one
 workspace array: a Horner state and repeated x rows, whose leading rows
 every stage uses in turn, and the rows a later stage gathers from the stage
@@ -184,8 +186,10 @@ class _CallPlan:
         for s, (rows, runs) in enumerate(stages):
             coefs = self.table if s == 0 else gathered[:len(rows)]
             chains = runs[-1][0]
-            state = self._state[:chains + 1]
-            steps = [(state[:a], xs[:a], coefs[o:o + a]) for a, offsets in runs for o in offsets]
+            state, steps = self._state[:chains + 1], []
+            for a, offsets in runs:
+                live, xa = state[:a], xs[:a]
+                steps += [(live, xa, coefs[o:o + a]) for o in offsets]
             self._stages.append((rows if s else None, coefs, state, xs[:chains], steps))
 
     def run(self, x: np.ndarray, out: np.ndarray) -> None:
