@@ -52,8 +52,7 @@ before; the (state, x, coefficient) views of every Horner step are taken
 once.  A call refills x, zeroes the state and runs the steps over those
 views; the padded columns never reach an output.  So an instance holds,
 between calls, (stage-0 rows + 2 x stage-0 chains + 1 + the most rows of a
-later stage) x (plan width) doubles, the arrays that a call of the same
-width made and released before: 1.1 MB for the census field of a
+later stage) x (plan width) doubles: 1.1 MB for the census field of a
 four-point set in R^3 (215 + 37 + 18 rows, width 512), about 24 MB for
 the sixteen-point plane set above (22043 stage-0 rows, width 128).  The
 plan of a new width replaces the old one, so at most one is alive per
